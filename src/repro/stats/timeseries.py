@@ -8,20 +8,40 @@ per-window mean — exactly how the paper's time-series plots are drawn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Tuple, Union
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
 
 class TimeSeries:
-    """Raw ``(t_ns, value)`` samples in arrival order."""
+    """Raw ``(t_ns, value)`` samples in arrival order.
+
+    A series either grows point by point through :meth:`record` (list
+    backed) or is built whole by :meth:`from_arrays` (int64/float64
+    backed, read-only; 16 bytes a point instead of two boxed numbers).
+    """
 
     def __init__(self, name: str = "series") -> None:
         self.name = name
-        self._times: List[int] = []
-        self._values: List[float] = []
+        self._times: Union[List[int], np.ndarray] = []
+        self._values: Union[List[float], np.ndarray] = []
+
+    @classmethod
+    def from_arrays(
+        cls, name: str, times: ArrayLike, values: ArrayLike
+    ) -> "TimeSeries":
+        """A read-only series over non-decreasing ``times``."""
+        series = cls(name)
+        series._times = np.asarray(times, dtype=np.int64)
+        series._values = np.asarray(values, dtype=np.float64)
+        return series
 
     def record(self, t_ns: int, value: float) -> None:
+        if not isinstance(self._times, list) or not isinstance(self._values, list):
+            raise TypeError("an array-backed time series is read-only")
         if self._times and t_ns < self._times[-1]:
             raise ValueError("time series records must be non-decreasing in time")
         self._times.append(int(t_ns))
@@ -53,14 +73,14 @@ class WindowedAverage:
 
     @classmethod
     def from_points(
-        cls, times: Sequence[int], values: Sequence[float], window_ns: int
+        cls, times: ArrayLike, values: ArrayLike, window_ns: int
     ) -> "WindowedAverage":
         if window_ns <= 0:
             raise ValueError("window must be positive")
-        if not times:
-            return cls(window_ns=window_ns, starts_ns=(), means=())
         times_arr = np.asarray(times, dtype=np.int64)
         values_arr = np.asarray(values, dtype=np.float64)
+        if len(times_arr) == 0:
+            return cls(window_ns=window_ns, starts_ns=(), means=())
         buckets = times_arr // window_ns
         starts: List[int] = []
         means: List[float] = []
@@ -72,35 +92,3 @@ class WindowedAverage:
 
     def __len__(self) -> int:
         return len(self.starts_ns)
-
-
-class PowerIntegrator:
-    """Integrates a piecewise-constant power signal into energy.
-
-    The device power model reports transitions ("power is now P watts");
-    the integrator turns those into average power over arbitrary spans,
-    which is what a wall-socket power meter shows.
-    """
-
-    def __init__(self, idle_watts: float) -> None:
-        self._last_t: int = 0
-        self._last_power: float = idle_watts
-        self._energy_j_per_ns: float = 0.0
-        self.series = TimeSeries("power")
-
-    def set_power(self, t_ns: int, watts: float) -> None:
-        if t_ns < self._last_t:
-            raise ValueError("power transitions must be time-ordered")
-        self._energy_j_per_ns += self._last_power * (t_ns - self._last_t)
-        self._last_t = t_ns
-        self._last_power = watts
-        self.series.record(t_ns, watts)
-
-    def average_watts(self, until_ns: int) -> float:
-        """Mean power from t=0 to ``until_ns``."""
-        if until_ns <= 0:
-            return self._last_power
-        total = self._energy_j_per_ns + self._last_power * max(
-            0, until_ns - self._last_t
-        )
-        return total / until_ns

@@ -80,7 +80,7 @@ class TestPowerProperties:
         meter = PowerMeter(sim, PowerParams(idle_w=3.8))
         for kind, start, duration in ops:
             meter.observe_op(kind, start, start + duration)
-        sim.run()
+        sim.run(until=max((start + duration for _, start, duration in ops), default=0))
         values = meter.series.values
         if len(values):
             assert (values >= 3.8 - 1e-9).all()

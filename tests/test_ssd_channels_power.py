@@ -107,5 +107,26 @@ class TestPowerMeter:
     def test_series_records_transitions(self):
         sim, meter = self.make_meter()
         meter.observe_op(OpKind.READ, 0, 100)
-        sim.run()
+        sim.run(until=100)
         assert len(meter.series) == 2
+
+    def test_reads_are_as_of_now(self):
+        sim, meter = self.make_meter()
+        meter.observe_op(OpKind.READ, 100, 200)
+        sim.run(until=50)
+        assert len(meter.series) == 0
+        sim.run(until=100)
+        assert len(meter.series) == 1
+        assert meter.instantaneous_watts() == pytest.approx(4.5)
+
+    def test_observing_schedules_no_events(self):
+        sim, meter = self.make_meter()
+        meter.observe_op(OpKind.READ, 0, 100)
+        meter.observe_op(OpKind.PROGRAM, 50, 400)
+        meter.observe_transfer(10, 60)
+        assert sim.pending_count == 0
+        sim.run(until=400)
+        assert meter.average_watts(400) == pytest.approx(
+            (100 * 0.5 + 350 * 1.0 + 50 * 0.25) / 400 + 4.0
+        )
+        assert sim.pending_count == 0

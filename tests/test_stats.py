@@ -1,10 +1,27 @@
-"""Tests for latency recording, time series, and power integration."""
+"""Tests for latency recording and time series."""
 
+import itertools
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.stats import LatencyRecorder, TimeSeries, WindowedAverage
-from repro.stats.timeseries import PowerIntegrator
+
+#: A list-backed ``TimeSeries("power")`` of six points, pickled with
+#: ``pickle.HIGHEST_PROTOCOL`` as sweep caches stored it before power
+#: series became array-backed.
+_LIST_BACKED_PICKLE = (
+    b"\x80\x05\x95\x9d\x00\x00\x00\x00\x00\x00\x00\x8c\x16repro.stats.timeseries"
+    b"\x94\x8c\nTimeSeries\x94\x93\x94)\x81\x94}\x94(\x8c\x04name\x94\x8c\x05power"
+    b"\x94\x8c\x06_times\x94]\x94(K\x00K\x05K\x0cK\x0cK\x13K\x1fe\x8c\x07_values"
+    b"\x94]\x94(G@\x0effffffG@\x0ez\xe1G\xae\x14{G@\x0f\xae\x14z\xe1G\xaeG@\x0eff"
+    b"ffffG@\x0e\xa3\xd7\n=p\xa4G@\x0effffffeub."
+)
+_LIST_BACKED_POINTS = [
+    (0, 3.8), (5, 3.81), (12, 3.96), (12, 3.8), (19, 3.83), (31, 3.8),
+]
 
 
 class TestLatencyRecorder:
@@ -76,6 +93,10 @@ class TestTimeSeries:
     def test_empty_window(self):
         assert len(WindowedAverage.from_points([], [], 10)) == 0
 
+    def test_empty_array_window(self):
+        empty = np.array([], dtype=np.int64)
+        assert len(WindowedAverage.from_points(empty, empty, 10)) == 0
+
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
             WindowedAverage.from_points([0], [1.0], 0)
@@ -90,27 +111,48 @@ class TestTimeSeries:
         assert min(windowed.means) >= min(values) - 1e-9
         assert max(windowed.means) <= max(values) + 1e-9
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=50),
+                st.floats(min_value=0, max_value=100),
+            ),
+            max_size=60,
+        ),
+        st.integers(min_value=1, max_value=200),
+    )
+    def test_property_array_input_windows_like_lists(self, steps, window):
+        times = list(itertools.accumulate(step for step, _ in steps))
+        values = [value for _, value in steps]
+        from_lists = WindowedAverage.from_points(times, values, window)
+        from_arrays = WindowedAverage.from_points(
+            np.asarray(times, dtype=np.int64),
+            np.asarray(values, dtype=np.float64),
+            window,
+        )
+        assert from_arrays == from_lists
 
-class TestPowerIntegrator:
-    def test_constant_power(self):
-        integrator = PowerIntegrator(idle_watts=4.0)
-        assert integrator.average_watts(1000) == pytest.approx(4.0)
+    def test_array_backed_series(self):
+        times = [t for t, _ in _LIST_BACKED_POINTS]
+        values = [v for _, v in _LIST_BACKED_POINTS]
+        series = TimeSeries.from_arrays("power", times, values)
+        assert len(series) == len(times)
+        assert series.times.dtype == np.int64
+        assert series.values.dtype == np.float64
+        with pytest.raises(TypeError):
+            series.record(40, 1.0)
 
-    def test_step_change(self):
-        integrator = PowerIntegrator(idle_watts=2.0)
-        integrator.set_power(500, 6.0)
-        # 500ns at 2W + 500ns at 6W = mean 4W.
-        assert integrator.average_watts(1000) == pytest.approx(4.0)
-
-    def test_transitions_must_be_ordered(self):
-        integrator = PowerIntegrator(idle_watts=1.0)
-        integrator.set_power(100, 2.0)
-        with pytest.raises(ValueError):
-            integrator.set_power(50, 3.0)
-
-    def test_series_captures_transitions(self):
-        integrator = PowerIntegrator(idle_watts=1.0)
-        integrator.set_power(10, 5.0)
-        integrator.set_power(20, 1.0)
-        assert len(integrator.series) == 2
-        assert list(integrator.series.values) == [5.0, 1.0]
+    def test_list_backed_pickle_still_loads(self):
+        """Sweep caches written with list-backed series stay readable."""
+        old = pickle.loads(_LIST_BACKED_PICKLE)
+        times = [t for t, _ in _LIST_BACKED_POINTS]
+        values = [v for _, v in _LIST_BACKED_POINTS]
+        assert old.name == "power"
+        assert old.times.tolist() == times
+        assert old.values.tolist() == values
+        new = TimeSeries.from_arrays("power", times, values)
+        for window in (1, 7, 10, 100):
+            assert old.windowed(window) == new.windowed(window)
+        assert old.windowed(10).means == (3.8049999999999997, 3.8633333333333333, 3.8)
+        roundtrip = pickle.loads(pickle.dumps(new, protocol=pickle.HIGHEST_PROTOCOL))
+        assert roundtrip.windowed(10) == new.windowed(10)
