@@ -179,7 +179,7 @@ class FileSystemOverNbd:
             costs.user_io_prep.ns, ExecMode.USER, "fio", "fio_rw",
             loads=costs.user_io_prep.loads, stores=costs.user_io_prep.stores,
         )
-        yield self.sim.timeout(costs.user_io_prep.ns)
+        yield self.sim.sleep(costs.user_io_prep.ns)
         if op is IoOp.READ:
             latency = yield from self.fs.read(offset, nbytes)
         else:

@@ -11,7 +11,12 @@ instructions it executes.  The experiment harness then renders:
   (Figs. 15, 21, 22).
 
 Charging records bookkeeping only; advancing simulated time is the
-caller's job (the stack processes yield matching timeouts).
+caller's job (the stack processes yield matching ``sim.sleep`` calls).
+
+Each label owns one ``[ns, loads, stores]`` cell in a single dict, so a
+charge hashes its label once.  The views walk that dict in first-charge
+order, which fixes the key order of every per-module / per-function
+table they return.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 class ExecMode(enum.Enum):
@@ -45,9 +50,8 @@ class CpuAccounting:
     """Accumulates attributed CPU time and memory instructions."""
 
     def __init__(self) -> None:
-        self._cycles: Dict[Tuple[ExecMode, str, str], int] = defaultdict(int)
-        self._loads: Dict[Tuple[ExecMode, str, str], int] = defaultdict(int)
-        self._stores: Dict[Tuple[ExecMode, str, str], int] = defaultdict(int)
+        #: ``(mode, module, function)`` -> ``[ns, loads, stores]``.
+        self._cells: Dict[Tuple[ExecMode, str, str], List[int]] = {}
 
     # ------------------------------------------------------------------
     def charge(
@@ -61,45 +65,53 @@ class CpuAccounting:
         stores: int = 0,
     ) -> int:
         """Attribute ``ns`` of CPU time (and instructions); returns ``ns``
-        so call sites can pass it straight into a timeout."""
+        so call sites can pass it straight into a sleep."""
         if ns < 0 or loads < 0 or stores < 0:
             raise ValueError("charges must be non-negative")
         key = (mode, module, function)
-        self._cycles[key] += ns
-        self._loads[key] += loads
-        self._stores[key] += stores
+        cell = self._cells.get(key)
+        if cell is None:
+            self._cells[key] = [ns, loads, stores]
+        else:
+            cell[0] += ns
+            cell[1] += loads
+            cell[2] += stores
         return ns
 
     # ------------------------------------------------------------------
     # Cycle views
     # ------------------------------------------------------------------
-    def busy_ns(self, mode: ExecMode = None) -> int:
+    def busy_ns(self, mode: Optional[ExecMode] = None) -> int:
         """Total attributed CPU time, optionally filtered by mode."""
         return sum(
-            ns for (m, _, _), ns in self._cycles.items() if mode is None or m is mode
+            cell[0]
+            for (m, _, _), cell in self._cells.items()
+            if mode is None or m is mode
         )
 
-    def utilization(self, elapsed_ns: int, mode: ExecMode = None) -> float:
+    def utilization(self, elapsed_ns: int, mode: Optional[ExecMode] = None) -> float:
         """Busy fraction of ``elapsed_ns`` (one core)."""
         if elapsed_ns <= 0:
             return 0.0
         return min(1.0, self.busy_ns(mode) / elapsed_ns)
 
-    def cycles_by_module(self, mode: ExecMode = None) -> Dict[str, int]:
+    def cycles_by_module(self, mode: Optional[ExecMode] = None) -> Dict[str, int]:
         out: Dict[str, int] = defaultdict(int)
-        for (m, module, _), ns in self._cycles.items():
+        for (m, module, _), cell in self._cells.items():
             if mode is None or m is mode:
-                out[module] += ns
+                out[module] += cell[0]
         return dict(out)
 
-    def cycles_by_function(self, mode: ExecMode = None) -> Dict[str, int]:
+    def cycles_by_function(self, mode: Optional[ExecMode] = None) -> Dict[str, int]:
         out: Dict[str, int] = defaultdict(int)
-        for (m, _, function), ns in self._cycles.items():
+        for (m, _, function), cell in self._cells.items():
             if mode is None or m is mode:
-                out[function] += ns
+                out[function] += cell[0]
         return dict(out)
 
-    def cycle_share_by_function(self, mode: ExecMode = None) -> Dict[str, float]:
+    def cycle_share_by_function(
+        self, mode: Optional[ExecMode] = None
+    ) -> Dict[str, float]:
         """Fraction of attributed cycles per function (Fig. 14b)."""
         per_function = self.cycles_by_function(mode)
         total = sum(per_function.values())
@@ -111,21 +123,21 @@ class CpuAccounting:
     # Instruction views
     # ------------------------------------------------------------------
     def total_loads(self) -> int:
-        return sum(self._loads.values())
+        return sum(cell[1] for cell in self._cells.values())
 
     def total_stores(self) -> int:
-        return sum(self._stores.values())
+        return sum(cell[2] for cell in self._cells.values())
 
     def loads_by_function(self) -> Dict[str, int]:
         out: Dict[str, int] = defaultdict(int)
-        for (_, _, function), count in self._loads.items():
-            out[function] += count
+        for (_, _, function), cell in self._cells.items():
+            out[function] += cell[1]
         return dict(out)
 
     def stores_by_function(self) -> Dict[str, int]:
         out: Dict[str, int] = defaultdict(int)
-        for (_, _, function), count in self._stores.items():
-            out[function] += count
+        for (_, _, function), cell in self._cells.items():
+            out[function] += cell[2]
         return dict(out)
 
     def load_share_by_function(self) -> Dict[str, float]:
@@ -143,7 +155,7 @@ class CpuAccounting:
         return {fn: count / total for fn, count in per_function.items()}
 
     # ------------------------------------------------------------------
-    def profiles(self) -> list:
+    def profiles(self) -> List[FunctionProfile]:
         """All function profiles, largest cycle consumers first."""
         rows = [
             FunctionProfile(
@@ -151,10 +163,10 @@ class CpuAccounting:
                 module=module,
                 function=function,
                 cycles_ns=ns,
-                loads=self._loads.get((mode, module, function), 0),
-                stores=self._stores.get((mode, module, function), 0),
+                loads=loads,
+                stores=stores,
             )
-            for (mode, module, function), ns in self._cycles.items()
+            for (mode, module, function), (ns, loads, stores) in self._cells.items()
         ]
         rows.sort(key=lambda row: row.cycles_ns, reverse=True)
         return rows

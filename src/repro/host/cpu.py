@@ -66,11 +66,11 @@ class CpuCore:
         self.owner = None
 
     # ------------------------------------------------------------------
-    def busy_cycles(self, mode: ExecMode = None) -> int:
+    def busy_cycles(self, mode: Optional[ExecMode] = None) -> int:
         """Attributed busy time in cycles (the paper's unit)."""
         return self.spec.cycles_of(self.accounting.busy_ns(mode))
 
-    def utilization(self, elapsed_ns: int, mode: ExecMode = None) -> float:
+    def utilization(self, elapsed_ns: int, mode: Optional[ExecMode] = None) -> float:
         return self.accounting.utilization(elapsed_ns, mode)
 
 
@@ -105,7 +105,7 @@ class CpuTopology:
         core.unpin()
 
     # ------------------------------------------------------------------
-    def total_utilization(self, elapsed_ns: int, mode: ExecMode = None) -> float:
+    def total_utilization(self, elapsed_ns: int, mode: Optional[ExecMode] = None) -> float:
         """Mean busy fraction across all cores (system-wide view)."""
         if elapsed_ns <= 0 or not self.cores:
             return 0.0

@@ -32,7 +32,7 @@ from repro.host.accounting import CpuAccounting, ExecMode
 from repro.host.costs import SoftwareCosts, StepCost
 from repro.kstack.driver import DriverRequest, KernelNvmeDriver
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Sleep, Wait
 
 
 class CompletionMethod(enum.Enum):
@@ -81,16 +81,16 @@ class _EngineBase:
     # ------------------------------------------------------------------
     def _charge_and_wait(
         self, step: StepCost, mode: ExecMode, module: str, function: str
-    ) -> Timeout:
+    ) -> Sleep:
         """Charge one step and advance the clock by its duration."""
         self.accounting.charge(
             step.ns, mode, module, function, loads=step.loads, stores=step.stores
         )
-        return self.sim.timeout(step.ns)
+        return self.sim.sleep(step.ns)
 
     def _spin_until_cqe(
         self, driver_request: DriverRequest
-    ) -> Generator[Event, Any, int]:
+    ) -> Generator[Wait, Any, int]:
         """Generator: spin on the CQ until the CQE lands.
 
         Returns the nanoseconds spent spinning.  Wall time advances to
@@ -112,7 +112,7 @@ class _EngineBase:
             # CQE landed; everything from here is completion software.
             pending.trace.phase("completion_poll", pending.cqe_ns)
         detect = costs.kernel_poll_iter_ns
-        yield self.sim.timeout(detect)
+        yield self.sim.sleep(detect)
         spun = self.sim.now - started
         self._charge_spin(spun)
         self._m_spin_ns.inc(spun)
@@ -134,7 +134,7 @@ class _EngineBase:
                 pending.trace.annotate(
                     "deferred_kernel_work", self.sim.now, self.sim.now + penalty
                 )
-            yield self.sim.timeout(penalty)
+            yield self.sim.sleep(penalty)
         return spun
 
     def _charge_spin(self, spun_ns: int) -> None:
@@ -163,7 +163,7 @@ class _EngineBase:
 
     def _finish(
         self, driver: KernelNvmeDriver, driver_request: DriverRequest
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Wait, Any, None]:
         """Complete the request through blk-mq (poll flavors)."""
         completed = driver.nvme_poll(driver_request.blk_request.cookie)
         assert completed is not None, "poll finished before CQE?"
@@ -182,7 +182,7 @@ class InterruptEngine(_EngineBase):
 
     def complete(
         self, driver: KernelNvmeDriver, driver_request: DriverRequest
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Wait, Any, None]:
         costs = self.costs
         pending = driver_request.pending
         # Switch away; the core is free for other work while the device runs.
@@ -197,7 +197,7 @@ class InterruptEngine(_EngineBase):
             # CQE landed; MSI flight, ISR, and wake-up follow.
             pending.trace.phase("completion_isr", pending.cqe_ns)
         # MSI flight, then the ISR completes the command.
-        yield self.sim.timeout(costs.irq_delivery_ns)
+        yield self.sim.sleep(costs.irq_delivery_ns)
         self._m_isr.inc()
         yield self._charge_and_wait(
             costs.isr, ExecMode.KERNEL, "nvme-driver", "nvme_irq"
@@ -218,7 +218,7 @@ class PollEngine(_EngineBase):
 
     def complete(
         self, driver: KernelNvmeDriver, driver_request: DriverRequest
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Wait, Any, None]:
         yield from self._spin_until_cqe(driver_request)
         yield from self._finish(driver, driver_request)
 
@@ -249,7 +249,7 @@ class HybridPollEngine(_EngineBase):
 
     def complete(
         self, driver: KernelNvmeDriver, driver_request: DriverRequest
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Wait, Any, None]:
         costs = self.costs
         wait_started = self.sim.now
         cqe_event = driver_request.pending.cqe_event
@@ -266,7 +266,7 @@ class HybridPollEngine(_EngineBase):
             # past the CQE — the oversleep the paper measures.
             slack = int(self.rng.integers(0, costs.hybrid_timer_slack_ns + 1))
             slept_from = self.sim.now
-            yield self.sim.timeout(sleep_ns + slack)  # core released: no charge
+            yield self.sim.sleep(sleep_ns + slack)  # core released: no charge
             if driver_request.pending.trace is not None:
                 driver_request.pending.trace.annotate(
                     "hybrid_sleep", slept_from, self.sim.now
@@ -285,7 +285,7 @@ class HybridPollEngine(_EngineBase):
                     "completion_poll", driver_request.pending.cqe_ns
                 )
             detect = costs.kernel_poll_iter_ns
-            yield self.sim.timeout(detect)
+            yield self.sim.sleep(detect)
             self._charge_spin(detect)
             self._t_poll_burn.add_interval(self.sim.now - detect, self.sim.now)
         else:

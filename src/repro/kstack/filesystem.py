@@ -23,7 +23,7 @@ import numpy as np
 from repro.host.accounting import CpuAccounting, ExecMode
 from repro.host.costs import StepCost
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Sleep, Wait
 from repro.ssd.device import IoOp
 from repro.units import Bytes
 
@@ -95,7 +95,7 @@ class Ext4Model:
         """First byte usable for file data."""
         return self._meta_blocks * self.costs.metadata_block_bytes
 
-    def _charge_and_wait(self, step: StepCost, function: str) -> Timeout:
+    def _charge_and_wait(self, step: StepCost, function: str) -> Sleep:
         self.accounting.charge(
             step.ns,
             ExecMode.KERNEL,
@@ -104,14 +104,14 @@ class Ext4Model:
             loads=step.loads,
             stores=step.stores,
         )
-        return self.sim.timeout(step.ns)
+        return self.sim.sleep(step.ns)
 
     def _meta_offset(self, key: int) -> int:
         block = key % self._meta_blocks
         return block * self.costs.metadata_block_bytes
 
     # ------------------------------------------------------------------
-    def read(self, offset: Bytes, nbytes: int) -> Generator[Event, Any, int]:
+    def read(self, offset: Bytes, nbytes: int) -> Generator[Wait, Any, int]:
         """Process: file read.  Returns application latency (ns)."""
         costs = self.costs
         started = self.sim.now
@@ -125,7 +125,7 @@ class Ext4Model:
         yield self._charge_and_wait(costs.atime_update, "ext4_update_atime")
         return self.sim.now - started
 
-    def write(self, offset: Bytes, nbytes: int) -> Generator[Event, Any, int]:
+    def write(self, offset: Bytes, nbytes: int) -> Generator[Wait, Any, int]:
         """Process: file write with journaling.  Returns latency (ns)."""
         costs = self.costs
         started = self.sim.now

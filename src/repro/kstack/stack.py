@@ -18,7 +18,7 @@ from repro.kstack.completion import CompletionMethod, make_engine
 from repro.kstack.driver import DriverRequest, KernelNvmeDriver
 from repro.nvme.controller import NvmeController, NvmeQueuePair, NvmeTimings
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Sleep, Wait
 from repro.ssd.device import IoOp, SsdDevice
 from repro.units import Bytes
 
@@ -96,16 +96,16 @@ class KernelStack:
 
     def _charge_and_wait(
         self, step: StepCost, mode: ExecMode, module: str, function: str
-    ) -> Timeout:
+    ) -> Sleep:
         self.accounting.charge(
             step.ns, mode, module, function, loads=step.loads, stores=step.stores
         )
-        return self.sim.timeout(step.ns)
+        return self.sim.sleep(step.ns)
 
     # ------------------------------------------------------------------
     def sync_io(
         self, op: IoOp, offset: Bytes, nbytes: int
-    ) -> Generator[Event, Any, int]:
+    ) -> Generator[Wait, Any, int]:
         """Process: one synchronous (pvsync2-style) I/O.
 
         Returns the application-observed latency in nanoseconds.
@@ -144,7 +144,7 @@ class KernelStack:
         offset: int,
         nbytes: int,
         ctx: "Optional[IoTrace]" = None,
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Wait, Any, None]:
         costs = self.costs
         yield self._charge_and_wait(
             costs.syscall_entry, ExecMode.KERNEL, "vfs", "syscall"
@@ -179,7 +179,7 @@ class KernelStack:
 
     def _maybe_requeue(
         self, ctx: "Optional[IoTrace]" = None
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Wait, Any, None]:
         """Process: injected ``BLK_STS_RESOURCE`` dispatch failures.
 
         Each failed dispatch requeues the request with exponential
@@ -220,12 +220,12 @@ class KernelStack:
                 loads=costs.blkmq_submit.loads,
                 stores=costs.blkmq_submit.stores,
             )
-            yield self.sim.timeout(delay)
+            yield self.sim.sleep(delay)
 
     # ------------------------------------------------------------------
     def submit_async(
         self, op: IoOp, offset: Bytes, nbytes: int
-    ) -> Generator[Event, Any, DriverRequest]:
+    ) -> Generator[Wait, Any, DriverRequest]:
         """Process: queue one libaio I/O (batched io_submit, amortized).
 
         Returns the :class:`DriverRequest`; the caller observes

@@ -32,7 +32,7 @@ from repro.host.accounting import CpuAccounting, ExecMode
 from repro.host.costs import DEFAULT_COSTS, SoftwareCosts, StepCost
 from repro.net.link import NetworkLink
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Sleep, Wait
 from repro.ssd.device import IoOp, SsdDevice
 from repro.units import Bytes
 
@@ -112,16 +112,16 @@ class NbdSystem:
     # ------------------------------------------------------------------
     def _charge_and_wait(
         self, step: StepCost, mode: ExecMode, module: str, function: str
-    ) -> Timeout:
+    ) -> Sleep:
         self.accounting.charge(
             step.ns, mode, module, function, loads=step.loads, stores=step.stores
         )
-        return self.sim.timeout(step.ns)
+        return self.sim.sleep(step.ns)
 
     # ------------------------------------------------------------------
     def sync_io(
         self, op: IoOp, offset: Bytes, nbytes: int
-    ) -> Generator[Event, Any, int]:
+    ) -> Generator[Wait, Any, int]:
         """Process: one block I/O across the network.  Returns latency."""
         costs = self.costs
         started = self.sim.now
@@ -146,7 +146,7 @@ class NbdSystem:
             ctx.phase("net_send", send_at)
             self._trace_link_waits(ctx, send_at, sent, delivered)
         if delivered > self.sim.now:
-            yield self.sim.timeout(delivered - self.sim.now)
+            yield self.sim.sleep(delivered - self.sim.now)
         # Server-side residence.
         yield from self._server_side(op, offset, nbytes, ctx)
         # Reply (+ payload for reads) back to the client.
@@ -157,12 +157,12 @@ class NbdSystem:
             ctx.phase("net_return", reply_at)
             self._trace_link_waits(ctx, reply_at, sent, returned)
         if returned > self.sim.now:
-            yield self.sim.timeout(returned - self.sim.now)
+            yield self.sim.sleep(returned - self.sim.now)
         # Client: completion (interrupt-driven; the NBD client is kernel
         # code either way — SPDK only bypasses the *server* side).
         if ctx is not None:
             ctx.phase("completion_isr", self.sim.now)
-        yield self.sim.timeout(self.costs.irq_delivery_ns)
+        yield self.sim.sleep(self.costs.irq_delivery_ns)
         yield self._charge_and_wait(
             costs.blkmq_complete, ExecMode.KERNEL, "blk-mq", "blk_mq_complete_request"
         )
@@ -201,7 +201,7 @@ class NbdSystem:
     # ------------------------------------------------------------------
     def _server_side(
         self, op: IoOp, offset: int, nbytes: int, ctx: "Optional[IoTrace]" = None
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Wait, Any, None]:
         if ctx is not None:
             ctx.phase("server", self.sim.now)
         if self.server is NbdServerKind.KERNEL:
@@ -211,7 +211,7 @@ class NbdSystem:
 
     def _kernel_server(
         self, op: IoOp, offset: int, nbytes: int, ctx: "Optional[IoTrace]" = None
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Wait, Any, None]:
         sc = self.server_costs
         if op is IoOp.READ:
             yield self._charge_and_wait(
@@ -244,7 +244,7 @@ class NbdSystem:
 
     def _spdk_server(
         self, op: IoOp, offset: int, nbytes: int, ctx: "Optional[IoTrace]" = None
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Wait, Any, None]:
         sc = self.server_costs
         yield self._charge_and_wait(
             sc.spdk_poll_dispatch, ExecMode.USER, "spdk-nbd", "reactor_poll"

@@ -12,10 +12,11 @@ spend its events and its host CPU?  Three views:
   ``ssd.channels``).  Generator-trampoline dispatches — a
   :class:`~repro.sim.process.Process` resume, or an event whose firing
   synchronously resumes a waiting process — are attributed to the
-  *generator's* code object, so the cost of ``Timeout._fire`` lands on
-  the FTL/NVMe/kstack coroutine it actually drives, not on the sim
-  kernel.  Event counts are exact (counted on the sim clock); wall time
-  is sampled with ``time.perf_counter_ns`` around each dispatch when
+  *generator's* code object, so the cost of a ``Process._wake`` (a
+  ``sim.sleep()`` ending) lands on the FTL/NVMe/kstack coroutine it
+  actually drives, not on the sim kernel.  Event counts are exact
+  (counted on the sim clock); wall time is sampled with
+  ``time.perf_counter_ns`` around each dispatch when
   ``ProfilerConfig.wall`` is on.
 * **Event-queue introspection** — insert/dispatch/stale-wakeup counts,
   peak and time-resolved queue depth, a heap-sift cost proxy (sum of
@@ -170,8 +171,8 @@ def _generator_of(callback: Callable[..., Any]) -> Optional[Any]:
 
     Covers the three trampoline shapes the kernel produces:
 
-    * ``Process._resume`` / ``Process._on_event`` bound methods — the
-      process's own generator;
+    * ``Process._wake`` / ``Process._resume`` / ``Process._on_event``
+      bound methods — the process's own generator;
     * an :class:`~repro.sim.events.Event` method (``Timeout._fire``)
       whose pending callbacks include a waiting process — firing the
       event resumes that generator in the same dispatch;

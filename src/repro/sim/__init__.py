@@ -7,7 +7,7 @@ storage stack, SPDK, the NBD server) is built on top of this package.
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.events import AnyOf, Event, Timeout
+from repro.sim.events import AnyOf, Event, Sleep, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Resource, Store, TimelineResource
 
@@ -15,6 +15,7 @@ __all__ = [
     "Simulator",
     "Event",
     "Timeout",
+    "Sleep",
     "AnyOf",
     "Process",
     "Resource",

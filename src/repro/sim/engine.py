@@ -34,7 +34,7 @@ from typing import (
 
 from repro.obs.core import current_obs
 from repro.sim import sanitize
-from repro.sim.events import AnyOf, Event, Timeout
+from repro.sim.events import AnyOf, Event, Sleep, Timeout
 from repro.sim.process import Process
 from repro.units import Ns
 
@@ -152,8 +152,25 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: Ns, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` ns from now."""
+        """Create an event that fires ``delay`` ns from now.
+
+        A process that only wants to pause should yield :meth:`sleep`
+        instead; a timeout is for a deadline others wait on or race
+        (``any_of``).
+        """
         return Timeout(self, int(delay), value)
+
+    def sleep(self, delay: Ns) -> Sleep:
+        """Pause the yielding process for ``delay`` ns, with no event.
+
+        ``yield sim.sleep(ns)`` resumes the process ``delay`` ns later,
+        on the same tick and in the same FIFO slot as ``yield
+        sim.timeout(ns)`` would (see ``docs/sim-engine.md``).
+        """
+        delay = int(delay)
+        if delay < 0:
+            raise ValueError(f"negative sleep delay: {delay}")
+        return Sleep(delay)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Create an event that fires when the first of ``events`` fires."""
@@ -164,7 +181,8 @@ class Simulator:
 
         The generator yields :class:`~repro.sim.events.Event` instances
         (including timeouts and other processes) and is resumed with each
-        event's value.
+        event's value, or a :meth:`sleep` request and is resumed with
+        ``None`` once it has elapsed.
         """
         return Process(self, generator)
 

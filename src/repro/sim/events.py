@@ -8,7 +8,7 @@ yields an event is resumed through such a callback.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional, Union
 
 from repro.sim import sanitize
 from repro.units import Ns
@@ -120,6 +120,26 @@ class Timeout(Event):
 
     def _fire(self, value: Any) -> None:
         self.succeed(value)
+
+
+class Sleep:
+    """A pause request: what :meth:`repro.sim.engine.Simulator.sleep`
+    returns for a process to yield.
+
+    Not an event — nothing can wait on or race it.  The yielding
+    process schedules its own wake ``delay`` ns later and uses the
+    instance as that wake's token, so an interrupt that moves the
+    process on turns the queued wake into a stale one.
+    """
+
+    __slots__ = ("delay",)
+
+    def __init__(self, delay: Ns) -> None:
+        self.delay = delay
+
+
+#: What a process generator may yield.
+Wait = Union[Event, Sleep]
 
 
 class AnyOf(Event):

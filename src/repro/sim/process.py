@@ -5,14 +5,18 @@ triggers, the process resumes with the event's value; if the event failed,
 the exception is thrown into the generator.  A process is itself an event
 that triggers with the generator's return value, so processes can wait on
 each other by yielding them.
+
+A generator may also yield a :class:`~repro.sim.events.Sleep` (from
+``sim.sleep(ns)``): the process then schedules its own wake, with no
+event in between.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterator, Optional
 
 from repro.sim import sanitize
-from repro.sim.events import Event
+from repro.sim.events import Event, Sleep, Wait
 
 
 class Interrupted(Exception):
@@ -36,7 +40,9 @@ class Process(Event):
             )
         super().__init__(sim)
         self._generator = generator
-        self._waiting_on: Event | None = None
+        #: The event or sleep the generator is parked on.  A sleep wake
+        #: only resumes the process while its token is still here.
+        self._waiting_on: Optional[Wait] = None
         # Start on the next simulation step so creation order does not
         # matter within a single instant.
         sim.post(self._resume, None, None)
@@ -51,23 +57,27 @@ class Process(Event):
         if self.triggered:
             raise RuntimeError("cannot interrupt a finished process")
         waiting_on, self._waiting_on = self._waiting_on, None
-        if waiting_on is not None and not waiting_on.triggered:
+        if isinstance(waiting_on, Event) and not waiting_on.triggered:
             # Detach for real: the event we were parked on may still
             # trigger later (a pending timeout, a racing AnyOf), and its
             # callback list must no longer reach us — otherwise every
             # interrupt leaves a live callback that fires as a stale
-            # wakeup (pure dispatch overhead the profiler counts).
+            # wakeup (pure dispatch overhead the profiler counts).  A
+            # pending sleep wake stays queued and arrives stale.
             waiting_on.remove_callback(self._on_event)
         self.sim.post(self._resume, None, Interrupted(cause))
 
     # ------------------------------------------------------------------
+    def _note_stale(self) -> None:
+        # Stale wakeup after an interrupt: pure dispatch overhead,
+        # which is exactly what the self-profiler wants to count.
+        prof = getattr(self.sim, "_prof", None)
+        if prof is not None:
+            prof.note_stale()
+
     def _on_event(self, event: Event) -> None:
         if event is not self._waiting_on:
-            # Stale wakeup after an interrupt: pure dispatch overhead,
-            # which is exactly what the self-profiler wants to count.
-            prof = getattr(self.sim, "_prof", None)
-            if prof is not None:
-                prof.note_stale()
+            self._note_stale()
             return
         self._waiting_on = None
         if event.ok:
@@ -75,8 +85,16 @@ class Process(Event):
         else:
             self._resume(None, event._exception)  # noqa: SLF001
 
+    def _wake(self, token: Sleep) -> None:
+        """A sleep elapsed: resume, unless an interrupt moved us on."""
+        if token is not self._waiting_on:
+            self._note_stale()
+            return
+        self._waiting_on = None
+        self._resume(None, None)
+
     def _resume(self, value: Any, exception: BaseException | None) -> None:
-        if self.triggered:
+        if self._triggered:
             return
         try:
             if exception is not None:
@@ -91,19 +109,27 @@ class Process(Event):
             # quietly (it was cancelled on purpose).
             self.succeed(None)
             return
+        sim = self.sim
+        if target.__class__ is Sleep:
+            # The wake is the first thing scheduled after the sleep()
+            # call, so it takes the FIFO slot a Timeout built there
+            # would have taken.
+            self._waiting_on = target
+            sim.schedule_at(sim.now + target.delay, self._wake, target)
+            return
         if not isinstance(target, Event):
             self._generator.close()
             self.fail(
                 TypeError(f"process yielded a non-event: {target!r}")
             )
             return
-        if getattr(self.sim, "sanitize", False):
-            sanitize.check_owner(self.sim, target, "wait (process yield)")
+        if sim.sanitize:
+            sanitize.check_owner(sim, target, "wait (process yield)")
         self._waiting_on = target
         if target.triggered:
             # Flatten recursion: a ready event resumes us as a same-tick
             # microtask instead of recursing synchronously — and, since
             # PR 7, without a heap round-trip.
-            self.sim.post(self._on_event, target)
+            sim.post(self._on_event, target)
         else:
             target.add_callback(self._on_event)

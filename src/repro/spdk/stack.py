@@ -20,7 +20,7 @@ from repro.host.accounting import CpuAccounting, ExecMode
 from repro.host.costs import DEFAULT_COSTS, SoftwareCosts, StepCost
 from repro.nvme.controller import NvmeController, NvmeTimings, PendingCommand
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Sleep, Wait
 from repro.spdk.hugepage import HugePageAllocator
 from repro.spdk.uio import UioBinding
 from repro.ssd.device import IoOp, SsdDevice
@@ -77,7 +77,7 @@ class SpdkStack:
         self.stage_log: Optional[List[Tuple[int, int, Optional[int], int]]] = None
 
     # ------------------------------------------------------------------
-    def _charge_and_wait(self, step: StepCost, function: str) -> Timeout:
+    def _charge_and_wait(self, step: StepCost, function: str) -> Sleep:
         self.accounting.charge(
             step.ns,
             ExecMode.USER,
@@ -86,12 +86,12 @@ class SpdkStack:
             loads=step.loads,
             stores=step.stores,
         )
-        return self.sim.timeout(step.ns)
+        return self.sim.sleep(step.ns)
 
     # ------------------------------------------------------------------
     def sync_io(
         self, op: IoOp, offset: Bytes, nbytes: int
-    ) -> Generator[Event, Any, int]:
+    ) -> Generator[Wait, Any, int]:
         """Process: one QD-1 I/O through the SPDK fast path.
 
         Returns the application-observed latency in nanoseconds.
@@ -141,7 +141,7 @@ class SpdkStack:
     # ------------------------------------------------------------------
     def _process_completions(
         self, pending: PendingCommand
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Wait, Any, None]:
         """Spin in the user-space completion loop until the CQE lands."""
         costs = self.costs
         started = self.sim.now
@@ -156,7 +156,7 @@ class SpdkStack:
             pending.trace.wait(
                 "spdk.poller", "poll_gap", pending.cqe_ns, pending.cqe_ns + detect
             )
-        yield self.sim.timeout(detect)
+        yield self.sim.sleep(detect)
         self._charge_spin(self.sim.now - started)
         self._t_poll_burn.add_interval(started, self.sim.now)
 

@@ -40,7 +40,7 @@ from repro.ssd.power import PowerMeter
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
     from repro.obs.tracer import IoTrace
-    from repro.sim.events import Event
+    from repro.sim.events import Wait
 
 
 @dataclass
@@ -416,7 +416,7 @@ class SsdController:
     # ------------------------------------------------------------------
     def write_unit(
         self, lpn: int, trace: "Optional[IoTrace]" = None
-    ) -> "Generator[Event, Any, None]":
+    ) -> "Generator[Wait, Any, None]":
         """Process: admit one unit into the write buffer."""
         wait_from = self.sim.now
         yield self.write_buffer.reserve()
@@ -439,7 +439,7 @@ class SsdController:
     # ------------------------------------------------------------------
     # Background flush workers (one per die)
     # ------------------------------------------------------------------
-    def _batcher(self) -> "Generator[Event, Any, None]":
+    def _batcher(self) -> "Generator[Wait, Any, None]":
         """Process: gather buffered units into program-sized batches.
 
         One shared stage between the buffer and the die workers, so
@@ -463,7 +463,7 @@ class SsdController:
             ):
                 # Trickle traffic: wait briefly for more units so a
                 # program op commits a fuller page set.
-                yield self.sim.timeout(config.flush_coalesce_ns)
+                yield self.sim.sleep(config.flush_coalesce_ns)
                 while (
                     len(batch) < config.units_per_program
                     and buffer.pending_flush > 0
@@ -473,7 +473,7 @@ class SsdController:
                     batch.append(ready.value)
             self._batches.put(batch)
 
-    def _flush_worker(self, die_index: int) -> "Generator[Event, Any, None]":
+    def _flush_worker(self, die_index: int) -> "Generator[Wait, Any, None]":
         config = self.config
         buffer = self.write_buffer
         while True:
@@ -545,7 +545,7 @@ class SsdController:
             self.stats.flush_batches += 1
             self._m_flush_batches.inc()
             if finish_at > self.sim.now:
-                yield self.sim.timeout(finish_at - self.sim.now)
+                yield self.sim.sleep(finish_at - self.sim.now)
             for lpn in placed:
                 buffer.flushed(lpn)
             self._m_buffer_occ.set(buffer.occupancy, self.sim.now)
@@ -553,7 +553,7 @@ class SsdController:
 
     def _collect_one_block(
         self, die_index: int
-    ) -> "Generator[Event, Any, bool]":
+    ) -> "Generator[Wait, Any, bool]":
         """Process: one GC cycle on ``die_index``.  Returns True if a
         block was reclaimed."""
         plan: Optional[GcPlan] = self.ftl.plan_gc(die_index)
@@ -573,7 +573,7 @@ class SsdController:
                     continue
                 _, read_done = die.read(not_before=self.sim.now)
                 if read_done > self.sim.now:
-                    yield self.sim.timeout(read_done - self.sim.now)
+                    yield self.sim.sleep(read_done - self.sim.now)
                 pending.append(lpn)
                 if len(pending) >= config.units_per_program:
                     migrated += yield from self._program_migration(
@@ -586,7 +586,7 @@ class SsdController:
                 )
             _, erased = die.erase(not_before=self.sim.now)
             if erased > self.sim.now:
-                yield self.sim.timeout(erased - self.sim.now)
+                yield self.sim.sleep(erased - self.sim.now)
         finally:
             # NOTE: nothing here may touch observability state.  Cycles
             # abandoned when the run ends are closed later by the
@@ -621,7 +621,7 @@ class SsdController:
 
     def _program_migration(
         self, die_index: int, lpns: List[int], victim_block: int
-    ) -> "Generator[Event, Any, int]":
+    ) -> "Generator[Wait, Any, int]":
         """Process: one copyback program for a chunk of migrating pages.
 
         Pages the host overwrote between the GC read and this program are
@@ -636,5 +636,5 @@ class SsdController:
             self.ftl.relocate(lpn, die_index)
         _, programmed = self._program_page(die_index, not_before=self.sim.now)
         if programmed > self.sim.now:
-            yield self.sim.timeout(programmed - self.sim.now)
+            yield self.sim.sleep(programmed - self.sim.now)
         return len(survivors)

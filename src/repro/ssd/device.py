@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Generator, List, Optional
 
 from repro.obs.core import current_obs
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import Event, Wait
 from repro.ssd.config import UNIT_SIZE, SsdConfig
 from repro.ssd.controller import SsdController
 from repro.units import Bytes
@@ -201,10 +201,10 @@ class SsdDevice:
 
     def _write_flow(
         self, request: DeviceRequest, trace: "Optional[IoTrace]" = None
-    ) -> Generator[Event, Any, None]:
+    ) -> Generator[Wait, Any, None]:
         config = self.config
         controller = self.controller
-        yield self.sim.timeout(config.write_fw_ns)
+        yield self.sim.sleep(config.write_fw_ns)
         dma_start, dma_done = controller.pcie.reserve(
             config.pcie_transfer_ns(request.nbytes), not_before=self.sim.now
         )
@@ -213,7 +213,7 @@ class SsdDevice:
             trace.phase("dma", dma_start)
             trace.annotate("pcie_dma", dma_start, dma_done, nbytes=request.nbytes)
         if dma_done > self.sim.now:
-            yield self.sim.timeout(dma_done - self.sim.now)
+            yield self.sim.sleep(dma_done - self.sim.now)
         if trace is not None:
             trace.phase("write_buffer", self.sim.now)
         for lpn in request.lpns:
@@ -228,7 +228,7 @@ class SsdDevice:
                 )
             else:
                 trace.phase("ctrl", self.sim.now)
-        yield self.sim.timeout(stall + config.dram_hit_ns + config.completion_fw_ns)
+        yield self.sim.sleep(stall + config.dram_hit_ns + config.completion_fw_ns)
         self._complete(request, self.sim.now)
 
     def _complete(self, request: DeviceRequest, done_at: int) -> None:

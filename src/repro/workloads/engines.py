@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.obs.registry import NULL_REGISTRY
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import Event, Wait
 from repro.ssd.device import IoOp
 from repro.stats.latency import LatencyRecorder
 from repro.stats.timeseries import TimeSeries
@@ -106,7 +106,7 @@ class SyncJobEngine:
         self.pattern = pattern
         self.metrics = metrics
 
-    def run(self) -> Generator[Event, Any, None]:
+    def run(self) -> Generator[Wait, Any, None]:
         """Process: issue every I/O back-to-back."""
         block_size = self.job.block_size
         for op, offset in self.pattern.take(self.job.io_count):
@@ -135,7 +135,7 @@ class AsyncJobEngine:
         self._slot_waiter: Optional[Event] = None
         self._drained: Optional[Event] = None
 
-    def run(self) -> Generator[Event, Any, None]:
+    def run(self) -> Generator[Wait, Any, None]:
         """Process: keep ``iodepth`` I/Os outstanding until done."""
         job = self.job
         for _ in range(job.io_count):

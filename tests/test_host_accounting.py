@@ -1,10 +1,13 @@
 """Tests for CPU cycle / instruction accounting and the cost table."""
 
 import dataclasses
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.host import CpuAccounting, ExecMode, SoftwareCosts, StepCost
+from repro.host.accounting import FunctionProfile
 
 
 class TestCharging:
@@ -74,6 +77,162 @@ class TestBreakdowns:
         profiles = self.make_populated().profiles()
         assert profiles[0].function == "blk_mq_poll"
         assert profiles[0].loads == 60
+
+
+class ThreeDictAccounting:
+    """The accounting before its one-cell collapse: three dicts keyed by
+    ``(mode, module, function)``.  Kept as the oracle for every view."""
+
+    def __init__(self):
+        self._cycles = defaultdict(int)
+        self._loads = defaultdict(int)
+        self._stores = defaultdict(int)
+
+    def charge(self, ns, mode, module, function, *, loads=0, stores=0):
+        if ns < 0 or loads < 0 or stores < 0:
+            raise ValueError("charges must be non-negative")
+        key = (mode, module, function)
+        self._cycles[key] += ns
+        self._loads[key] += loads
+        self._stores[key] += stores
+        return ns
+
+    def busy_ns(self, mode=None):
+        return sum(
+            ns for (m, _, _), ns in self._cycles.items() if mode is None or m is mode
+        )
+
+    def utilization(self, elapsed_ns, mode=None):
+        if elapsed_ns <= 0:
+            return 0.0
+        return min(1.0, self.busy_ns(mode) / elapsed_ns)
+
+    def cycles_by_module(self, mode=None):
+        out = defaultdict(int)
+        for (m, module, _), ns in self._cycles.items():
+            if mode is None or m is mode:
+                out[module] += ns
+        return dict(out)
+
+    def cycles_by_function(self, mode=None):
+        out = defaultdict(int)
+        for (m, _, function), ns in self._cycles.items():
+            if mode is None or m is mode:
+                out[function] += ns
+        return dict(out)
+
+    def cycle_share_by_function(self, mode=None):
+        per_function = self.cycles_by_function(mode)
+        total = sum(per_function.values())
+        if total == 0:
+            return {}
+        return {fn: ns / total for fn, ns in per_function.items()}
+
+    def total_loads(self):
+        return sum(self._loads.values())
+
+    def total_stores(self):
+        return sum(self._stores.values())
+
+    def loads_by_function(self):
+        out = defaultdict(int)
+        for (_, _, function), count in self._loads.items():
+            out[function] += count
+        return dict(out)
+
+    def stores_by_function(self):
+        out = defaultdict(int)
+        for (_, _, function), count in self._stores.items():
+            out[function] += count
+        return dict(out)
+
+    def load_share_by_function(self):
+        per_function = self.loads_by_function()
+        total = sum(per_function.values())
+        if total == 0:
+            return {}
+        return {fn: count / total for fn, count in per_function.items()}
+
+    def store_share_by_function(self):
+        per_function = self.stores_by_function()
+        total = sum(per_function.values())
+        if total == 0:
+            return {}
+        return {fn: count / total for fn, count in per_function.items()}
+
+    def profiles(self):
+        rows = [
+            FunctionProfile(
+                mode=mode,
+                module=module,
+                function=function,
+                cycles_ns=ns,
+                loads=self._loads.get((mode, module, function), 0),
+                stores=self._stores.get((mode, module, function), 0),
+            )
+            for (mode, module, function), ns in self._cycles.items()
+        ]
+        rows.sort(key=lambda row: row.cycles_ns, reverse=True)
+        return rows
+
+
+def views(accounting, elapsed_ns):
+    """Every read-side view, dicts as item lists so key order counts."""
+    out = {
+        "total_loads": accounting.total_loads(),
+        "total_stores": accounting.total_stores(),
+        "loads_by_function": list(accounting.loads_by_function().items()),
+        "stores_by_function": list(accounting.stores_by_function().items()),
+        "load_share": list(accounting.load_share_by_function().items()),
+        "store_share": list(accounting.store_share_by_function().items()),
+        "profiles": accounting.profiles(),
+    }
+    for mode in (None, ExecMode.USER, ExecMode.KERNEL):
+        out[("busy_ns", mode)] = accounting.busy_ns(mode)
+        out[("utilization", mode)] = accounting.utilization(elapsed_ns, mode)
+        out[("by_module", mode)] = list(accounting.cycles_by_module(mode).items())
+        out[("by_function", mode)] = list(
+            accounting.cycles_by_function(mode).items()
+        )
+        out[("cycle_share", mode)] = list(
+            accounting.cycle_share_by_function(mode).items()
+        )
+    return out
+
+
+# Few labels, so charges pile onto the same cells; ties in cycles_ns
+# exercise the stable sort in profiles().
+_charge = st.tuples(
+    st.integers(-2, 5_000),
+    st.sampled_from([ExecMode.USER, ExecMode.KERNEL]),
+    st.sampled_from(["vfs", "blk-mq", "nvme-driver", "fio"]),
+    st.sampled_from(["syscall", "vfs_rw", "blk_mq_poll", "nvme_poll", "fio_rw"]),
+    st.integers(-1, 300),
+    st.integers(-1, 300),
+)
+
+
+class TestAgainstThreeDictOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        charges=st.lists(_charge, max_size=40),
+        elapsed_ns=st.integers(-1, 100_000),
+    )
+    def test_every_view_matches(self, charges, elapsed_ns):
+        cells, oracle = CpuAccounting(), ThreeDictAccounting()
+        for ns, mode, module, function, loads, stores in charges:
+            results = []
+            for accounting in (cells, oracle):
+                try:
+                    results.append(
+                        accounting.charge(
+                            ns, mode, module, function, loads=loads, stores=stores
+                        )
+                    )
+                except ValueError:
+                    results.append("rejected")
+            assert results[0] == results[1]
+        assert views(cells, elapsed_ns) == views(oracle, elapsed_ns)
 
 
 class TestSoftwareCosts:
