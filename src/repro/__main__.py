@@ -98,6 +98,7 @@ import inspect
 import os
 import sys
 import time
+from typing import NoReturn
 
 from repro.core import sweep as sweep_engine
 from repro.core.figures import FIGURES, run_figure
@@ -107,6 +108,14 @@ SUBCOMMANDS = (
     "figures", "sweep", "trace", "blame", "perf", "profile", "devices",
     "lint", "check",
 )
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """A bad flag fails with one line (``prog: error: ...``), no usage
+    block; subcommand parsers inherit this class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _positive_int(text: str) -> int:
@@ -321,7 +330,7 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="run independent measurements across N worker processes",
@@ -444,7 +453,10 @@ def _add_select_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--list", action="store_true", help="list figure ids")
     parser.add_argument("--all", action="store_true", help="run every figure")
     parser.add_argument(
-        "--scale", type=float, default=1.0, help="I/O-count scale factor (default 1.0)"
+        "--scale",
+        type=_positive_float,
+        default=1.0,
+        help="I/O-count scale factor (default 1.0)",
     )
     parser.add_argument(
         "--seed",
@@ -455,7 +467,7 @@ def _add_select_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="python -m repro",
         description="Reproduce figures from 'Faster than Flash' (IISWC'19)",
     )
@@ -491,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     perf.add_argument("figures", nargs="*", help="figure ids to time")
     perf.add_argument("--all", action="store_true", help="time every figure")
     perf.add_argument(
-        "--scale", type=float, default=1.0, help="I/O-count scale factor"
+        "--scale", type=_positive_float, default=1.0, help="I/O-count scale factor"
     )
     perf.add_argument(
         "--seed", type=int, default=None, help="device-seed override"
@@ -544,7 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "figures", nargs=1, metavar="figure", help="figure id"
     )
     profile.add_argument(
-        "--scale", type=float, default=1.0, help="I/O-count scale factor"
+        "--scale", type=_positive_float, default=1.0, help="I/O-count scale factor"
     )
     profile.add_argument(
         "--seed", type=int, default=None, help="device-seed override"
@@ -617,7 +629,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("figures", nargs=1, metavar="figure", help="figure id")
     trace.add_argument(
-        "--scale", type=float, default=1.0, help="I/O-count scale factor"
+        "--scale", type=_positive_float, default=1.0, help="I/O-count scale factor"
     )
     trace.add_argument(
         "--seed", type=int, default=None, help="device-seed override"
@@ -635,7 +647,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     blame.add_argument("figures", nargs=1, metavar="figure", help="figure id")
     blame.add_argument(
-        "--scale", type=float, default=1.0, help="I/O-count scale factor"
+        "--scale", type=_positive_float, default=1.0, help="I/O-count scale factor"
     )
     blame.add_argument(
         "--seed", type=int, default=None, help="device-seed override"
@@ -799,14 +811,23 @@ def _cmd_perf(parser, args) -> int:
         if args.threshold is not None
         else perf_harness.DEFAULT_THRESHOLD
     )
-    if args.against:
-        if not args.compare:
-            print("--against requires --compare OLD.json", file=sys.stderr)
-            return 2
+    if args.against and not args.compare:
+        print("--against requires --compare OLD.json", file=sys.stderr)
+        return 2
+    # Read the documents before timing anything: a bad path fails at
+    # once, with one line.
+    try:
+        baseline = perf_harness.load_bench(args.compare) if args.compare else None
+        against = perf_harness.load_bench(args.against) if args.against else None
+    except OSError as exc:
+        print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if against is not None:
         comparison = perf_harness.compare_docs(
-            perf_harness.load_bench(args.compare),
-            perf_harness.load_bench(args.against),
-            threshold=threshold,
+            baseline, against, threshold=threshold
         )
         print(comparison.render())
         return 0 if (comparison.ok or args.warn_only) else 1
@@ -864,10 +885,8 @@ def _cmd_perf(parser, args) -> int:
     doc = session.to_doc(scale=args.scale)
     path = perf_harness.write_bench(doc, args.out)
     print(f"wrote bench document to {path}", file=sys.stderr)
-    if args.compare:
-        comparison = perf_harness.compare_docs(
-            perf_harness.load_bench(args.compare), doc, threshold=threshold
-        )
+    if baseline is not None:
+        comparison = perf_harness.compare_docs(baseline, doc, threshold=threshold)
         print(comparison.render())
         return 0 if (comparison.ok or args.warn_only) else 1
     return 0

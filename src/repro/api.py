@@ -289,12 +289,14 @@ class Testbed:
 
     def run(self, config: JobConfig, *, want_device: bool = False) -> Measurement:
         """Run ``config`` and package the outcome as a detached
-        :class:`Measurement` (what sweep runners return)."""
-        result, device = self.run_job(config, want_device=True)
-        return Measurement(
-            result=result,
-            device=device_snapshot(device) if want_device else None,
-        )
+        :class:`Measurement` (what sweep runners return).  The simulator
+        is closed once the measurement is detached from it."""
+        sim = Simulator()
+        device, host = self.build(sim)
+        result = _run_job_on(sim, host, self.job(config))
+        snapshot = device_snapshot(device) if want_device else None
+        sim.close()
+        return Measurement(result=result, device=snapshot)
 
 
 # ----------------------------------------------------------------------

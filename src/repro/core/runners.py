@@ -5,7 +5,10 @@ Each runner is a pure function from canonical parameters to a
 device, and host stack, runs one job, and returns only detached data
 (job summaries, device snapshots, scalars), never live simulator state.
 That contract is what lets the engine execute points in worker
-processes and persist results across runs.
+processes and persist results across runs.  Each runner closes its
+simulator (:meth:`~repro.sim.engine.Simulator.close`) once the
+measurement is detached, so the finished point is freed by reference
+counting alone.
 
 Runners:
 
@@ -129,9 +132,9 @@ def idle_runner(
         faults=active_plan(),
     ).open_device(sim)
     sim.run(until=duration_ns)
-    return Measurement(
-        values=(("avg_power_w", ssd.power.average_watts(sim.now)),)
-    )
+    avg_power_w = ssd.power.average_watts(sim.now)
+    sim.close()
+    return Measurement(values=(("avg_power_w", avg_power_w),))
 
 
 # ----------------------------------------------------------------------
@@ -217,7 +220,9 @@ def nbd_runner(
         # Keep file data inside the region ext4 reserves for it.
         region_bytes=(stack.data_region_bytes // block_size) * block_size,
     )
-    return Measurement(result=run_job(sim, stack, job))
+    result = run_job(sim, stack, job)
+    sim.close()
+    return Measurement(result=result)
 
 
 # ----------------------------------------------------------------------
@@ -253,13 +258,15 @@ def gc_policy_runner(
             lpn = int(rng.integers(hot_pages, pages))
         ssd.write(lpn * 4096, 4096)
     sim.run()
-    return Measurement(
+    measurement = Measurement(
         device=device_snapshot(ssd),
         values=(
             ("write_amplification", ssd.ftl.write_amplification()),
             ("erases", float(ssd.ftl.erases)),
         ),
     )
+    sim.close()
+    return measurement
 
 
 # ----------------------------------------------------------------------
@@ -295,6 +302,7 @@ def anatomy_runner(
     metrics = MetricsCollector()
     process = sim.process(SyncJobEngine(sim, host, job, pattern, metrics).run())
     sim.run_until_event(process)
+    sim.close()
     count = len(host.stage_log)
     sums = [0, 0, 0]
     for start, submitted, cqe, done in host.stage_log:

@@ -47,7 +47,7 @@ class PendingCommand:
 
     command: NvmeCommand
     submit_ns: int
-    cqe_event: Event  # fires when the CQE lands in host memory
+    cqe_event: Event  # fires, with no value, when the CQE lands in host memory
     cqe_ns: Optional[int] = None
     trace: Optional[object] = None  # the I/O's obs span context, if traced
 
@@ -282,7 +282,7 @@ class NvmeQueuePair:
         self._m_completed.inc()
         self._m_outstanding.add(-1, self.sim.now)
         self._t_outstanding.record(self.sim.now, len(self._pending))
-        pending.cqe_event.succeed(pending)
+        pending.cqe_event.succeed()
         if self.interrupts_enabled:
             self.sim.schedule(self.timings.msi_ns, self._raise_msi, pending)
 

@@ -68,12 +68,6 @@ class LightQueuePair:
         self.interrupts_enabled = interrupts_enabled
         self._pending: Dict[int, PendingCommand] = {}
         self._free_slots: List[int] = list(range(self.DEPTH))
-        # One device-done callback per register slot, created once: a
-        # slot holds at most one outstanding command, so the closure can
-        # be reused instead of allocating a lambda per command.
-        self._done_callbacks: List[Callable[[Event], None]] = [
-            self._make_done(slot) for slot in range(self.DEPTH)
-        ]
         self._msi_handlers: List[Callable[[PendingCommand], None]] = []
         self.submitted = 0
         self.completed = 0
@@ -126,12 +120,6 @@ class LightQueuePair:
         return pending
 
     # ------------------------------------------------------------------
-    def _make_done(self, slot: int) -> Callable[[Event], None]:
-        def done(_event: Event) -> None:
-            self._device_done(slot)
-
-        return done
-
     def _execute(self, slot: int, op: IoOp) -> None:
         pending = self._pending[slot]
         command = pending.command
@@ -140,7 +128,7 @@ class LightQueuePair:
         request = self.device.submit(
             op, command.offset_bytes, command.nbytes, trace=pending.trace
         )
-        request.done.add_callback(self._done_callbacks[slot])
+        request.done.add_callback(lambda _event, slot=slot: self._device_done(slot))
 
     def _device_done(self, slot: int) -> None:
         if self._pending[slot].trace is not None:
@@ -154,7 +142,7 @@ class LightQueuePair:
         self.completed += 1
         self._m_outstanding.add(-1, self.sim.now)
         self._t_outstanding.record(self.sim.now, len(self._pending))
-        pending.cqe_event.succeed(pending)
+        pending.cqe_event.succeed()
         if self.interrupts_enabled:
             for handler in self._msi_handlers:
                 handler(pending)

@@ -199,12 +199,17 @@ def write_bench(doc: dict, path: Union[str, Path, None] = None) -> Path:
 
 
 def load_bench(path: Union[str, Path]) -> dict:
+    """Read a bench document.  A file that is not JSON, or not a bench
+    document of this schema, raises ``ValueError`` naming ``path``; a
+    missing or unreadable file raises ``OSError``."""
     with open(path) as handle:
-        doc = json.load(handle)
-    if doc.get("schema") != SCHEMA:
-        raise ValueError(
-            f"{path}: unsupported bench schema {doc.get('schema')!r}"
-        )
+        try:
+            doc = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON document ({exc})") from None
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA:
+        raise ValueError(f"{path}: unsupported bench schema {schema!r}")
     return doc
 
 

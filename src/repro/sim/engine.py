@@ -80,6 +80,10 @@ class Simulator:
         #: Exact number of queued-but-not-yet-dispatched callbacks,
         #: including the un-drained remainder of the current batch.
         self._pending: int = 0
+        #: Processes whose generator has not finished, in creation order
+        #: (an insertion-ordered dict used as a set).  Each process adds
+        #: and removes itself; :meth:`close` closes what is left.
+        self._live: Dict[Process, None] = {}
         #: Sampled at construction so one test can run sanitized next to
         #: an unsanitized neighbour (see :mod:`repro.sim.sanitize`).
         self.sanitize: bool = sanitize.enabled()
@@ -271,6 +275,31 @@ class Simulator:
             self._batch_pos = 0
         if until is not None and until > self.now:
             self.now = until
+
+    def close(self) -> None:
+        """Tear down a simulator that will not run again.
+
+        Drops every queued callback, detaches each live process from the
+        event or sleep it is parked on, and closes its generator, so the
+        ``finally`` blocks of parked processes run now, once, in creation
+        order.  Nothing is dispatched (``events_executed_total`` does not
+        move).  What is left holds no reference cycle through the
+        simulator, so reference counting frees it as soon as the caller
+        drops it.  Idempotent.
+        """
+        live, self._live = self._live, {}
+        # Detach every process before closing any generator: a
+        # ``finally`` block that triggers an event must not resume a
+        # process that is about to be closed.
+        for process in live:
+            process._detach()  # noqa: SLF001
+        for process in live:
+            process._generator.close()  # noqa: SLF001
+        self._buckets.clear()
+        self._ticks.clear()
+        self._batch = None
+        self._batch_pos = 0
+        self._pending = 0
 
     def run_until_event(self, event: Event, limit: Optional[int] = None) -> None:
         """Run until ``event`` triggers (or the queue drains / limit hits)."""

@@ -43,6 +43,9 @@ class Process(Event):
         #: The event or sleep the generator is parked on.  A sleep wake
         #: only resumes the process while its token is still here.
         self._waiting_on: Optional[Wait] = None
+        # Tracked until the generator finishes, so Simulator.close() can
+        # close whatever is still parked.
+        sim._live[self] = None  # noqa: SLF001
         # Start on the next simulation step so creation order does not
         # matter within a single instant.
         sim.post(self._resume, None, None)
@@ -56,16 +59,20 @@ class Process(Event):
         """Throw :class:`Interrupted` into the process at its yield point."""
         if self.triggered:
             raise RuntimeError("cannot interrupt a finished process")
+        # Detach for real: the event we were parked on may still
+        # trigger later (a pending timeout, a racing AnyOf), and its
+        # callback list must no longer reach us — otherwise every
+        # interrupt leaves a live callback that fires as a stale wakeup
+        # (pure dispatch overhead the profiler counts).  A pending sleep
+        # wake stays queued and arrives stale.
+        self._detach()
+        self.sim.post(self._resume, None, Interrupted(cause))
+
+    def _detach(self) -> None:
+        """Forget the event or sleep the process is parked on."""
         waiting_on, self._waiting_on = self._waiting_on, None
         if isinstance(waiting_on, Event) and not waiting_on.triggered:
-            # Detach for real: the event we were parked on may still
-            # trigger later (a pending timeout, a racing AnyOf), and its
-            # callback list must no longer reach us — otherwise every
-            # interrupt leaves a live callback that fires as a stale
-            # wakeup (pure dispatch overhead the profiler counts).  A
-            # pending sleep wake stays queued and arrives stale.
             waiting_on.remove_callback(self._on_event)
-        self.sim.post(self._resume, None, Interrupted(cause))
 
     # ------------------------------------------------------------------
     def _note_stale(self) -> None:
@@ -96,20 +103,25 @@ class Process(Event):
     def _resume(self, value: Any, exception: BaseException | None) -> None:
         if self._triggered:
             return
+        sim = self.sim
         try:
             if exception is not None:
                 target = self._generator.throw(exception)
             else:
                 target = self._generator.send(value)
         except StopIteration as stop:
+            sim._live.pop(self, None)  # noqa: SLF001
             self.succeed(stop.value)
             return
         except Interrupted:
             # Interrupt not handled by the generator: the process dies
             # quietly (it was cancelled on purpose).
+            sim._live.pop(self, None)  # noqa: SLF001
             self.succeed(None)
             return
-        sim = self.sim
+        except BaseException:
+            sim._live.pop(self, None)  # noqa: SLF001
+            raise
         if target.__class__ is Sleep:
             # The wake is the first thing scheduled after the sleep()
             # call, so it takes the FIFO slot a Timeout built there
@@ -118,6 +130,7 @@ class Process(Event):
             sim.schedule_at(sim.now + target.delay, self._wake, target)
             return
         if not isinstance(target, Event):
+            sim._live.pop(self, None)  # noqa: SLF001
             self._generator.close()
             self.fail(
                 TypeError(f"process yielded a non-event: {target!r}")

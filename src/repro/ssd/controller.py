@@ -588,10 +588,10 @@ class SsdController:
             if erased > self.sim.now:
                 yield self.sim.sleep(erased - self.sim.now)
         finally:
-            # NOTE: nothing here may touch observability state.  Cycles
-            # abandoned when the run ends are closed later by the
-            # interpreter's garbage collector, and a recorder update at
-            # that point would land at a nondeterministic time.
+            # NOTE: nothing here may touch observability state.  A GC
+            # cycle still running when the run ends is closed by
+            # Simulator.close(), after the measurement is taken; a
+            # recorder update from there would land outside the run.
             self.gc_active -= 1
         self._t_gc_active.record(self.sim.now, self.gc_active)
         self._t_gc_moved.add(self.sim.now, migrated)

@@ -276,3 +276,52 @@ class TestProfileSubcommand:
         assert rows
         assert rows[0]["events"] > 0
         assert 0.0 < rows[0]["share"] <= 1.0
+
+
+class TestCleanErrors:
+    """Bad input fails with exit 2 and one stderr line, no traceback."""
+
+    @staticmethod
+    def _one_clean_line(capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1, err
+        assert "error:" in err
+        return err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig10", "--scale", "0"],
+            ["fig10", "--scale", "-0.5"],
+            ["sweep", "fig10", "--scale", "0"],
+            ["trace", "fig10", "--scale", "0"],
+            ["blame", "fig10", "--scale", "0"],
+            ["perf", "fig10", "--scale", "0"],
+            ["profile", "fig10", "--scale", "0"],
+            ["fig10", "--jobs", "0"],
+            ["fig10", "--jobs", "-2"],
+        ],
+    )
+    def test_bad_scale_or_jobs(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        self._one_clean_line(capsys)
+
+    def test_compare_missing_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["perf", "--compare", missing, "--against", missing]) == 2
+        assert missing in self._one_clean_line(capsys)
+
+    def test_compare_missing_file_fails_before_timing(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["perf", "fig10", "--compare", missing]) == 2
+        self._one_clean_line(capsys)
+
+    @pytest.mark.parametrize("text", ['{"figures": {}}', "not json", "[1, 2]"])
+    def test_compare_malformed_document(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["perf", "--compare", str(path), "--against", str(path)]) == 2
+        assert str(path) in self._one_clean_line(capsys)

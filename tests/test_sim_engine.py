@@ -281,3 +281,152 @@ class TestProcesses:
             ("fast", 10), ("fast", 20), ("slow", 25),
             ("fast", 30), ("slow", 50), ("slow", 75),
         ]
+
+
+class TestClose:
+    def _parked(self, sim):
+        """Three processes parked on an event, a sleep and a child; the
+        child itself sleeps.  Returns the log their ``finally`` blocks
+        append to."""
+        log = []
+        gate = sim.event()
+
+        def on_event():
+            try:
+                yield gate
+            finally:
+                log.append("event")
+
+        def on_sleep():
+            try:
+                yield sim.sleep(1_000)
+            finally:
+                log.append("sleep")
+
+        def child():
+            try:
+                yield sim.sleep(5_000)
+            finally:
+                log.append("child")
+
+        def on_child():
+            try:
+                yield sim.process(child())
+            finally:
+                log.append("parent")
+
+        sim.process(on_event())
+        sim.process(on_sleep())
+        sim.process(on_child())
+        sim.schedule(2_000, lambda: None)
+        sim.run(until=10)
+        return log
+
+    def test_close_drops_the_queue(self):
+        sim = Simulator()
+        self._parked(sim)
+        assert sim.pending_count > 0
+        sim.close()
+        assert sim.pending_count == 0
+        assert sim.peek() is None
+        sim.run()
+        assert sim.now == 10
+
+    def test_finally_blocks_run_once_in_creation_order(self):
+        sim = Simulator()
+        log = self._parked(sim)
+        assert log == []
+        sim.close()
+        # The child was created when its parent first ran, after the
+        # three top-level processes.
+        assert log == ["event", "sleep", "parent", "child"]
+        sim.close()
+        assert log == ["event", "sleep", "parent", "child"]
+
+    def test_close_is_idempotent(self):
+        sim = Simulator()
+        self._parked(sim)
+        sim.close()
+        sim.close()
+        assert sim.pending_count == 0 and sim.peek() is None
+        assert not sim._live
+
+    def test_close_dispatches_nothing(self):
+        from repro.sim import engine
+
+        sim = Simulator()
+        self._parked(sim)
+        before = engine.events_executed_total
+        sim.close()
+        assert engine.events_executed_total == before
+
+    def test_finally_that_triggers_an_event_resumes_nobody(self):
+        sim = Simulator()
+        gate = sim.event()
+        log = []
+
+        def opener():
+            try:
+                yield sim.sleep(100)
+            finally:
+                gate.succeed()
+
+        def waiter():
+            yield gate
+            log.append("resumed")
+
+        sim.process(opener())
+        sim.process(waiter())
+        sim.run(until=10)
+        sim.close()
+        assert log == [] and gate.triggered
+
+    def test_close_unstarted_process(self):
+        sim = Simulator()
+        log = []
+
+        def flow():
+            log.append("ran")
+            yield sim.sleep(1)
+
+        sim.process(flow())
+        sim.close()
+        sim.run()
+        assert log == [] and sim.pending_count == 0
+
+    def test_finished_processes_are_not_tracked(self):
+        sim = Simulator()
+
+        def short(i):
+            yield sim.sleep(i % 7)
+
+        def long():
+            yield sim.sleep(10**9)
+
+        keeper = sim.process(long())
+        for i in range(10_000):
+            sim.process(short(i))
+        sim.run(until=1_000)
+        assert list(sim._live) == [keeper]
+
+    def test_every_way_of_finishing_untracks(self):
+        sim = Simulator()
+
+        def bad_yield():
+            yield 42
+
+        def interrupted():
+            yield sim.sleep(100)
+
+        def raises():
+            yield sim.sleep(1)
+            raise ValueError("boom")
+
+        sim.process(bad_yield())
+        victim = sim.process(interrupted())
+        sim.schedule(5, victim.interrupt)
+        sim.process(raises())
+        with pytest.raises(ValueError):
+            sim.run()
+        sim.run()
+        assert not sim._live
