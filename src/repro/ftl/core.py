@@ -114,9 +114,14 @@ class PageMappedFtl:
         # open GC block may still have room.  Borrowing it sacrifices
         # stream purity, not correctness — and the overwrite it admits
         # invalidates an old page somewhere, which is exactly what GC
-        # needs to make progress again.
+        # needs to make progress again.  A die with an empty pool lends
+        # nothing: its open GC block is the only room a migration still
+        # in flight there has left.
         for die in range(self.layout.dies):
-            if allocator.remaining_in_active(die, WriteStream.GC) > 0:
+            if (
+                allocator.free_blocks(die) > 0
+                and allocator.remaining_in_active(die, WriteStream.GC) > 0
+            ):
                 ppa = allocator.allocate_page(die, WriteStream.GC)
                 previous = self.mapping.bind(lpn, ppa)
                 self.host_writes += 1

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ftl import (
     BlockAllocator,
+    OutOfSpace,
     CostBenefitVictimPolicy,
     FtlLayout,
     PageMappedFtl,
@@ -56,6 +57,30 @@ class TestDualStreams:
         while allocator.remaining_in_active(0):
             allocator.allocate_page(0, WriteStream.HOST)
         assert not allocator.can_host_write(0)  # last block is GC-only
+
+    def test_pressure_fallback_borrows_gc_room_while_pool_has_a_block(self):
+        ftl = PageMappedFtl(FtlLayout(dies=1, blocks_per_die=6, pages_per_block=4))
+        allocator = ftl.allocator
+        allocator.allocate_page(0, WriteStream.GC)  # open the GC block
+        while allocator.free_blocks(0) > 1 or allocator.remaining_in_active(0):
+            allocator.allocate_page(0, WriteStream.HOST)
+        assert not allocator.can_host_write(0)
+        placement = ftl.write(0)
+        assert placement.ppa // 4 == allocator.active_block(0, WriteStream.GC)
+
+    def test_pressure_fallback_leaves_an_empty_pool_die_its_gc_room(self):
+        """With no erased block left, a die's open GC block is all a
+        migration in flight there has: host writes must not borrow it."""
+        ftl = PageMappedFtl(FtlLayout(dies=1, blocks_per_die=6, pages_per_block=4))
+        allocator = ftl.allocator
+        while allocator.free_blocks(0) > 1 or allocator.remaining_in_active(0):
+            allocator.allocate_page(0, WriteStream.HOST)
+        allocator.allocate_page(0, WriteStream.GC)  # takes the last block
+        assert allocator.free_blocks(0) == 0
+        assert allocator.remaining_in_active(0, WriteStream.GC) == 3
+        with pytest.raises(OutOfSpace):
+            ftl.write(0)
+        assert allocator.remaining_in_active(0, WriteStream.GC) == 3
 
     def test_closed_at_tracks_allocation_clock(self):
         allocator = make_allocator()

@@ -206,6 +206,24 @@ class TestGarbageCollection:
             assert device.ftl.read_ppa(lpn) is not None
 
 
+    def test_overwrite_storm_never_starves_a_gc_cycle(self):
+        """Overflow host writes used to borrow the open GC block of a
+        die whose pool was empty, mid-migration, leaving the cycle no
+        room to finish (seed found by the read-your-writes property)."""
+        import numpy as np
+
+        seed = 362879
+        sim = Simulator()
+        device = SsdDevice(sim, tiny_config(), seed=seed % 1000 + 1)
+        device.precondition(1.0)
+        rng = np.random.default_rng(seed)
+        pages = device.logical_pages
+        for _ in range(pages):
+            device.write(int(rng.integers(0, pages)) * 4096, 4096)
+        sim.run()
+        device.ftl.mapping.check_invariants()
+        assert len(device.stats.gc_events) > 0
+
 class TestMapCache:
     def test_sequential_hits_random_misses(self):
         sim, device = make_device(
