@@ -15,15 +15,7 @@ Two experiments from the paper's Section IV-D:
 Run:  python examples/gc_interference_study.py
 """
 
-from repro import (
-    DeviceKind,
-    FioJob,
-    IoEngineKind,
-    Simulator,
-    build_device,
-    build_stack,
-    run_job,
-)
+from repro import FioJob, IoEngineKind, Simulator, run_job
 from repro.api import JobConfig, Testbed
 
 
@@ -32,8 +24,8 @@ def interference() -> None:
     print(f"{'write %':>8s} {'ULL read':>10s} {'NVMe read':>11s}")
     for frac in (0, 20, 40, 60, 80):
         row = []
-        for kind in (DeviceKind.ULL, DeviceKind.NVME):
-            testbed = Testbed(device=kind)
+        for device in ("ull", "nvme"):
+            testbed = Testbed(device=device)
             rw = "randread" if frac == 0 else "randrw"
             result = testbed.run_job(JobConfig(
                 rw=rw, engine="libaio", iodepth=8, io_count=2500,
@@ -44,10 +36,9 @@ def interference() -> None:
     print()
 
 
-def garbage_collection(kind: DeviceKind, io_count: int) -> None:
+def garbage_collection(name: str, io_count: int) -> None:
     sim = Simulator()
-    device = build_device(sim, kind)  # preconditioned full
-    stack = build_stack(sim, device)
+    device, stack = Testbed(device=name).build(sim)  # preconditioned full
     job = FioJob(
         name="overwrite", rw="randwrite", engine=IoEngineKind.PSYNC,
         io_count=io_count, capture_timeseries=True,
@@ -56,7 +47,7 @@ def garbage_collection(kind: DeviceKind, io_count: int) -> None:
     windowed = result.timeseries.windowed(max(1, result.duration_ns // 10))
     samples = " ".join(f"{mean / 1000:6.1f}" for mean in windowed.means)
     gc_events = device.stats.gc_events
-    print(f"{kind.value.upper():5s} write latency (us) over 10 windows: {samples}")
+    print(f"{name.upper():5s} write latency (us) over 10 windows: {samples}")
     print(f"      {len(gc_events)} GC events, "
           f"write amplification {device.ftl.write_amplification():.2f}, "
           f"avg power {device.power.average_watts(sim.now):.2f}W")
@@ -65,8 +56,8 @@ def garbage_collection(kind: DeviceKind, io_count: int) -> None:
 def main() -> None:
     interference()
     print("2) Sustained 4KB overwrites on a full drive (pvsync2)\n")
-    garbage_collection(DeviceKind.ULL, 25_000)
-    garbage_collection(DeviceKind.NVME, 35_000)
+    garbage_collection("ull", 25_000)
+    garbage_collection("nvme", 35_000)
     print("\nThe ULL SSD absorbs GC invisibly (suspend/resume + fast Z-NAND +")
     print("deep overprovisioning); the NVMe SSD's writes stall behind 1.1 ms")
     print("programs and 6 ms erases once reclamation starts.")

@@ -27,7 +27,6 @@ Devices are named entries in a spec registry (``docs/devices.md``);
 live in :data:`repro.core.figures.FIGURES`.
 """
 
-from repro.core.experiment import DeviceKind, StackKind, build_device, build_stack
 from repro.core.figures import FIGURES, run_figure
 from repro.core.report import render_figure
 from repro.kstack.completion import CompletionMethod
@@ -37,7 +36,6 @@ from repro.sim.engine import Simulator
 from repro.spdk.stack import SpdkStack
 from repro.ssd.config import SsdConfig
 from repro.ssd.device import IoOp, SsdDevice
-from repro.ssd.presets import nvme_ssd_config, ull_ssd_config
 from repro.ssd.registry import list_devices, load_device_spec, resolve_config
 from repro.ssd.spec import DeviceSpec, DeviceSpecError
 from repro.workloads.job import FioJob, IoEngineKind
@@ -50,8 +48,6 @@ __all__ = [
     "SsdDevice",
     "SsdConfig",
     "IoOp",
-    "ull_ssd_config",
-    "nvme_ssd_config",
     "DeviceSpec",
     "DeviceSpecError",
     "list_devices",
@@ -66,10 +62,6 @@ __all__ = [
     "IoEngineKind",
     "JobResult",
     "run_job",
-    "DeviceKind",
-    "StackKind",
-    "build_device",
-    "build_stack",
     "FIGURES",
     "run_figure",
     "render_figure",

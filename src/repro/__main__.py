@@ -98,8 +98,8 @@ import inspect
 import os
 import sys
 import time
-from typing import NoReturn
 
+from repro.core.cliargs import ArgumentParser
 from repro.core import sweep as sweep_engine
 from repro.core.figures import FIGURES, run_figure
 from repro.core.report import render_figure
@@ -108,14 +108,6 @@ SUBCOMMANDS = (
     "figures", "sweep", "trace", "blame", "perf", "profile", "devices",
     "lint", "check",
 )
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    """A bad flag fails with one line (``prog: error: ...``), no usage
-    block; subcommand parsers inherit this class."""
-
-    def error(self, message: str) -> NoReturn:
-        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _positive_int(text: str) -> int:
@@ -467,7 +459,7 @@ def _add_select_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
+    parser = ArgumentParser(
         prog="python -m repro",
         description="Reproduce figures from 'Faster than Flash' (IISWC'19)",
     )
@@ -957,6 +949,7 @@ def _cmd_profile(parser, args) -> int:
 def _cmd_devices(argv) -> int:
     """``python -m repro devices list|show NAME [--format toml|json]``."""
     from repro.ssd.registry import (
+        PRESET_ALIASES,
         PRESET_NAMES,
         get_spec,
         list_devices,
@@ -988,16 +981,13 @@ def _cmd_devices(argv) -> int:
         for name in names:
             spec = get_spec(name)
             print(f"{name:{width}s}  {spec.label}")
-        for name in PRESET_NAMES:
-            twin = "zssd" if name == "ull" else "intel750"
-            print(
-                f"{name:{width}s}  (preset alias; spec twin: {twin})"
-            )
+        for name, target in PRESET_ALIASES.items():
+            print(f"{name:{width}s}  (preset alias; spec twin: {target})")
         return 0
 
     name = args.name
     if name in PRESET_NAMES:
-        # Present the preset through its generated spec twin.
+        # Present the alias as its target's spec under the alias name.
         from repro.ssd.registry import resolve_config
         from repro.ssd.spec import spec_from_config
 

@@ -1,9 +1,8 @@
 """The stable public facade: build a testbed, describe a job, run it.
 
 This module is the supported way to construct and drive the simulated
-I/O stack.  It consolidates the construction keywords that used to be
-re-plumbed through ``core/experiment.py``, ``core/runners.py``, and the
-figure modules into two frozen dataclasses:
+I/O stack.  It gathers the construction keywords into two frozen
+dataclasses:
 
 * :class:`Testbed` — *what hardware and host path*: a **named device**
   (registry name like ``"zssd"``, spec-file path, live
@@ -27,27 +26,21 @@ Typical use::
 
 * a registry name from :func:`list_devices` (``"zssd"``,
   ``"intel750"``, ``"qlc"``, ...) or a preset alias (``"ull"``,
-  ``"nvme"`` — the paper's two devices built by the hand-wired
-  presets);
+  ``"nvme"`` — the paper's names for ``zssd``/``intel750``);
 * a path to a ``.toml``/``.json`` spec file
   (:func:`load_device_spec` loads one explicitly);
 * a :class:`~repro.ssd.spec.DeviceSpec` or a full
   :class:`~repro.ssd.config.SsdConfig` object.
 
 Everything here is deterministic: the same testbed + job produce
-byte-identical results on every run, in any process.  The legacy
-helpers ``run_sync_job``/``run_async_job`` in ``repro.core.experiment``
-and the ``ull_ssd_config``/``nvme_ssd_config`` preset constructors in
-``repro.ssd.presets`` are deprecation shims over this module.
+byte-identical results on every run, in any process.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple, Union
 
-from repro.core.experiment import DeviceKind
 from repro.core.sweep import DeviceSnapshot, Measurement
 from repro.faults.plan import FaultPlan
 from repro.host.costs import DEFAULT_COSTS, SoftwareCosts
@@ -74,13 +67,6 @@ __all__ = [
     "open_device",
     "run_job",
 ]
-
-
-def _name_of(value: object) -> str:
-    """Accept ``"kernel"`` or ``StackKind.KERNEL`` alike."""
-    if isinstance(value, enum.Enum):
-        return str(value.value)
-    return str(value)
 
 
 def device_snapshot(device: SsdDevice, *, label: str = "") -> DeviceSnapshot:
@@ -141,21 +127,20 @@ class Testbed:
 
     ``device`` names the hardware: a registry name (``"zssd"``,
     ``"intel750"``, ``"qlc"``, ... — see :func:`list_devices`), a preset
-    alias (``"ull"``/``"nvme"`` or a
-    :class:`~repro.core.experiment.DeviceKind`), a path to a
-    ``.toml``/``.json`` spec file, a :class:`DeviceSpec`, or a raw
-    :class:`SsdConfig`.  ``config`` substitutes a full
-    :class:`SsdConfig` outright (it wins over ``device``), and
-    ``config_overrides`` applies ``(field, value)`` pairs on top of
-    either.  ``faults`` attaches a :class:`~repro.faults.FaultPlan`,
-    threaded to every layer that can inject failures.
+    alias (``"ull"``/``"nvme"``), a path to a ``.toml``/``.json`` spec
+    file, a :class:`DeviceSpec`, or a raw :class:`SsdConfig`.
+    ``config`` substitutes a full :class:`SsdConfig` outright (it wins
+    over ``device``), and ``config_overrides`` applies ``(field,
+    value)`` pairs on top of either.  ``faults`` attaches a
+    :class:`~repro.faults.FaultPlan`, threaded to every layer that can
+    inject failures.
     """
 
     #: Keep pytest from trying to collect this class when imported into
     #: test modules (its name matches the default Test* pattern).
     __test__ = False
 
-    device: Union[str, DeviceKind, DeviceSpec, SsdConfig] = "ull"
+    device: Union[str, DeviceSpec, SsdConfig] = "ull"
     stack: str = "kernel"
     completion: str = "interrupt"
     precondition: float = 1.0
@@ -180,11 +165,11 @@ class Testbed:
             from repro.ssd.registry import spec_label
 
             return spec_label(self.device)
-        return _name_of(self.device)
+        return self.device
 
     @property
     def stack_name(self) -> str:
-        return _name_of(self.stack)
+        return self.stack
 
     def device_config(self) -> SsdConfig:
         """The fully resolved :class:`SsdConfig` this testbed builds."""
@@ -195,10 +180,7 @@ class Testbed:
             if overrides:
                 return dataclasses.replace(self.config, **overrides)
             return self.config
-        device = self.device
-        if isinstance(device, enum.Enum):
-            device = str(device.value)
-        return resolve_config(device, self.config_overrides)
+        return resolve_config(self.device, self.config_overrides)
 
     # ------------------------------------------------------------------
     def open_device(self, sim: Simulator) -> SsdDevice:
@@ -213,8 +195,8 @@ class Testbed:
     def build(self, sim: Simulator) -> Tuple[SsdDevice, Any]:
         """Construct the full path on ``sim``; returns (device, host).
 
-        The construction order matches the historical helpers exactly,
-        so results are bit-identical to the pre-facade code.
+        The device is built (and preconditioned) before the host stack,
+        so the order of seeded draws is fixed.
         """
         device = self.open_device(sim)
         if self.stack_name == "spdk":
@@ -226,6 +208,8 @@ class Testbed:
                 faults=self.faults,
             )
         else:
+            # Accepts "poll" and CompletionMethod.POLL alike.
+            completion = CompletionMethod(self.completion)
             qpair = None
             if self.light:
                 from repro.nvme.lightweight import LightQueuePair
@@ -233,12 +217,12 @@ class Testbed:
                 qpair = LightQueuePair(
                     sim,
                     device,
-                    interrupts_enabled=(_name_of(self.completion) == "interrupt"),
+                    interrupts_enabled=completion is CompletionMethod.INTERRUPT,
                 )
             host = KernelStack(
                 sim,
                 device,
-                completion=CompletionMethod(_name_of(self.completion)),
+                completion=completion,
                 costs=self.costs or DEFAULT_COSTS,
                 seed=self.stack_seed,
                 queue_depth=self.queue_depth,
@@ -304,7 +288,7 @@ class Testbed:
 # ----------------------------------------------------------------------
 def open_device(
     sim: Simulator,
-    device: Union[str, DeviceKind, DeviceSpec, SsdConfig] = "ull",
+    device: Union[str, DeviceSpec, SsdConfig] = "ull",
     **kwargs: Any,
 ) -> SsdDevice:
     """A fresh device on ``sim`` (keywords as on :class:`Testbed`)."""

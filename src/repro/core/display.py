@@ -1,12 +1,16 @@
 """Shared display vocabulary for the figure modules.
 
-The paper's figures all speak the same axis language: the four fio
-access patterns with their plot labels, and block sizes named in KB.
+The paper's figures all speak the same axis language: the two devices,
+the four fio access patterns with their plot labels, and block sizes
+named in KB.
 Keeping these here (rather than in one figure module) lets every
 figure module import them without reaching into a sibling.
 """
 
 from __future__ import annotations
+
+#: The paper's two devices (registry preset aliases), ULL first.
+PAPER_DEVICES = ("ull", "nvme")
 
 #: fio ``rw=`` values the paper sweeps, in presentation order.
 PATTERNS = ("read", "randread", "write", "randwrite")

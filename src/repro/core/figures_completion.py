@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.core.display import KB, PATTERN_LABELS, PATTERNS
-from repro.core.experiment import DeviceKind
 from repro.core.metrics import FigureResult, Series
 from repro.core.runners import sync_point
 from repro.core.sweep import sweep
@@ -41,7 +40,7 @@ def _sync_sweep(name: str, cells, io_count: int):
 def _latency_vs_bs(
     figure_id: str,
     title: str,
-    device: DeviceKind,
+    device: str,
     variants,
     io_count: int,
     block_sizes: Tuple[int, ...],
@@ -50,7 +49,7 @@ def _latency_vs_bs(
 ):
     """Generic grid: per pattern, one series per completion variant."""
     cells = [
-        (device.value, rw, bs, method, stack)
+        (device, rw, bs, method, stack)
         for rw in patterns
         for _label, method, stack in variants
         for bs in block_sizes
@@ -61,7 +60,7 @@ def _latency_vs_bs(
         for label, method, stack in variants:
             ys = []
             for bs in block_sizes:
-                summary = data[(device.value, rw, bs, method, stack)].latency
+                summary = data[(device, rw, bs, method, stack)].latency
                 ys.append(
                     summary.mean_us if metric == "mean" else summary.p99999_us
                 )
@@ -79,7 +78,7 @@ def _latency_vs_bs(
         x_label="block size",
         y_label=("avg" if metric == "mean" else "99.999th") + " latency (us)",
         series=tuple(series),
-        notes=f"pvsync2, {io_count} I/Os per point, {device.value.upper()} SSD",
+        notes=f"pvsync2, {io_count} I/Os per point, {device.upper()} SSD",
     )
 
 
@@ -94,7 +93,7 @@ def fig09(io_count: int = 2000, block_sizes: Tuple[int, ...] = BLOCK_SIZES):
     return _latency_vs_bs(
         "fig09",
         "Latency comparison (interrupt vs poll) — NVMe SSD",
-        DeviceKind.NVME,
+        "nvme",
         POLL_VS_INT,
         io_count,
         tuple(block_sizes),
@@ -106,7 +105,7 @@ def fig10(io_count: int = 2000, block_sizes: Tuple[int, ...] = BLOCK_SIZES):
     return _latency_vs_bs(
         "fig10",
         "Latency comparison (interrupt vs poll) — ULL SSD",
-        DeviceKind.ULL,
+        "ull",
         POLL_VS_INT,
         io_count,
         tuple(block_sizes),

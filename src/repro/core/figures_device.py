@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.display import PATTERN_LABELS, PATTERNS, US
-from repro.core.experiment import DeviceKind
+from repro.core.display import PAPER_DEVICES, PATTERN_LABELS, PATTERNS, US
 from repro.core.metrics import FigureResult, Series
 from repro.core.runners import async_point, gc_point, idle_point, sync_point
 from repro.core.sweep import sweep
@@ -24,8 +23,8 @@ from repro.core.sweep import sweep
 def _qd_sweep(io_count: int, depths: Tuple[int, ...]):
     """Shared runs for Figs. 4a/4b: JobResult per (device, rw, depth)."""
     points = [
-        async_point(kind.value, rw, iodepth=depth, io_count=io_count)
-        for kind in DeviceKind
+        async_point(device, rw, iodepth=depth, io_count=io_count)
+        for device in PAPER_DEVICES
         for rw in PATTERNS
         for depth in depths
     ]
@@ -37,12 +36,12 @@ def fig04a(io_count: int = 2000, depths: Tuple[int, ...] = (1, 2, 4, 8, 16, 32))
     """Average latency vs. queue depth, ULL vs. NVMe (Fig. 4a)."""
     data = _qd_sweep(io_count, tuple(depths))
     series = []
-    for kind in DeviceKind:
+    for device in PAPER_DEVICES:
         for rw in PATTERNS:
-            ys = [data[(kind.value, rw, d)].latency.mean_us for d in depths]
+            ys = [data[(device, rw, d)].latency.mean_us for d in depths]
             series.append(
                 Series.from_points(
-                    f"{kind.value.upper()} {PATTERN_LABELS[rw]}", depths, ys, "us"
+                    f"{device.upper()} {PATTERN_LABELS[rw]}", depths, ys, "us"
                 )
             )
     return FigureResult(
@@ -59,12 +58,12 @@ def fig04b(io_count: int = 2000, depths: Tuple[int, ...] = (1, 2, 4, 8, 16, 32))
     """99.999th-percentile latency vs. queue depth (Fig. 4b)."""
     data = _qd_sweep(io_count, tuple(depths))
     series = []
-    for kind in DeviceKind:
+    for device in PAPER_DEVICES:
         for rw in PATTERNS:
-            ys = [data[(kind.value, rw, d)].latency.p99999_us for d in depths]
+            ys = [data[(device, rw, d)].latency.p99999_us for d in depths]
             series.append(
                 Series.from_points(
-                    f"{kind.value.upper()} {PATTERN_LABELS[rw]}", depths, ys, "us"
+                    f"{device.upper()} {PATTERN_LABELS[rw]}", depths, ys, "us"
                 )
             )
     return FigureResult(
@@ -80,7 +79,7 @@ def fig04b(io_count: int = 2000, depths: Tuple[int, ...] = (1, 2, 4, 8, 16, 32))
 # ----------------------------------------------------------------------
 # Figure 5: normalized bandwidth vs. queue depth
 # ----------------------------------------------------------------------
-def _io_count_for(kind: DeviceKind, rw: str, depth: int, io_count: int) -> int:
+def _io_count_for(device: str, rw: str, depth: int, io_count: int) -> int:
     # Write runs must outlast the DRAM write buffer, or the measurement
     # reports buffered-absorption bandwidth instead of steady state.
     # Sized against the *effective* device so a --device override still
@@ -89,23 +88,23 @@ def _io_count_for(kind: DeviceKind, rw: str, depth: int, io_count: int) -> int:
 
     count = max(io_count, depth * 30)
     if "write" in rw or rw in ("rw", "randrw"):
-        config = resolve_config(effective_device(kind.value))
+        config = resolve_config(effective_device(device))
         count = max(count, config.write_buffer_units * 5)
     return count
 
 
-def _bandwidth_sweep(kind: DeviceKind, depths: Tuple[int, ...], io_count: int):
+def _bandwidth_sweep(device: str, depths: Tuple[int, ...], io_count: int):
     points = [
         async_point(
-            kind.value, rw, iodepth=depth,
-            io_count=_io_count_for(kind, rw, depth, io_count),
+            device, rw, iodepth=depth,
+            io_count=_io_count_for(device, rw, depth, io_count),
         )
         for rw in PATTERNS
         for depth in depths
     ]
     data = sweep(points, name="bandwidth_sweep")
     series = {
-        rw: [data[(kind.value, rw, d)].result.bandwidth_mbps for d in depths]
+        rw: [data[(device, rw, d)].result.bandwidth_mbps for d in depths]
         for rw in PATTERNS
     }
     peak = max(max(vals) for vals in series.values())
@@ -114,15 +113,15 @@ def _bandwidth_sweep(kind: DeviceKind, depths: Tuple[int, ...], io_count: int):
     }, peak
 
 
-def _fig05(figure_id: str, kind: DeviceKind, depths: Tuple[int, ...], io_count: int):
-    normalized, peak = _bandwidth_sweep(kind, tuple(depths), io_count)
+def _fig05(figure_id: str, device: str, depths: Tuple[int, ...], io_count: int):
+    normalized, peak = _bandwidth_sweep(device, tuple(depths), io_count)
     series = tuple(
         Series.from_points(PATTERN_LABELS[rw], depths, normalized[rw], "%")
         for rw in PATTERNS
     )
     return FigureResult(
         figure_id=figure_id,
-        title=f"Normalized bandwidth vs queue depth — {kind.value.upper()} SSD",
+        title=f"Normalized bandwidth vs queue depth — {device.upper()} SSD",
         x_label="queue depth",
         y_label="% of max bandwidth",
         series=series,
@@ -133,12 +132,12 @@ def _fig05(figure_id: str, kind: DeviceKind, depths: Tuple[int, ...], io_count: 
 
 def fig05a(io_count: int = 2000, depths: Tuple[int, ...] = (1, 2, 4, 8, 16, 24, 32)):
     """ULL SSD bandwidth utilization (Fig. 5a)."""
-    return _fig05("fig05a", DeviceKind.ULL, depths, io_count)
+    return _fig05("fig05a", "ull", depths, io_count)
 
 
 def fig05b(io_count: int = 2000, depths: Tuple[int, ...] = (1, 4, 16, 64, 128, 256)):
     """NVMe SSD bandwidth utilization (Fig. 5b)."""
-    return _fig05("fig05b", DeviceKind.NVME, depths, io_count)
+    return _fig05("fig05b", "nvme", depths, io_count)
 
 
 # ----------------------------------------------------------------------
@@ -146,21 +145,21 @@ def fig05b(io_count: int = 2000, depths: Tuple[int, ...] = (1, 4, 16, 64, 128, 2
 # ----------------------------------------------------------------------
 def _interference(io_count: int, fractions: Tuple[int, ...], iodepth: int):
     points = []
-    for kind in DeviceKind:
+    for device in PAPER_DEVICES:
         for frac in fractions:
             if frac == 0:
                 points.append(
                     async_point(
-                        kind.value, "randread", iodepth=iodepth,
-                        io_count=io_count, key=(kind.value, frac),
+                        device, "randread", iodepth=iodepth,
+                        io_count=io_count, key=(device, frac),
                     )
                 )
             else:
                 points.append(
                     async_point(
-                        kind.value, "randrw", iodepth=iodepth,
+                        device, "randrw", iodepth=iodepth,
                         io_count=io_count, write_fraction=frac / 100.0,
-                        key=(kind.value, frac),
+                        key=(device, frac),
                     )
                 )
     data = sweep(points, name="interference")
@@ -170,15 +169,15 @@ def _interference(io_count: int, fractions: Tuple[int, ...], iodepth: int):
 def _fig06(figure_id: str, metric: str, io_count: int, fractions, iodepth: int):
     data = _interference(io_count, tuple(fractions), iodepth)
     series = []
-    for kind in DeviceKind:
+    for device in PAPER_DEVICES:
         ys = []
         for frac in fractions:
-            summary = data[(kind.value, frac)].read_latency
+            summary = data[(device, frac)].read_latency
             ys.append(
                 summary.mean_us if metric == "mean" else summary.p99999_us
             )
         series.append(
-            Series.from_points(f"{kind.value.upper()} SSD", fractions, ys, "us")
+            Series.from_points(f"{device.upper()} SSD", fractions, ys, "us")
         )
     what = "Average" if metric == "mean" else "99.999th"
     return FigureResult(
@@ -207,36 +206,36 @@ def fig06b(io_count: int = 4000, fractions=(0, 20, 40, 60, 80), iodepth: int = 8
 def fig07a(io_count: int = 1500):
     """Average device power, async/sync x pattern + idle (Fig. 7a)."""
     points = []
-    for kind in DeviceKind:
+    for device in PAPER_DEVICES:
         for rw in PATTERNS:
             points.append(
                 async_point(
-                    kind.value, rw, iodepth=16, io_count=io_count,
-                    key=(kind.value, "async", rw),
+                    device, rw, iodepth=16, io_count=io_count,
+                    key=(device, "async", rw),
                 )
             )
         for rw in PATTERNS:
             points.append(
                 sync_point(
-                    kind.value, rw, io_count=max(200, io_count // 4),
-                    key=(kind.value, "sync", rw),
+                    device, rw, io_count=max(200, io_count // 4),
+                    key=(device, "sync", rw),
                 )
             )
-        points.append(idle_point(kind.value, key=(kind.value, "idle", None)))
+        points.append(idle_point(device, key=(device, "idle", None)))
     data = sweep(points, name="fig07a")
     series = []
-    for kind in DeviceKind:
+    for device in PAPER_DEVICES:
         labels, values = [], []
         for rw in PATTERNS:
             labels.append(f"Async {PATTERN_LABELS[rw]}")
-            values.append(data[(kind.value, "async", rw)].result.avg_power_w)
+            values.append(data[(device, "async", rw)].result.avg_power_w)
         for rw in PATTERNS:
             labels.append(f"Sync {PATTERN_LABELS[rw]}")
-            values.append(data[(kind.value, "sync", rw)].result.avg_power_w)
+            values.append(data[(device, "sync", rw)].result.avg_power_w)
         labels.append("Idle")
-        values.append(data[(kind.value, "idle", None)].value("avg_power_w"))
+        values.append(data[(device, "idle", None)].value("avg_power_w"))
         series.append(
-            Series.from_points(f"{kind.value.upper()} SSD", labels, values, "W")
+            Series.from_points(f"{device.upper()} SSD", labels, values, "W")
         )
     return FigureResult(
         figure_id="fig07a",
@@ -254,7 +253,7 @@ def fig07a(io_count: int = 1500):
 GC_IO_COUNT = {"ull": 30_000, "nvme": 45_000}
 
 
-def _gc_runs(kinds, io_count: int):
+def _gc_runs(devices, io_count: int):
     """Sustained random overwrites on a full device until GC engages.
 
     Synchronous QD-1, matching the paper's time-series methodology: the
@@ -262,28 +261,28 @@ def _gc_runs(kinds, io_count: int):
     the *device's* ability to absorb GC rather than host queueing.
     """
     points = [
-        gc_point(kind.value, io_count or GC_IO_COUNT[kind.value])
-        for kind in kinds
+        gc_point(device, io_count or GC_IO_COUNT[device])
+        for device in devices
     ]
     return sweep(points, name="gc_run")
 
 
 def fig07b(io_count: int = 0, windows: int = 40):
     """Write latency over time as GC kicks in (Fig. 7b)."""
-    data = _gc_runs(tuple(DeviceKind), io_count)
+    data = _gc_runs(PAPER_DEVICES, io_count)
     series = []
     gc_counts = {}
-    for kind in DeviceKind:
-        measured = data[("gc", kind.value)]
+    for device in PAPER_DEVICES:
+        measured = data[("gc", device)]
         result = measured.result
         window_ns = max(1, result.duration_ns // windows)
         windowed = result.timeseries.windowed(window_ns)
         xs = [start / 1e6 for start in windowed.starts_ns]  # ms
         ys = [mean / US for mean in windowed.means]
         series.append(
-            Series.from_points(f"{kind.value.upper()} SSD", xs, ys, "us")
+            Series.from_points(f"{device.upper()} SSD", xs, ys, "us")
         )
-        gc_counts[f"{kind.value}_gc_events"] = float(measured.device.gc_events)
+        gc_counts[f"{device}_gc_events"] = float(measured.device.gc_events)
     return FigureResult(
         figure_id="fig07b",
         title="Write latency over time under sustained random overwrites",
@@ -295,8 +294,8 @@ def fig07b(io_count: int = 0, windows: int = 40):
     )
 
 
-def _fig08(figure_id: str, kind: DeviceKind, io_count: int, windows: int):
-    measured = _gc_runs((kind,), io_count)[("gc", kind.value)]
+def _fig08(figure_id: str, device: str, io_count: int, windows: int):
+    measured = _gc_runs((device,), io_count)[("gc", device)]
     result = measured.result
     window_ns = max(1, result.duration_ns // windows)
     latency = result.timeseries.windowed(window_ns)
@@ -321,7 +320,7 @@ def _fig08(figure_id: str, kind: DeviceKind, io_count: int, windows: int):
     }
     return FigureResult(
         figure_id=figure_id,
-        title=f"Power and latency during GC — {kind.value.upper()} SSD",
+        title=f"Power and latency during GC — {device.upper()} SSD",
         x_label="time (ms)",
         y_label="latency (us) / power (W)",
         series=series,
@@ -331,9 +330,9 @@ def _fig08(figure_id: str, kind: DeviceKind, io_count: int, windows: int):
 
 def fig08a(io_count: int = 0, windows: int = 40):
     """NVMe SSD power + latency during GC (Fig. 8a)."""
-    return _fig08("fig08a", DeviceKind.NVME, io_count, windows)
+    return _fig08("fig08a", "nvme", io_count, windows)
 
 
 def fig08b(io_count: int = 0, windows: int = 40):
     """ULL SSD power + latency during GC (Fig. 8b)."""
-    return _fig08("fig08b", DeviceKind.ULL, io_count, windows)
+    return _fig08("fig08b", "ull", io_count, windows)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.core.display import KB, PATTERN_LABELS, PATTERNS
-from repro.core.experiment import DeviceKind
 from repro.core.figures_completion import _sync_sweep
 from repro.core.metrics import FigureResult, Series
 from repro.host.accounting import ExecMode
@@ -16,10 +15,10 @@ BIG_BLOCK_SIZES = (65536, 131072, 262144, 524288, 1048576)
 SPDK_VS_INT = (("SPDK", "poll", "spdk"), ("Kernel Interrupt", "interrupt", "kernel"))
 
 
-def _spdk_latency_fig(figure_id: str, device: DeviceKind, io_count: int,
+def _spdk_latency_fig(figure_id: str, device: str, io_count: int,
                       block_sizes: Tuple[int, ...]):
     cells = [
-        (device.value, rw, bs, method, stack)
+        (device, rw, bs, method, stack)
         for rw in PATTERNS
         for _label, method, stack in SPDK_VS_INT
         for bs in block_sizes
@@ -29,7 +28,7 @@ def _spdk_latency_fig(figure_id: str, device: DeviceKind, io_count: int,
     for rw in PATTERNS:
         for label, method, stack in SPDK_VS_INT:
             ys = [
-                data[(device.value, rw, bs, method, stack)].latency.mean_us
+                data[(device, rw, bs, method, stack)].latency.mean_us
                 for bs in block_sizes
             ]
             series.append(
@@ -42,7 +41,7 @@ def _spdk_latency_fig(figure_id: str, device: DeviceKind, io_count: int,
             )
     return FigureResult(
         figure_id=figure_id,
-        title=f"SPDK vs kernel interrupt latency — {device.value.upper()} SSD",
+        title=f"SPDK vs kernel interrupt latency — {device.upper()} SSD",
         x_label="block size",
         y_label="avg latency (us)",
         series=tuple(series),
@@ -52,17 +51,17 @@ def _spdk_latency_fig(figure_id: str, device: DeviceKind, io_count: int,
 
 def fig17(io_count: int = 1500, block_sizes: Tuple[int, ...] = BLOCK_SIZES):
     """SPDK vs. interrupt on the NVMe SSD: no meaningful win (Fig. 17)."""
-    return _spdk_latency_fig("fig17", DeviceKind.NVME, io_count, tuple(block_sizes))
+    return _spdk_latency_fig("fig17", "nvme", io_count, tuple(block_sizes))
 
 
 def fig18(io_count: int = 1500, block_sizes: Tuple[int, ...] = BLOCK_SIZES):
     """SPDK vs. interrupt on the ULL SSD: kernel bypass pays off (Fig. 18)."""
-    return _spdk_latency_fig("fig18", DeviceKind.ULL, io_count, tuple(block_sizes))
+    return _spdk_latency_fig("fig18", "ull", io_count, tuple(block_sizes))
 
 
 def fig19(io_count: int = 400, block_sizes: Tuple[int, ...] = BIG_BLOCK_SIZES):
     """Big requests: SPDK's advantage vanishes (Fig. 19)."""
-    return _spdk_latency_fig("fig19", DeviceKind.ULL, io_count, tuple(block_sizes))
+    return _spdk_latency_fig("fig19", "ull", io_count, tuple(block_sizes))
 
 
 def fig20(io_count: int = 1200, block_sizes: Tuple[int, ...] = BLOCK_SIZES):

@@ -342,8 +342,7 @@ def sync_point(
 ) -> Point:
     """A synchronous (pvsync2 / SPDK-plugin) measurement.
 
-    Mirrors ``run_sync_job``: one seed (42) drives device, stack, and
-    access pattern alike.
+    One seed (42) drives device, stack, and access pattern alike.
     """
     if key is None:
         key = (device, rw, block_size, method, stack)
@@ -378,7 +377,7 @@ def async_point(
 ) -> Point:
     """An asynchronous (libaio, interrupt-completed) measurement.
 
-    Mirrors ``run_async_job``: device and pattern seeded 42, stack 11.
+    Device and pattern are seeded 42, the stack 11.
     """
     if key is None:
         key = (device, rw, iodepth)

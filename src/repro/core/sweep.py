@@ -186,10 +186,8 @@ def get_runner(name: str) -> Callable[..., Measurement]:
 def _device_identity(params: Dict[str, Any]) -> str:
     """The resolved device identity a point will run against.
 
-    Preset devices (``"ull"``/``"nvme"``) keep their historical identity
-    string — a ``repr`` of the resolved config — so warm caches stay
-    valid; registry/spec devices are content-addressed by canonical spec
-    hash (``spec:<name>:<hash>``).  See
+    Every device is content-addressed by its canonical spec hash
+    (``spec:<name>:<hash>``; a preset alias by its target's).  See
     :func:`repro.ssd.registry.device_identity`.
     """
     device = params.get("device")

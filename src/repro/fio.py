@@ -2,11 +2,12 @@
 
 The simulated counterpart of invoking fio on the paper's testbed:
 
-    python -m repro.fio examples/jobs/randread.fio --device ull \\
+    python -m repro.fio examples/jobs/sync_latency.fio --device ull \\
         --completion poll
 
 Each job in the file runs on a fresh, preconditioned device and prints a
-fio-style summary line.
+fio-style summary line.  A missing or malformed job file, or a bad flag,
+fails with one ``repro.fio: error: ...`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -14,12 +15,16 @@ from __future__ import annotations
 import argparse
 from typing import Any, List, Optional, Sequence
 
-from repro.core.experiment import DeviceKind, StackKind, build_device, build_stack
+from repro.api import open_device
+from repro.core.cliargs import ArgumentParser
 from repro.host.accounting import ExecMode
 from repro.kstack.completion import CompletionMethod
+from repro.kstack.stack import KernelStack
 from repro.sim.engine import Simulator
+from repro.spdk.stack import SpdkStack
 from repro.ssd.device import SsdDevice
-from repro.workloads.fiofile import load_fio_file
+from repro.ssd.registry import PRESET_NAMES, DeviceLike
+from repro.workloads.fiofile import FioFileError, load_fio_file
 from repro.workloads.job import FioJob, IoEngineKind
 from repro.workloads.runner import JobResult, run_job, run_jobs
 
@@ -27,7 +32,7 @@ from repro.workloads.runner import JobResult, run_job, run_jobs
 def run_jobfile(
     path: str,
     *,
-    device: DeviceKind = DeviceKind.ULL,
+    device: DeviceLike = "ull",
     completion: CompletionMethod = CompletionMethod.INTERRUPT,
     precondition: float = 1.0,
     concurrent: bool = False,
@@ -42,7 +47,7 @@ def run_jobfile(
     jobs = load_fio_file(path)
     engines = {job.engine is IoEngineKind.SPDK for job in jobs}
     if concurrent and len(engines) > 1:
-        raise ValueError(
+        raise FioFileError(
             "cannot mix spdk and kernel jobs on one device: SPDK unbinds "
             "the kernel driver"
         )
@@ -50,16 +55,13 @@ def run_jobfile(
     def make_stack(
         sim: Simulator, dev: SsdDevice, job: FioJob, seed: int
     ) -> Any:
-        stack_kind = (
-            StackKind.SPDK if job.engine is IoEngineKind.SPDK else StackKind.KERNEL
-        )
-        return build_stack(
-            sim, dev, stack=stack_kind, completion=completion, seed=seed
-        )
+        if job.engine is IoEngineKind.SPDK:
+            return SpdkStack(sim, dev)
+        return KernelStack(sim, dev, completion=completion, seed=seed)
 
     if concurrent:
         sim = Simulator()
-        dev = build_device(sim, device, precondition=precondition)
+        dev = open_device(sim, device, precondition=precondition)
         pairs = [
             (make_stack(sim, dev, job, seed=index + 1), job)
             for index, job in enumerate(jobs)
@@ -68,20 +70,30 @@ def run_jobfile(
     results: List[JobResult] = []
     for job in jobs:
         sim = Simulator()
-        dev = build_device(sim, device, precondition=precondition)
+        dev = open_device(sim, device, precondition=precondition)
         results.append(run_job(sim, make_stack(sim, dev, job, seed=1), job))
     return results
 
 
+def _fraction(text: str) -> float:
+    """argparse type: a number in [0, 1]."""
+    message = f"expected a fraction in [0, 1], got {text!r}"
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(message)
+    return value
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.fio",
+    parser = ArgumentParser(
+        prog="repro.fio",
         description="Run a fio job file against a simulated SSD",
     )
     parser.add_argument("jobfile", help="fio-format job file")
-    parser.add_argument(
-        "--device", choices=[k.value for k in DeviceKind], default="ull"
-    )
+    parser.add_argument("--device", choices=PRESET_NAMES, default="ull")
     parser.add_argument(
         "--completion",
         choices=[m.value for m in CompletionMethod],
@@ -89,8 +101,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="kernel completion method (ignored for spdk jobs)",
     )
     parser.add_argument(
-        "--precondition", type=float, default=1.0,
-        help="fraction of the drive written before the run (default 1.0)",
+        "--precondition", type=_fraction, default=1.0,
+        help="fraction of the drive written before the run, in [0, 1] "
+             "(default 1.0)",
     )
     parser.add_argument(
         "--concurrent", action="store_true",
@@ -98,13 +111,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "(fio's default semantics)",
     )
     args = parser.parse_args(argv)
-    results = run_jobfile(
-        args.jobfile,
-        device=DeviceKind(args.device),
-        completion=CompletionMethod(args.completion),
-        precondition=args.precondition,
-        concurrent=args.concurrent,
-    )
+    try:
+        results = run_jobfile(
+            args.jobfile,
+            device=args.device,
+            completion=CompletionMethod(args.completion),
+            precondition=args.precondition,
+            concurrent=args.concurrent,
+        )
+    except OSError as exc:
+        parser.error(f"cannot read {args.jobfile}: {exc.strerror or exc}")
+    except FioFileError as exc:
+        parser.error(f"{args.jobfile}: {exc}")
     for result in results:
         summary = result.latency
         print(

@@ -9,7 +9,6 @@ mechanism of Z-NAND (Section II-A3).
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import (
     BICS_3D,
-    PLANAR_MLC,
     TABLE_I,
     V_NAND,
     Z_NAND,
@@ -25,6 +24,5 @@ __all__ = [
     "Z_NAND",
     "V_NAND",
     "BICS_3D",
-    "PLANAR_MLC",
     "TABLE_I",
 ]

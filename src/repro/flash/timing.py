@@ -1,9 +1,9 @@
 """Flash timing parameters and the Table I technology presets.
 
 All latencies are integer nanoseconds.  The three 3D technologies come
-straight from the paper's Table I (sourced from Cheong et al., ISSCC'18);
-the planar-MLC preset models the flash inside the Intel 750 NVMe SSD the
-paper uses as its comparison device.
+straight from the paper's Table I (sourced from Cheong et al., ISSCC'18).
+The planar MLC inside the Intel 750 comparison device is defined by its
+device spec (``devices/intel750.toml``).
 """
 
 from __future__ import annotations
@@ -104,8 +104,7 @@ class FlashTiming:
 
 
 # ----------------------------------------------------------------------
-# Table I: "Analysis of 3D flash characteristics" + the planar MLC used
-# by the Intel 750.
+# Table I: "Analysis of 3D flash characteristics".
 # ----------------------------------------------------------------------
 
 Z_NAND = FlashTiming(
@@ -142,22 +141,6 @@ BICS_3D = FlashTiming(
     bus_mbps=800,
     layers=48,
     die_capacity_gbit=256,
-    page_size=16384,
-)
-
-# Intel 750-class planar MLC.  tR chosen so that a cache-missing 4 KB
-# random read lands near the paper's observed 82.9 us device latency
-# (tR + transfer + controller firmware time).
-PLANAR_MLC = FlashTiming(
-    name="planar-MLC",
-    read_ns=70 * US,
-    program_ns=1100 * US,
-    erase_ns=6 * MS,
-    bus_mbps=800,
-    read_jitter=0.30,
-    program_jitter=0.25,
-    layers=1,
-    die_capacity_gbit=128,
     page_size=16384,
 )
 

@@ -2,10 +2,9 @@
 
 One lookup path for every way a caller can say "this device":
 
-* a **preset name** (``"ull"``/``"nvme"``) — the paper's two hand-wired
-  configs, built by :mod:`repro.ssd.presets` exactly as they always
-  were (their sweep cache identity is unchanged, so warm caches stay
-  warm);
+* a **preset alias** (``"ull"``/``"nvme"``) — the paper's two devices,
+  resolved through their zoo specs ``zssd``/``intel750``
+  (:data:`PRESET_ALIASES`) but labelled with the alias;
 * a **registry name** (``"zssd"``, ``"qlc"``, ...) — a TOML spec from
   the built-in ``devices/`` tree or one registered in-process with
   :func:`register_spec`;
@@ -20,8 +19,8 @@ share cache entries and any edit re-keys them.
 
 The module also hosts the ambient *device override* the CLI's
 ``--device`` flag installs: figure grids declared against the paper's
-two presets re-point every measurement at the named device, which is
-how any existing figure runs across the zoo.
+two preset aliases re-point every measurement at the named device,
+which is how any existing figure runs across the zoo.
 """
 
 from __future__ import annotations
@@ -32,16 +31,17 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.ssd.config import SsdConfig
-from repro.ssd.presets import build_nvme_preset, build_ull_preset
 from repro.ssd.spec import DeviceSpec, DeviceSpecError
 
 #: The built-in device zoo: TOML specs shipped with the package.
 DEVICES_DIR = Path(__file__).resolve().parents[1] / "devices"
 
-#: The paper's two devices keep their hand-wired preset path (and with
-#: it their historical sweep cache identity).  Their spec twins live in
-#: the zoo as ``zssd``/``intel750``.
-PRESET_NAMES: Tuple[str, ...] = ("ull", "nvme")
+#: The paper's names for its two devices: each alias resolves through
+#: the zoo spec it maps to.
+PRESET_ALIASES: Dict[str, str] = {"ull": "zssd", "nvme": "intel750"}
+
+#: Names reserved for the aliases (no spec may register under them).
+PRESET_NAMES: Tuple[str, ...] = tuple(PRESET_ALIASES)
 
 DeviceLike = Union[str, DeviceSpec, SsdConfig]
 
@@ -55,8 +55,8 @@ _registered: Dict[str, DeviceSpec] = {}
 def list_devices() -> Tuple[str, ...]:
     """Sorted names of every registered device spec (the zoo).
 
-    The ``"ull"``/``"nvme"`` preset aliases are not listed — their spec
-    twins ``zssd``/``intel750`` are.
+    The ``"ull"``/``"nvme"`` preset aliases are not listed — their
+    targets ``zssd``/``intel750`` are.
     """
     names = {path.stem for path in DEVICES_DIR.glob("*.toml")}
     names.update(path.stem for path in DEVICES_DIR.glob("*.json"))
@@ -98,8 +98,8 @@ def get_spec(name: str) -> DeviceSpec:
     """The validated spec registered under ``name``.
 
     Raises :class:`DeviceSpecError` for unknown names, listing what is
-    available (presets resolve through :func:`resolve_config`, not
-    here — they are configs, not specs).
+    available (preset aliases resolve through :func:`resolve_config`,
+    not here).
     """
     registered = _registered.get(name)
     if registered is not None:
@@ -134,21 +134,14 @@ def resolve_spec(device: DeviceLike) -> DeviceSpec:
         from repro.ssd.spec import spec_from_config
 
         return spec_from_config(device, name=device.name)
-    name = _device_name(device)
-    if _looks_like_path(name):
-        return load_device_spec(name)
-    return get_spec(name)
+    if _looks_like_path(device):
+        return load_device_spec(device)
+    return get_spec(device)
 
 
 # ----------------------------------------------------------------------
 # Resolution to SsdConfig
 # ----------------------------------------------------------------------
-def _device_name(device: DeviceLike) -> str:
-    """Normalize enums (``DeviceKind.ULL``) and strings to one name."""
-    value = getattr(device, "value", device)
-    return str(value)
-
-
 def resolve_config(
     device: DeviceLike,
     overrides: Tuple[Tuple[str, Any], ...] = (),
@@ -156,7 +149,7 @@ def resolve_config(
     """The fully resolved :class:`SsdConfig` for ``device``.
 
     ``overrides`` are ``(field, value)`` pairs applied on top via
-    ``dataclasses.replace`` — same semantics for presets and specs.
+    ``dataclasses.replace`` — same semantics for every kind of device.
     """
     label: str
     if isinstance(device, SsdConfig):
@@ -165,17 +158,12 @@ def resolve_config(
     elif isinstance(device, DeviceSpec):
         config = device.to_ssd_config()
         label = device.name
+    elif _looks_like_path(device):
+        spec = load_device_spec(device)
+        config, label = spec.to_ssd_config(), spec.name
     else:
-        name = _device_name(device)
-        if name == "ull":
-            config, label = build_ull_preset(), "ull"
-        elif name == "nvme":
-            config, label = build_nvme_preset(), "nvme"
-        elif _looks_like_path(name):
-            spec = load_device_spec(name)
-            config, label = spec.to_ssd_config(), spec.name
-        else:
-            config, label = get_spec(name).to_ssd_config(), name
+        config = get_spec(PRESET_ALIASES.get(device, device)).to_ssd_config()
+        label = device
     if overrides:
         config = dataclasses.replace(config, **dict(overrides))
     return _with_label(config, label)
@@ -185,8 +173,8 @@ def _with_label(config: SsdConfig, label: str) -> SsdConfig:
     """Attach the registry name as a non-field attribute.
 
     Deliberately *not* a dataclass field: it must stay out of
-    ``asdict``/``repr``/``eq`` so preset cache identities (and config
-    equality with hand-built configs) are untouched.
+    ``asdict``/``repr``/``eq`` so an alias and its target compare equal
+    (as do a resolved config and a hand-built one).
     """
     object.__setattr__(config, "_spec_label", label)
     return config
@@ -206,20 +194,16 @@ def device_identity(
 ) -> str:
     """The string that identifies a device inside sweep cache keys.
 
-    * Preset names produce the historical identity — the repr of the
-      resolved config — byte-for-byte, so every pre-registry cache
-      entry keeps its key.
-    * Registry names and spec paths produce ``spec:<name>:<hash>``:
-      content-addressed, so editing a spec file re-keys its
-      measurements while renaming the file does not change behavior.
+    ``spec:<name>:<hash>``, content-addressed: editing a spec file
+    re-keys its measurements while renaming the file does not change
+    behavior.  A preset alias is keyed by its target's spec (points
+    still carry the alias itself, so ``ull`` and ``zssd`` points keep
+    separate cache rows).
     """
-    name = _device_name(device)
-    if name in PRESET_NAMES:
-        config = build_ull_preset() if name == "ull" else build_nvme_preset()
-        if overrides:
-            config = dataclasses.replace(config, **dict(overrides))
-        return repr(sorted(dataclasses.asdict(config).items()))
-    spec = load_device_spec(name) if _looks_like_path(name) else get_spec(name)
+    if _looks_like_path(device):
+        spec = load_device_spec(device)
+    else:
+        spec = get_spec(PRESET_ALIASES.get(device, device))
     identity = f"spec:{spec.name}:{spec.spec_hash()}"
     if overrides:
         identity += f":{sorted(overrides)!r}"

@@ -22,8 +22,8 @@ Three properties the rest of the system leans on:
   spec-built measurements by.
 * **No new config fields.**  Spec-only data (the ISPP program-step
   table, the description) never lands on :class:`SsdConfig` /
-  :class:`FlashTiming`, so preset-built configs — and therefore their
-  historical sweep cache keys — are untouched by this layer.
+  :class:`FlashTiming`, so a spec-built config compares equal to a
+  hand-built one with the same values.
 
 See ``docs/devices.md`` for the schema reference and annotated examples.
 """
@@ -651,10 +651,11 @@ def _toml_value(value: Any) -> str:
 def spec_from_config(
     config: SsdConfig, *, name: str, description: str = ""
 ) -> DeviceSpec:
-    """Express an :class:`SsdConfig` as a spec (the presets' test twin).
+    """Express an :class:`SsdConfig` as a spec.
 
-    Used by the byte-identity tests and ``devices show`` to prove that a
-    spec file and a hand-wired config describe the same device.
+    ``devices show`` uses it to present a preset alias under its own
+    name, and :func:`repro.ssd.registry.resolve_spec` to accept a raw
+    config wherever a spec is expected.
     """
     timing = config.timing
     mapping: Dict[str, Any] = {

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.workloads.job import FioJob, IoEngineKind
+from repro.workloads.patterns import RW_MODES
 
 #: Keys accepted but without simulation effect (documented no-ops).
 IGNORED_KEYS = frozenset(
@@ -89,6 +90,8 @@ def _build_job(name: str, options: _Options) -> FioJob:
         raise FioFileError(f"unsupported fio option(s): {sorted(unknown)}")
 
     rw = options.get("rw") or options.get("readwrite") or "read"
+    if rw not in RW_MODES:
+        raise FioFileError(f"unsupported rw: {rw!r}; expected one of {RW_MODES}")
     block_size = parse_size(options.get("bs") or options.get("blocksize") or "4k")
     engine_name = (options.get("ioengine") or "pvsync2").lower()
     try:
@@ -147,8 +150,13 @@ def parse_fio_file(text: str) -> List[FioJob]:
         if section == "global":
             continue
         options = global_options.updated(dict(parser.items(section)))
-        replicas = int(options.get("numjobs") or 1)
-        base = _build_job(section, options)
+        try:
+            replicas = int(options.get("numjobs") or 1)
+            base = _build_job(section, options)
+        except FioFileError:
+            raise
+        except ValueError as exc:  # int() of a bad number, FioJob checks
+            raise FioFileError(f"job {section!r}: {exc}") from exc
         for replica in range(replicas):
             if replica == 0:
                 jobs.append(base)

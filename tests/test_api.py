@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.api import JobConfig, Testbed, device_snapshot, open_device, run_job
-from repro.core.experiment import DeviceKind, StackKind
+from repro.kstack.completion import CompletionMethod
 from repro.kstack.stack import KernelStack
 from repro.sim import Simulator
 from repro.spdk.stack import SpdkStack
@@ -28,8 +28,13 @@ class TestJobConfig:
 class TestTestbed:
     def test_accepts_strings_and_enums(self):
         assert Testbed(device="ull").device_name == "ull"
-        assert Testbed(device=DeviceKind.NVME).device_name == "nvme"
-        assert Testbed(stack=StackKind.SPDK).stack_name == "spdk"
+        assert Testbed(device="nvme").device_name == "nvme"
+        assert Testbed(stack="spdk").stack_name == "spdk"
+        sim = Simulator()
+        _, stack = Testbed(
+            completion=CompletionMethod.POLL, precondition=0.0
+        ).build(sim)
+        assert stack.completion_method is CompletionMethod.POLL
 
     def test_device_config_applies_overrides(self):
         base = Testbed(device="ull").device_config()
@@ -157,65 +162,3 @@ class TestNamedDevices:
             device="qlc", config_overrides=(("overprovision", 0.4),)
         ).device_config()
         assert tweaked.overprovision == 0.4
-
-    def test_preset_config_shims_warn(self):
-        from repro.ssd.presets import (
-            build_nvme_preset,
-            build_ull_preset,
-            nvme_ssd_config,
-            ull_ssd_config,
-        )
-
-        with pytest.warns(DeprecationWarning, match="zssd"):
-            assert ull_ssd_config() == build_ull_preset()
-        with pytest.warns(DeprecationWarning, match="intel750"):
-            assert nvme_ssd_config() == build_nvme_preset()
-
-    def test_shims_still_honor_overrides(self):
-        from repro.ssd.presets import ull_ssd_config
-
-        with pytest.warns(DeprecationWarning):
-            config = ull_ssd_config(write_buffer_units=64)
-        assert config.write_buffer_units == 64
-
-
-class TestFacadeParity:
-    """The facade reproduces the historical helpers bit for bit."""
-
-    def test_sync_parity_with_legacy_helper(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.core.experiment import run_sync_job
-
-            legacy = run_sync_job(DeviceKind.ULL, "randread", io_count=130)
-        facade = Testbed(
-            device="ull", device_seed=42, stack_seed=42
-        ).run_job(JobConfig(rw="randread", engine="psync", io_count=130, seed=42))
-        assert legacy.latency.mean_ns == facade.latency.mean_ns
-        assert legacy.latency.p99999_ns == facade.latency.p99999_ns
-        assert legacy.duration_ns == facade.duration_ns
-
-    def test_async_parity_with_legacy_helper(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.core.experiment import run_async_job
-
-            legacy = run_async_job(
-                DeviceKind.NVME, "randread", iodepth=8, io_count=200
-            )
-        facade = Testbed(device="nvme", device_seed=42, stack_seed=11).run_job(
-            JobConfig(rw="randread", engine="libaio", iodepth=8,
-                      io_count=200, seed=42)
-        )
-        assert legacy.latency.mean_ns == facade.latency.mean_ns
-        assert legacy.duration_ns == facade.duration_ns
-
-    def test_spdk_parity_with_legacy_helper(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.core.experiment import run_sync_job
-
-            legacy = run_sync_job(
-                DeviceKind.ULL, "read", io_count=130, stack=StackKind.SPDK
-            )
-        facade = Testbed(
-            device="ull", stack="spdk", device_seed=42, stack_seed=42
-        ).run_job(JobConfig(rw="read", engine="psync", io_count=130, seed=42))
-        assert legacy.latency.mean_ns == facade.latency.mean_ns

@@ -1,19 +1,11 @@
-"""Tests for the experiment harness (build helpers + api facade)."""
+"""Tests for the experiment harness (registry resolution + api facade)."""
 
-import pytest
-
-from repro.api import JobConfig, Testbed
-from repro.core.experiment import (
-    DeviceKind,
-    StackKind,
-    build_device,
-    build_stack,
-    device_config,
-)
+from repro.api import JobConfig, Testbed, open_device
 from repro.kstack.completion import CompletionMethod
 from repro.kstack.stack import KernelStack
 from repro.sim import Simulator
 from repro.spdk.stack import SpdkStack
+from repro.ssd.registry import resolve_config
 
 
 def sync_job(device, rw, *, io_count, block_size=4096, stack="kernel",
@@ -45,8 +37,8 @@ def async_job(device, rw, *, iodepth=1, io_count, write_fraction=0.5,
 
 class TestBuilders:
     def test_device_configs_differ(self):
-        ull = device_config(DeviceKind.ULL)
-        nvme = device_config(DeviceKind.NVME)
+        ull = resolve_config("ull")
+        nvme = resolve_config("nvme")
         assert ull.suspend_resume and not nvme.suspend_resume
         assert ull.timing.name == "Z-NAND"
         assert nvme.timing.name == "planar-MLC"
@@ -54,60 +46,60 @@ class TestBuilders:
 
     def test_build_device_preconditions(self):
         sim = Simulator()
-        device = build_device(sim, DeviceKind.ULL, precondition=1.0)
+        device = open_device(sim, "ull", precondition=1.0)
         assert device.ftl.mapping.mapped_lpn_count == device.logical_pages
 
     def test_build_device_skips_precondition(self):
         sim = Simulator()
-        device = build_device(sim, DeviceKind.ULL, precondition=0.0)
+        device = open_device(sim, "ull", precondition=0.0)
         assert device.ftl.mapping.mapped_lpn_count == 0
 
     def test_build_stack_kinds(self):
-        sim = Simulator()
-        device = build_device(sim, DeviceKind.ULL, precondition=0.0)
-        assert isinstance(build_stack(sim, device), KernelStack)
-        assert isinstance(
-            build_stack(sim, device, stack=StackKind.SPDK), SpdkStack
-        )
+        _, kernel = Testbed(device="ull", precondition=0.0).build(Simulator())
+        assert isinstance(kernel, KernelStack)
+        _, spdk = Testbed(
+            device="ull", stack="spdk", precondition=0.0
+        ).build(Simulator())
+        assert isinstance(spdk, SpdkStack)
 
 
 class TestRunners:
     def test_sync_job_returns_metrics(self):
-        result = sync_job(DeviceKind.ULL, "randread", io_count=100)
+        result = sync_job("ull", "randread", io_count=100)
         assert result.latency.count == 100
         assert 8 < result.latency.mean_us < 30
         assert result.accounting is not None
 
     def test_sync_job_with_poll_is_faster(self):
-        interrupt = sync_job(DeviceKind.ULL, "read", io_count=150)
+        interrupt = sync_job("ull", "read", io_count=150)
         poll = sync_job(
-            DeviceKind.ULL, "read", io_count=150,
+            "ull", "read", io_count=150,
             completion=CompletionMethod.POLL,
         )
         assert poll.latency.mean_ns < interrupt.latency.mean_ns
 
     def test_sync_job_spdk_stack(self):
         result = sync_job(
-            DeviceKind.ULL, "read", io_count=100, stack=StackKind.SPDK
+            "ull", "read", io_count=100, stack="spdk"
         )
         assert result.latency.mean_us < 12
 
     def test_async_job_returns_device(self):
         result, device = async_job(
-            DeviceKind.ULL, "randread", iodepth=4, io_count=200,
+            "ull", "randread", iodepth=4, io_count=200,
             want_device=True,
         )
         assert result.latency.count == 200
         assert device.completed_reads == 200
 
     def test_async_bandwidth_grows_with_depth(self):
-        shallow = async_job(DeviceKind.ULL, "randread", iodepth=1, io_count=300)
-        deep = async_job(DeviceKind.ULL, "randread", iodepth=16, io_count=300)
+        shallow = async_job("ull", "randread", iodepth=1, io_count=300)
+        deep = async_job("ull", "randread", iodepth=16, io_count=300)
         assert deep.bandwidth_mbps > 4 * shallow.bandwidth_mbps
 
     def test_seed_reproducibility(self):
-        first = sync_job(DeviceKind.NVME, "randread", io_count=80, seed=5)
-        second = sync_job(DeviceKind.NVME, "randread", io_count=80, seed=5)
+        first = sync_job("nvme", "randread", io_count=80, seed=5)
+        second = sync_job("nvme", "randread", io_count=80, seed=5)
         assert first.latency.mean_ns == second.latency.mean_ns
         assert first.latency.p99999_ns == second.latency.p99999_ns
 
@@ -116,52 +108,23 @@ class TestHeadlineNumbers:
     """Coarse checks against the paper's Section IV numbers."""
 
     def test_ull_random_read_near_16us(self):
-        result = async_job(DeviceKind.ULL, "randread", iodepth=1, io_count=400)
+        result = async_job("ull", "randread", iodepth=1, io_count=400)
         assert 12 < result.latency.mean_us < 20  # paper: 15.9 us
 
     def test_nvme_random_read_near_83us(self):
-        result = async_job(DeviceKind.NVME, "randread", iodepth=1, io_count=400)
+        result = async_job("nvme", "randread", iodepth=1, io_count=400)
         assert 70 < result.latency.mean_us < 95  # paper: 82.9 us
 
     def test_nvme_buffered_write_near_14us(self):
-        result = async_job(DeviceKind.NVME, "randwrite", iodepth=1, io_count=400)
+        result = async_job("nvme", "randwrite", iodepth=1, io_count=400)
         assert 10 < result.latency.mean_us < 18  # paper: 14.1 us
 
     def test_ull_write_near_11us(self):
-        result = async_job(DeviceKind.ULL, "randwrite", iodepth=1, io_count=400)
+        result = async_job("ull", "randwrite", iodepth=1, io_count=400)
         assert 8 < result.latency.mean_us < 15  # paper: 11.3 us
 
     def test_nvme_random_read_5x_slower_than_ull(self):
-        nvme = async_job(DeviceKind.NVME, "randread", iodepth=1, io_count=300)
-        ull = async_job(DeviceKind.ULL, "randread", iodepth=1, io_count=300)
+        nvme = async_job("nvme", "randread", iodepth=1, io_count=300)
+        ull = async_job("ull", "randread", iodepth=1, io_count=300)
         ratio = nvme.latency.mean_ns / ull.latency.mean_ns
         assert 3.5 < ratio < 7.0  # paper: 5.2x
-
-
-class TestDeprecatedShims:
-    """The legacy helpers still work, warn, and match the facade exactly."""
-
-    def test_run_sync_job_warns_and_matches_facade(self):
-        from repro.core.experiment import run_sync_job
-
-        with pytest.warns(DeprecationWarning, match="run_sync_job"):
-            legacy = run_sync_job(DeviceKind.ULL, "randread", io_count=120)
-        direct = sync_job(DeviceKind.ULL, "randread", io_count=120)
-        assert legacy.latency.mean_ns == direct.latency.mean_ns
-        assert legacy.latency.p99999_ns == direct.latency.p99999_ns
-        assert legacy.duration_ns == direct.duration_ns
-
-    def test_run_async_job_warns_and_matches_facade(self):
-        from repro.core.experiment import run_async_job
-
-        with pytest.warns(DeprecationWarning, match="run_async_job"):
-            legacy, legacy_dev = run_async_job(
-                DeviceKind.ULL, "randread", iodepth=4, io_count=150,
-                want_device=True,
-            )
-        direct, direct_dev = async_job(
-            DeviceKind.ULL, "randread", iodepth=4, io_count=150,
-            want_device=True,
-        )
-        assert legacy.latency.mean_ns == direct.latency.mean_ns
-        assert legacy_dev.completed_reads == direct_dev.completed_reads

@@ -1,15 +1,15 @@
 """Tests for the device registry (repro.ssd.registry).
 
-The two load-bearing guarantees:
+The load-bearing guarantees:
 
-* **golden byte-identity** — the ``zssd``/``intel750`` zoo specs build
-  configs equal to the hand-wired presets, and measurements run through
-  them are byte-identical to preset runs, serially and with worker
+* **one definition per paper device** — the ``ull``/``nvme`` preset
+  aliases resolve through the ``zssd``/``intel750`` zoo specs, whose
+  content is pinned by hash, and measurements run through an alias are
+  byte-identical to runs of its target, serially and with worker
   fan-out;
-* **cache-key discipline** — preset devices keep their historical sweep
-  cache identity (so warm caches survive the registry), while
-  spec-built devices get content-addressed ``spec:<name>:<hash>`` keys
-  distinct per device.
+* **cache-key discipline** — every device gets a content-addressed
+  ``spec:<name>:<hash>`` key (an alias its target's), distinct per
+  device.
 """
 
 import dataclasses
@@ -19,9 +19,10 @@ import pytest
 
 from repro.core.runners import sync_point
 from repro.core.sweep import ExperimentSpec, SweepEngine, point_cache_key
-from repro.ssd.presets import build_nvme_preset, build_ull_preset
+from repro.flash.timing import Z_NAND
 from repro.ssd.registry import (
     DEVICES_DIR,
+    PRESET_ALIASES,
     clear_cache,
     device_identity,
     device_override,
@@ -77,17 +78,17 @@ class TestRegistryBasics:
             clear_cache()
 
     def test_register_and_unregister_in_process(self):
-        spec = spec_from_config(build_ull_preset(), name="custom-dev")
+        spec = spec_from_config(resolve_config("zssd"), name="custom-dev")
         register_spec(spec)
         try:
             assert "custom-dev" in list_devices()
-            assert resolve_config("custom-dev") == build_ull_preset()
+            assert resolve_config("custom-dev") == resolve_config("zssd")
         finally:
             unregister_spec(spec.name)
         assert "custom-dev" not in list_devices()
 
     def test_preset_names_reserved(self):
-        spec = spec_from_config(build_ull_preset(), name="ull")
+        spec = spec_from_config(resolve_config("zssd"), name="ull")
         with pytest.raises(DeviceSpecError, match="reserved"):
             register_spec(spec)
 
@@ -98,14 +99,19 @@ class TestRegistryBasics:
 
 class TestGoldenIdentity:
     def test_zssd_config_equals_ull_preset(self):
-        assert resolve_config("zssd") == build_ull_preset()
+        zssd, ull = resolve_config("zssd"), resolve_config("ull")
+        assert zssd == ull
+        assert (spec_label(zssd), spec_label(ull)) == ("zssd", "ull")
 
     def test_intel750_config_equals_nvme_preset(self):
-        assert resolve_config("intel750") == build_nvme_preset()
+        intel750, nvme = resolve_config("intel750"), resolve_config("nvme")
+        assert intel750 == nvme
+        assert (spec_label(intel750), spec_label(nvme)) == ("intel750", "nvme")
 
     def test_preset_aliases_build_presets(self):
-        assert resolve_config("ull") == build_ull_preset()
-        assert resolve_config("nvme") == build_nvme_preset()
+        assert PRESET_ALIASES == {"ull": "zssd", "nvme": "intel750"}
+        for alias, target in PRESET_ALIASES.items():
+            assert resolve_config(alias) == get_spec(target).to_ssd_config()
 
     def _measure(self, device, jobs=1):
         engine = SweepEngine(jobs=jobs)
@@ -131,27 +137,37 @@ class TestGoldenIdentity:
         assert self._measure("intel750") == self._measure("nvme")
 
 
+class TestPaperDevices:
+    """The paper's two devices, pinned: an edit to either spec file
+    fails here (and re-keys every cached paper figure on purpose)."""
+
+    ZSSD_HASH = (
+        "4711e9fba5bb385894a92931bf23bdb50fd95b931a7a63ebb04e1437d72b5aed"
+    )
+    INTEL750_HASH = (
+        "ac8662688f644e3607715ed92bfd9eade1457b725f633b7991e99b9cf44c5d5a"
+    )
+
+    def test_spec_hashes_are_pinned(self):
+        assert get_spec("zssd").spec_hash() == self.ZSSD_HASH
+        assert get_spec("intel750").spec_hash() == self.INTEL750_HASH
+
+    def test_zssd_timing_is_table_one_z_nand(self):
+        assert resolve_config("zssd").timing == Z_NAND
+
+
 class TestCacheIdentity:
-    # The historical identity formula, frozen here on purpose: if this
-    # test breaks, every pre-registry on-disk cache entry is orphaned.
-    @staticmethod
-    def _legacy_identity(config):
-        return repr(sorted(dataclasses.asdict(config).items()))
+    def test_alias_identity_is_its_targets_spec(self):
+        for alias, target in PRESET_ALIASES.items():
+            assert device_identity(alias) == device_identity(target)
+            assert device_identity(alias).startswith(f"spec:{target}:")
 
-    def test_preset_identity_is_the_legacy_formula(self):
-        assert device_identity("ull") == self._legacy_identity(
-            build_ull_preset()
-        )
-        assert device_identity("nvme") == self._legacy_identity(
-            build_nvme_preset()
-        )
-
-    def test_preset_identity_with_overrides_matches_legacy(self):
+    def test_alias_identity_with_overrides(self):
         overrides = (("overprovision", 0.4),)
-        expected = self._legacy_identity(
-            dataclasses.replace(build_ull_preset(), overprovision=0.4)
+        assert device_identity("ull", overrides) == device_identity(
+            "zssd", overrides
         )
-        assert device_identity("ull", overrides) == expected
+        assert device_identity("ull", overrides) != device_identity("ull")
 
     def test_spec_identity_is_content_addressed(self):
         identity = device_identity("qlc")
@@ -166,16 +182,16 @@ class TestCacheIdentity:
         assert len(keys) == len(ZOO)
 
     def test_zssd_and_ull_points_key_differently(self):
-        # Deliberate: the spec twin is content-addressed, the preset is
-        # legacy-keyed.  Byte-identical *results*, separate cache rows.
+        # Deliberate: the point params carry the name the caller used,
+        # so byte-identical *results* still land in separate cache rows.
         preset = point_cache_key(sync_point("ull", "randread", io_count=100))
         spec = point_cache_key(sync_point("zssd", "randread", io_count=100))
         assert preset != spec
 
     def test_editing_a_spec_rekeys_it(self):
-        base = spec_from_config(build_ull_preset(), name="edit-me")
+        base = spec_from_config(resolve_config("zssd"), name="edit-me")
         edited = spec_from_config(
-            dataclasses.replace(build_ull_preset(), overprovision=0.31),
+            dataclasses.replace(resolve_config("zssd"), overprovision=0.31),
             name="edit-me",
         )
         register_spec(base)

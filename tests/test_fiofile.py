@@ -104,6 +104,15 @@ class TestParseFioFile:
         with pytest.raises(FioFileError):
             parse_fio_file("[j]\nrw=read\nbs=4k\n")
 
+    @pytest.mark.parametrize(
+        "options",
+        ["rw=sideways\nnumber_ios=1", "rw=read\niodepth=deep\nnumber_ios=1",
+         "rw=read\nnumjobs=two\nnumber_ios=1", "rw=read\nbs=1000\nnumber_ios=1"],
+    )
+    def test_bad_values_rejected_as_job_file_errors(self, options):
+        with pytest.raises(FioFileError):
+            parse_fio_file(f"[j]\n{options}\n")
+
     def test_empty_file_rejected(self):
         with pytest.raises(FioFileError):
             parse_fio_file("")
@@ -133,9 +142,8 @@ class TestCliRunner:
             "[global]\nioengine=pvsync2\nbs=4k\n[r]\nrw=randread\nnumber_ios=60\n"
         )
         from repro.fio import run_jobfile
-        from repro.core.experiment import DeviceKind
 
-        results = run_jobfile(str(path), device=DeviceKind.ULL)
+        results = run_jobfile(str(path), device="ull")
         assert len(results) == 1
         assert results[0].latency.count == 60
 
@@ -154,10 +162,9 @@ class TestCliRunner:
             "[global]\nbs=4k\nnumber_ios=50\n"
             "[r]\nrw=randread\n[w]\nrw=randwrite\n"
         )
-        from repro.core.experiment import DeviceKind
         from repro.fio import run_jobfile
 
-        results = run_jobfile(str(path), device=DeviceKind.ULL, concurrent=True)
+        results = run_jobfile(str(path), device="ull", concurrent=True)
         assert len(results) == 2
         # Concurrent jobs share wall time: both report the same duration.
         assert results[0].duration_ns == results[1].duration_ns
@@ -172,3 +179,47 @@ class TestCliRunner:
 
         with pytest.raises(ValueError):
             run_jobfile(str(path), concurrent=True)
+
+
+class TestCliCleanErrors:
+    """Bad input fails with exit 2 and one ``repro.fio: error:`` line."""
+
+    @staticmethod
+    def _exit_cleanly(argv, capsys):
+        from repro.fio import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("repro.fio: error: ")
+        return err
+
+    def test_missing_job_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.fio")
+        err = self._exit_cleanly([missing], capsys)
+        assert missing in err and "No such file" in err
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "[r]\nrw=sideways\nbs=4k\nnumber_ios=10\n",
+            "[r]\nrw=read\nbs=4k\n",
+            "[r]\nrw=read\niodepth=deep\nnumber_ios=10\n",
+            "[r]\nrw=read\nbs=1000\nnumber_ios=10\n",
+        ],
+    )
+    def test_malformed_job_file(self, body, tmp_path, capsys):
+        path = tmp_path / "bad.fio"
+        path.write_text(body)
+        assert str(path) in self._exit_cleanly([str(path)], capsys)
+
+    @pytest.mark.parametrize("fraction", ["2", "-1", "x"])
+    def test_precondition_out_of_range(self, fraction, capsys):
+        err = self._exit_cleanly(
+            ["examples/jobs/sync_latency.fio", "--precondition", fraction],
+            capsys,
+        )
+        assert "--precondition" in err

@@ -1,20 +1,18 @@
-"""Cross-stack integration tests: end-to-end invariants on the presets."""
+"""Cross-stack integration tests: end-to-end invariants on the paper's
+two devices."""
 
 
 from repro import (
     CompletionMethod,
-    DeviceKind,
     FioJob,
     IoEngineKind,
     KernelStack,
     Simulator,
     SpdkStack,
     SsdDevice,
-    StackKind,
-    build_device,
     run_job,
 )
-from repro.api import JobConfig, Testbed
+from repro.api import JobConfig, Testbed, open_device
 from repro.ssd.registry import resolve_config
 
 
@@ -46,18 +44,18 @@ class TestLatencyOrdering:
     """SPDK < poll < interrupt must hold on the ULL SSD end to end."""
 
     def test_stack_ordering_on_ull(self):
-        interrupt = sync_job(DeviceKind.ULL, "read", io_count=400)
+        interrupt = sync_job("ull", "read", io_count=400)
         poll = sync_job(
-            DeviceKind.ULL, "read", io_count=400, completion=CompletionMethod.POLL
+            "ull", "read", io_count=400, completion=CompletionMethod.POLL
         )
         spdk = sync_job(
-            DeviceKind.ULL, "read", io_count=400, stack=StackKind.SPDK
+            "ull", "read", io_count=400, stack="spdk"
         )
         assert spdk.latency.mean_ns < poll.latency.mean_ns < interrupt.latency.mean_ns
 
     def test_device_ordering_random_reads(self):
-        ull = sync_job(DeviceKind.ULL, "randread", io_count=300)
-        nvme = sync_job(DeviceKind.NVME, "randread", io_count=300)
+        ull = sync_job("ull", "randread", io_count=300)
+        nvme = sync_job("nvme", "randread", io_count=300)
         assert nvme.latency.mean_ns > 3 * ull.latency.mean_ns
 
     def test_block_size_monotonicity(self):
@@ -65,7 +63,7 @@ class TestLatencyOrdering:
         previous = 0.0
         for block_size in (4096, 16384, 65536):
             result = sync_job(
-                DeviceKind.ULL, "read", block_size=block_size, io_count=200
+                "ull", "read", block_size=block_size, io_count=200
             )
             assert result.latency.mean_ns > previous
             previous = result.latency.mean_ns
@@ -73,20 +71,20 @@ class TestLatencyOrdering:
 
 class TestThroughputSaturation:
     def test_ull_saturates_by_qd16(self):
-        at_8 = async_job(DeviceKind.ULL, "read", iodepth=8, io_count=1500)
-        at_32 = async_job(DeviceKind.ULL, "read", iodepth=32, io_count=1500)
+        at_8 = async_job("ull", "read", iodepth=8, io_count=1500)
+        at_32 = async_job("ull", "read", iodepth=32, io_count=1500)
         assert at_32.bandwidth_mbps < 1.2 * at_8.bandwidth_mbps
 
     def test_nvme_still_scaling_past_qd16(self):
-        at_8 = async_job(DeviceKind.NVME, "randread", iodepth=8, io_count=1500)
-        at_64 = async_job(DeviceKind.NVME, "randread", iodepth=64, io_count=1500)
+        at_8 = async_job("nvme", "randread", iodepth=8, io_count=1500)
+        at_64 = async_job("nvme", "randread", iodepth=64, io_count=1500)
         assert at_64.bandwidth_mbps > 2.5 * at_8.bandwidth_mbps
 
 
 class TestDeviceConsistencyUnderLoad:
     def test_mixed_workload_preserves_ftl_invariants(self):
         result, device = async_job(
-            DeviceKind.ULL, "randrw", iodepth=16, io_count=4000,
+            "ull", "randrw", iodepth=16, io_count=4000,
             write_fraction=0.5, want_device=True,
         )
         device.ftl.mapping.check_invariants()
@@ -96,7 +94,7 @@ class TestDeviceConsistencyUnderLoad:
         # The preset leaves ~4 erased blocks per die after precondition;
         # ~25k overwrites push every die past the GC watermark.
         result, device = async_job(
-            DeviceKind.NVME, "randwrite", iodepth=8, io_count=30000,
+            "nvme", "randwrite", iodepth=8, io_count=30000,
             want_device=True,
         )
         assert result.latency.count == 30000
@@ -105,7 +103,7 @@ class TestDeviceConsistencyUnderLoad:
 
     def test_power_always_at_least_idle(self):
         result, device = async_job(
-            DeviceKind.ULL, "randwrite", iodepth=8, io_count=2000,
+            "ull", "randwrite", iodepth=8, io_count=2000,
             want_device=True,
         )
         values = device.power.series.values
@@ -151,8 +149,8 @@ class TestDeterminism:
 class TestPresetSanity:
     def test_preset_capacities(self):
         sim = Simulator()
-        ull = build_device(sim, DeviceKind.ULL, precondition=0.0)
-        nvme = build_device(sim, DeviceKind.NVME, precondition=0.0)
+        ull = open_device(sim, "ull", precondition=0.0)
+        nvme = open_device(sim, "nvme", precondition=0.0)
         # Scaled-down but non-trivial devices.
         assert 100 << 20 < ull.capacity_bytes < 1 << 30
         assert 100 << 20 < nvme.capacity_bytes < 2 << 30
@@ -162,7 +160,7 @@ class TestPresetSanity:
 
     def test_bandwidth_scale_matches_devices(self):
         """ULL peaks near PCIe (~2.7 GB/s here); NVMe near 1.8 GB/s."""
-        ull = async_job(DeviceKind.ULL, "read", iodepth=32, io_count=3000)
-        nvme = async_job(DeviceKind.NVME, "randread", iodepth=256, io_count=8000)
+        ull = async_job("ull", "read", iodepth=32, io_count=3000)
+        nvme = async_job("nvme", "randread", iodepth=256, io_count=8000)
         assert ull.bandwidth_mbps > 2300
         assert 1300 < nvme.bandwidth_mbps < 2100

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.experiment import DeviceKind, build_device
+from repro.api import open_device
 from repro.kstack.completion import CompletionMethod
 from repro.kstack.stack import KernelStack
 from repro.obs import AnatomyReport, Observability
@@ -16,7 +16,7 @@ def run_traced_job(rw="randrw", io_count=60, engine=IoEngineKind.PSYNC,
     obs = Observability()
     with obs:
         sim = Simulator()
-        device = build_device(sim, DeviceKind.ULL, precondition=0.5)
+        device = open_device(sim, "ull", precondition=0.5)
         stack = KernelStack(sim, device, completion=completion)
         job = FioJob(
             name="traced", rw=rw, engine=engine,
@@ -95,7 +95,7 @@ class TestJobResultHook:
 
     def test_anatomy_none_without_tracing(self):
         sim = Simulator()
-        device = build_device(sim, DeviceKind.ULL, precondition=0.5)
+        device = open_device(sim, "ull", precondition=0.5)
         stack = KernelStack(sim, device)
         job = FioJob(name="plain", rw="randread", io_count=20)
         result = run_job(sim, stack, job)
@@ -125,7 +125,7 @@ class TestDisabledPathUnchanged:
                 result, _obs = run_traced_job(rw="randread", io_count=40)
             else:
                 sim = Simulator()
-                device = build_device(sim, DeviceKind.ULL, precondition=0.5)
+                device = open_device(sim, "ull", precondition=0.5)
                 stack = KernelStack(sim, device)
                 job = FioJob(name="plain", rw="randread", io_count=40)
                 result = run_job(sim, stack, job)

@@ -3,7 +3,7 @@ same-tick determinism."""
 
 import pytest
 
-from repro.core.experiment import DeviceKind, build_device
+from repro.api import open_device
 from repro.kstack.completion import CompletionMethod
 from repro.kstack.stack import KernelStack
 from repro.obs import (
@@ -24,7 +24,7 @@ def run_kernel_ios(
     obs = Observability()
     with obs:
         sim = Simulator()
-        device = build_device(sim, DeviceKind.ULL, precondition=0.5, seed=seed)
+        device = open_device(sim, "ull", precondition=0.5, device_seed=seed)
         stack = KernelStack(sim, device, completion=completion)
 
         def run():
@@ -113,7 +113,7 @@ class TestConservation:
         obs = Observability()
         with obs:
             sim = Simulator()
-            device = build_device(sim, DeviceKind.ULL, precondition=0.5)
+            device = open_device(sim, "ull", precondition=0.5)
             stack = SpdkStack(sim, device)
 
             def run():
@@ -144,7 +144,7 @@ class TestDeterminism:
         def latencies(obs_enabled):
             ctx = Observability() if obs_enabled else NULL_OBS
             sim = Simulator(obs=ctx if obs_enabled else None)
-            device = build_device(sim, DeviceKind.ULL, precondition=0.5)
+            device = open_device(sim, "ull", precondition=0.5)
             stack = KernelStack(sim, device, completion=CompletionMethod.INTERRUPT)
             out = []
 
@@ -169,7 +169,7 @@ class TestNullPath:
 
     def test_null_tracer_collects_nothing(self):
         sim = Simulator()
-        device = build_device(sim, DeviceKind.ULL, precondition=0.2)
+        device = open_device(sim, "ull", precondition=0.2)
         stack = KernelStack(sim, device)
 
         def run():

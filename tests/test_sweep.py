@@ -51,9 +51,9 @@ class TestCanonicalization:
         assert canonical(None) is None
 
     def test_enums_become_values(self):
-        from repro.core.experiment import DeviceKind
+        from repro.kstack.completion import CompletionMethod
 
-        assert canonical(DeviceKind.ULL) == "ull"
+        assert canonical(CompletionMethod.POLL) == "poll"
 
     def test_dicts_become_sorted_tuples(self):
         assert canonical({"b": 2, "a": 1}) == (("a", 1), ("b", 2))
