@@ -15,10 +15,8 @@ Two quality-gate subcommands stand alone (see ``docs/lint.md``):
 
 Six subcommands share one flag vocabulary:
 
-* ``figures`` — run figure reproductions and print their tables.  The
-  historical flat form (``python -m repro fig10 --scale 0.2``) still
-  works: a first argument that is not a subcommand is treated as
-  ``figures ...``.
+* ``figures`` — run figure reproductions and print their tables
+  (``python -m repro figures fig10 --scale 0.2``).
 * ``sweep`` — execute figures for their measurements only (a cache
   warmer): no tables, just per-figure engine statistics.  ``--clear-cache``
   empties the persistent cache first.
@@ -43,8 +41,15 @@ Six subcommands share one flag vocabulary:
   (``--profile-out`` speedscope JSON, ``--collapsed`` collapsed-stack
   text) and the queue-depth timeline (``--timeline``, ``.html`` or CSV).
 
+``devices`` inspects the device registry (``devices list``,
+``devices show NAME [--format toml|json]``).
+
 Use ``--scale`` to grow or shrink I/O counts (0.1 = 10 % of the default
-samples, 2.0 = double), ``--list`` to enumerate figure ids.
+samples, 2.0 = double), ``figures --list`` to enumerate figure ids.
+Every argument is checked while parsing: a bad value, a figure id or
+device that does not exist, or an unreadable ``--compare`` document
+fails with one ``prog: error: ...`` line and exit status 2 before
+anything runs.
 
 Execution flags configure the sweep engine every figure runs on:
 
@@ -99,70 +104,41 @@ import os
 import sys
 import time
 
-from repro.core.cliargs import ArgumentParser
+from repro import perf as perf_harness
 from repro.core import sweep as sweep_engine
+from repro.core.cliargs import (
+    ArgumentParser,
+    add_device_flag,
+    checked,
+    device,
+    number,
+)
 from repro.core.figures import FIGURES, run_figure
 from repro.core.report import render_figure
+from repro.faults.plan import parse_fault_spec
+from repro.obs.blame import SloSpec
 
-SUBCOMMANDS = (
-    "figures", "sweep", "trace", "blame", "perf", "profile", "devices",
-    "lint", "check",
-)
+_POSITIVE_INT = number(int, minimum=1)
+_SEED = number(int, minimum=0)
+# Read while parsing, so a bad document fails before anything is timed.
+_BENCH_DOC = checked(perf_harness.load_bench)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: a strictly positive integer (one clean error line)."""
-    try:
-        value = int(text)
-    except ValueError:
+def _figure_id(text: str) -> str:
+    """argparse type: a registered figure id."""
+    if text not in FIGURES:
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
-        ) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
+            f"unknown figure {text!r}; try figures --list"
         )
-    return value
+    return text
 
 
-def _positive_float(text: str) -> float:
-    """argparse type: a strictly positive float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive number, got {text!r}"
-        ) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive number, got {text!r}"
-        )
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    """argparse type: an integer >= 0 (seeds: 0 is the documented default)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}"
-        )
-    return value
-
-
-def _slo_spec(text: str):
-    """argparse type: parse OP:LATENCY[@OBJECTIVE] into an SloSpec."""
-    from repro.obs.blame import SloSpec
-
-    try:
-        return SloSpec.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+@checked
+def _fault_spec(text: str) -> str:
+    """argparse type: one ``--faults`` item, checked by the parser that
+    later builds the plan from all of them."""
+    parse_fault_spec([text])
+    return text
 
 
 def _scaled_kwargs(figure_id: str, scale: float, seed=None, fault_seed=None) -> dict:
@@ -206,11 +182,7 @@ def _suffixed(path: str, figure_id: str, multi: bool) -> str:
 
 
 def _wants_telemetry(args) -> bool:
-    return bool(
-        getattr(args, "telemetry", False)
-        or getattr(args, "telemetry_out", None)
-        or getattr(args, "telemetry_period", None)
-    )
+    return bool(args.telemetry or args.telemetry_out or args.telemetry_period)
 
 
 def _telemetry_config(args):
@@ -222,10 +194,18 @@ def _telemetry_config(args):
 
 
 def _wants_blame(args) -> bool:
+    return bool(args.blame or args.slo or args.blame_out)
+
+
+def _observing(args) -> bool:
+    """Whether any observability output was asked for."""
     return bool(
-        getattr(args, "blame", False)
-        or getattr(args, "slo", None)
-        or getattr(args, "blame_out", None)
+        args.trace_out
+        or args.metrics
+        or args.metrics_out
+        or args.anatomy
+        or _wants_telemetry(args)
+        or _wants_blame(args)
     )
 
 
@@ -234,7 +214,7 @@ def _blame_config(args):
 
     return BlameConfig(
         top=getattr(args, "top", None) or DEFAULT_TOP,
-        slos=tuple(getattr(args, "slo", None) or ()),
+        slos=tuple(args.slo),
     )
 
 
@@ -258,9 +238,7 @@ def _emit_observability(obs, figure_id: str, args, multi: bool) -> None:
         print(telemetry_to_text(obs.telemetry))
         print()
     blame = getattr(obs, "blame", None)
-    if blame is not None and (
-        getattr(args, "blame", False) or getattr(args, "slo", None)
-    ):
+    if blame is not None and (args.blame or args.slo):
         from repro.obs.blame import blame_table
 
         print(blame_table(blame))
@@ -292,7 +270,7 @@ def _emit_observability(obs, figure_id: str, args, multi: bool) -> None:
         else:
             write_telemetry_csv(obs.telemetry, path)
         print(f"wrote telemetry to {path}", file=sys.stderr)
-    if blame is not None and getattr(args, "blame_out", None):
+    if blame is not None and args.blame_out:
         from repro.obs.blame import blame_table
 
         path = _suffixed(args.blame_out, figure_id, multi)
@@ -309,10 +287,37 @@ def _emit_observability(obs, figure_id: str, args, multi: bool) -> None:
         print(f"wrote blame report to {path}", file=sys.stderr)
 
 
-def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--device",
-        metavar="NAME|PATH",
+def _flag_groups():
+    """The parent parsers the figure-running subcommands are built from;
+    each flag is defined here once."""
+    many = ArgumentParser(add_help=False)
+    many.add_argument(
+        "figures", nargs="*", type=_figure_id,
+        help="figure ids (e.g. fig10 fig18)",
+    )
+    many.add_argument("--all", action="store_true", help="every figure")
+
+    one = ArgumentParser(add_help=False)
+    one.add_argument(
+        "figures", nargs=1, type=_figure_id, metavar="figure", help="figure id"
+    )
+
+    run = ArgumentParser(add_help=False)
+    run.add_argument(
+        "--scale",
+        type=number(float, above=0),
+        default=1.0,
+        help="I/O-count scale factor (default 1.0)",
+    )
+    run.add_argument(
+        "--seed",
+        type=_SEED,
+        default=None,
+        metavar="N",
+        help="override the device seed on figures that accept one",
+    )
+    add_device_flag(
+        run,
         default=None,
         help=(
             "run every figure against this device instead of the "
@@ -320,14 +325,14 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
             "devices list`) or a .toml/.json spec file"
         ),
     )
-    parser.add_argument(
+    run.add_argument(
         "--jobs",
-        type=_positive_int,
+        type=_POSITIVE_INT,
         default=1,
         metavar="N",
         help="run independent measurements across N worker processes",
     )
-    parser.add_argument(
+    run.add_argument(
         "--cache-dir",
         metavar="DIR",
         default=None,
@@ -336,17 +341,17 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
             f"(default {sweep_engine.DEFAULT_CACHE_DIR})"
         ),
     )
-    parser.add_argument(
+    run.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the persistent measurement cache",
     )
 
-
-def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    faults = ArgumentParser(add_help=False)
+    faults.add_argument(
         "--faults",
         action="append",
+        type=_fault_spec,
         default=[],
         metavar="SPEC",
         help=(
@@ -354,9 +359,9 @@ def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
             "(e.g. nand.read_fail_prob=0.01); repeatable, comma-splittable"
         ),
     )
-    parser.add_argument(
+    faults.add_argument(
         "--fault-seed",
-        type=_nonnegative_int,
+        type=_SEED,
         default=None,
         metavar="N",
         help=(
@@ -365,36 +370,35 @@ def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
 
-
-def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    obs = ArgumentParser(add_help=False)
+    obs.add_argument(
         "--trace-out",
         metavar="FILE",
         default=None,
         help="write per-I/O spans as Chrome trace_event JSON (Perfetto)",
     )
-    parser.add_argument(
+    obs.add_argument(
         "--metrics",
         action="store_true",
         help="print the metrics registry after each figure",
     )
-    parser.add_argument(
+    obs.add_argument(
         "--metrics-out",
         metavar="FILE",
         default=None,
         help="write the metrics registry as CSV",
     )
-    parser.add_argument(
+    obs.add_argument(
         "--anatomy",
         action="store_true",
         help="print the span-level latency-anatomy breakdown",
     )
-    parser.add_argument(
+    obs.add_argument(
         "--telemetry",
         action="store_true",
         help="record time-series telemetry and print the digest summary",
     )
-    parser.add_argument(
+    obs.add_argument(
         "--telemetry-out",
         metavar="FILE",
         default=None,
@@ -403,14 +407,14 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
             "timeline report, anything else -> long-format CSV)"
         ),
     )
-    parser.add_argument(
+    obs.add_argument(
         "--telemetry-period",
-        type=_positive_int,
+        type=_POSITIVE_INT,
         default=None,
         metavar="NS",
         help="telemetry sample period in sim nanoseconds (default 10000)",
     )
-    parser.add_argument(
+    obs.add_argument(
         "--blame",
         action="store_true",
         help=(
@@ -418,18 +422,18 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
             "tail-latency blame table after each figure"
         ),
     )
-    parser.add_argument(
+    obs.add_argument(
         "--slo",
         action="append",
         default=[],
-        type=_slo_spec,
+        type=checked(SloSpec.parse),
         metavar="SPEC",
         help=(
             "monitor a latency SLO: OP:LATENCY[@OBJECTIVE], e.g. "
             "read:150us@0.999 or '*:1ms@99%%'; repeatable; implies --blame"
         ),
     )
-    parser.add_argument(
+    obs.add_argument(
         "--blame-out",
         metavar="FILE",
         default=None,
@@ -438,24 +442,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
             "report, anything else -> the text table); implies --blame"
         ),
     )
-
-
-def _add_select_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("figures", nargs="*", help="figure ids (e.g. fig10 fig18)")
-    parser.add_argument("--list", action="store_true", help="list figure ids")
-    parser.add_argument("--all", action="store_true", help="run every figure")
-    parser.add_argument(
-        "--scale",
-        type=_positive_float,
-        default=1.0,
-        help="I/O-count scale factor (default 1.0)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="override the device seed on figures that accept one",
-    )
+    return many, one, run, faults, obs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -465,40 +452,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    figures = sub.add_parser(
-        "figures",
-        help="run figure reproductions and print their tables (default)",
-    )
-    _add_select_flags(figures)
-    _add_exec_flags(figures)
-    _add_fault_flags(figures)
-    _add_obs_flags(figures)
+    def command(name, handler, help, *parents):
+        cmd = sub.add_parser(name, help=help, parents=parents)
+        # Handlers reject flag combinations through the subcommand's own
+        # parser, so every usage error reads the same way.
+        cmd.set_defaults(run=handler, error=cmd.error)
+        return cmd
 
-    warm = sub.add_parser(
-        "sweep",
-        help="execute figures for their measurements only (cache warmer)",
-    )
-    _add_select_flags(warm)
-    _add_exec_flags(warm)
-    _add_fault_flags(warm)
-    _add_obs_flags(warm)
-    warm.add_argument(
+    many, one, run, faults, obs = _flag_groups()
+    for name, help in (
+        ("figures", "run figure reproductions and print their tables"),
+        ("sweep", "execute figures for their measurements only (cache warmer)"),
+    ):
+        command(name, _cmd_figures, help, many, run, faults, obs).add_argument(
+            "--list", action="store_true", help="list figure ids"
+        )
+    sub.choices["sweep"].add_argument(
         "--clear-cache",
         action="store_true",
         help="empty the persistent measurement cache before running",
     )
 
-    perf = sub.add_parser(
-        "perf",
-        help="time benchmark figures; write/compare BENCH_<date>.json",
-    )
-    perf.add_argument("figures", nargs="*", help="figure ids to time")
-    perf.add_argument("--all", action="store_true", help="time every figure")
-    perf.add_argument(
-        "--scale", type=_positive_float, default=1.0, help="I/O-count scale factor"
-    )
-    perf.add_argument(
-        "--seed", type=int, default=None, help="device-seed override"
+    perf = command(
+        "perf", _cmd_perf,
+        "time benchmark figures; write/compare BENCH_<date>.json",
+        many, run,
     )
     perf.add_argument(
         "--out",
@@ -508,26 +486,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument(
         "--compare",
+        type=_BENCH_DOC,
         metavar="OLD.json",
         default=None,
         help="compare this run (or --against FILE) to a previous document",
     )
     perf.add_argument(
         "--against",
+        type=_BENCH_DOC,
         metavar="NEW.json",
         default=None,
         help="with --compare: diff two existing documents, run nothing",
     )
     perf.add_argument(
         "--threshold",
-        type=_positive_float,
+        type=number(float, above=0),
         default=None,
         help="slowdown gate as a fraction (default 0.30 = fail past +30%%)",
     )
     perf.add_argument(
         "--warn-only",
         action="store_true",
-        help="report regressions but exit zero (CI smoke mode)",
+        help="report regressions but exit zero",
     )
     perf.add_argument(
         "--profile",
@@ -538,20 +518,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "profiled wall times are not comparable to unprofiled ones)"
         ),
     )
-    _add_exec_flags(perf)
 
-    profile = sub.add_parser(
-        "profile",
-        help="run ONE figure under the self-profiler (repro.obs.prof)",
-    )
-    profile.add_argument(
-        "figures", nargs=1, metavar="figure", help="figure id"
-    )
-    profile.add_argument(
-        "--scale", type=_positive_float, default=1.0, help="I/O-count scale factor"
-    )
-    profile.add_argument(
-        "--seed", type=int, default=None, help="device-seed override"
+    profile = command(
+        "profile", _cmd_profile,
+        "run ONE figure under the self-profiler (repro.obs.prof)",
+        one, run, faults,
     )
     profile.add_argument(
         "--profile-out",
@@ -581,29 +552,59 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--top",
-        type=_positive_int,
+        type=_POSITIVE_INT,
         default=15,
         metavar="N",
         help="hotspot table size (default 15)",
     )
     profile.add_argument(
         "--period",
-        type=_positive_int,
+        type=_POSITIVE_INT,
         default=None,
         metavar="NS",
         help="queue-series sample period in sim nanoseconds (default 10000)",
     )
-    _add_exec_flags(profile)
-    _add_fault_flags(profile)
 
-    # `devices`, `lint`, and `check` are dispatched before this parser
-    # runs (their argument vocabulary is their own); the stubs exist so
-    # the top-level --help lists them.
-    sub.add_parser(
-        "devices",
-        help="inspect the device registry: list names, show resolved specs",
-        add_help=False,
+    command(
+        "trace", _cmd_trace,
+        "run ONE figure under observability (defaults to --anatomy)",
+        one, run, faults, obs,
     )
+    blame = command(
+        "blame", _cmd_blame,
+        "run ONE figure under blame attribution: verify wait/service "
+        "conservation, print the tail-latency blame table",
+        one, run, faults, obs,
+    )
+    blame.add_argument(
+        "--top",
+        type=_POSITIVE_INT,
+        default=None,
+        metavar="K",
+        help="slowest requests kept per (device, op) group (default 10)",
+    )
+
+    devices = command(
+        "devices", _cmd_devices,
+        "inspect the device registry: list names, show resolved specs",
+    )
+    action = devices.add_subparsers(dest="action", required=True)
+    action.add_parser("list", help="one line per registered device")
+    show = action.add_parser(
+        "show", help="dump one device's fully resolved spec"
+    )
+    show.add_argument(
+        "name", type=device, help="registry name or spec-file path"
+    )
+    show.add_argument(
+        "--format",
+        choices=("toml", "json"),
+        default="toml",
+        help="output format (default toml)",
+    )
+
+    # simlint reads its own vocabulary (repro.lint.cli): main() hands it
+    # everything after the subcommand name.
     sub.add_parser(
         "lint",
         help="run simlint, the determinism static analyzer (docs/lint.md)",
@@ -614,46 +615,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="aggregate gate: simlint + ruff + strict mypy",
         add_help=False,
     )
-
-    trace = sub.add_parser(
-        "trace",
-        help="run ONE figure under observability (defaults to --anatomy)",
-    )
-    trace.add_argument("figures", nargs=1, metavar="figure", help="figure id")
-    trace.add_argument(
-        "--scale", type=_positive_float, default=1.0, help="I/O-count scale factor"
-    )
-    trace.add_argument(
-        "--seed", type=int, default=None, help="device-seed override"
-    )
-    _add_exec_flags(trace)
-    _add_fault_flags(trace)
-    _add_obs_flags(trace)
-
-    blame = sub.add_parser(
-        "blame",
-        help=(
-            "run ONE figure under blame attribution: verify wait/service "
-            "conservation, print the tail-latency blame table"
-        ),
-    )
-    blame.add_argument("figures", nargs=1, metavar="figure", help="figure id")
-    blame.add_argument(
-        "--scale", type=_positive_float, default=1.0, help="I/O-count scale factor"
-    )
-    blame.add_argument(
-        "--seed", type=int, default=None, help="device-seed override"
-    )
-    blame.add_argument(
-        "--top",
-        type=_positive_int,
-        default=None,
-        metavar="K",
-        help="slowest requests kept per (device, op) group (default 10)",
-    )
-    _add_exec_flags(blame)
-    _add_fault_flags(blame)
-    _add_obs_flags(blame)
     return parser
 
 
@@ -661,25 +622,19 @@ def _fault_context(args):
     """The ambient fault plan requested on the command line (or a no-op)."""
     if not args.faults:
         return contextlib.nullcontext()
-    from repro.faults.plan import parse_fault_spec
-
     plan = parse_fault_spec(args.faults, seed=args.fault_seed or 0)
     return plan.installed()
 
 
 def _device_context(args):
-    """The ambient --device override (or a no-op).
-
-    Validation happens on entry, so a bad name fails before any figure
-    runs; the substitution itself lands in each point's declared
-    parameters (see :func:`repro.ssd.registry.device_override`).
-    """
-    device = getattr(args, "device", None)
-    if device is None:
+    """The ambient --device override (or a no-op); the substitution
+    lands in each point's declared parameters (see
+    :func:`repro.ssd.registry.device_override`)."""
+    if args.device is None:
         return contextlib.nullcontext()
     from repro.ssd.registry import device_override
 
-    return device_override(device)
+    return device_override(args.device)
 
 
 def _configure_engine(args) -> "sweep_engine.SweepEngine":
@@ -697,17 +652,29 @@ def _configure_engine(args) -> "sweep_engine.SweepEngine":
     return sweep_engine.configure(jobs=args.jobs, cache_dir=cache_dir)
 
 
-def _select_targets(parser, args):
-    if getattr(args, "list", False):
+def _cmd_figures(args) -> int:
+    """``figures`` prints each figure's table; ``sweep`` only executes
+    the measurements (a cache warmer)."""
+    if args.list:
         for figure_id, fn in sorted(FIGURES.items()):
             doc = (fn.__doc__ or "").strip().splitlines()[0]
             print(f"{figure_id:8s} {doc}")
-        return None
-    targets = sorted(FIGURES) if getattr(args, "all", False) else args.figures
+        return 0
+    targets = sorted(FIGURES) if args.all else args.figures
     if not targets:
-        parser.print_usage()
-        return []
-    return targets
+        args.error("name figures to run, or pass --all or --list")
+    return _run_targets(
+        targets, args, render=args.command == "figures",
+        observing=_observing(args),
+    )
+
+
+def _cmd_trace(args) -> int:
+    # Observability is the point: fall back to the anatomy report when
+    # no output was chosen explicitly.
+    if not _observing(args):
+        args.anatomy = True
+    return _run_targets(args.figures, args, render=True, observing=True)
 
 
 def _run_targets(targets, args, *, render: bool, observing: bool) -> int:
@@ -715,11 +682,6 @@ def _run_targets(targets, args, *, render: bool, observing: bool) -> int:
     multi = len(targets) > 1
     with _fault_context(args), _device_context(args):
         for figure_id in targets:
-            if figure_id not in FIGURES:
-                print(
-                    f"unknown figure {figure_id!r}; try --list", file=sys.stderr
-                )
-                return 2
             kwargs = _scaled_kwargs(
                 figure_id, args.scale, seed=args.seed,
                 fault_seed=args.fault_seed,
@@ -757,7 +719,7 @@ def _run_targets(targets, args, *, render: bool, observing: bool) -> int:
     return 0
 
 
-def _cmd_blame(parser, args) -> int:
+def _cmd_blame(args) -> int:
     """``python -m repro blame FIGURE``: blame attribution with a
     machine-checkable conservation line (CI greps for ``conservation: OK``).
     """
@@ -766,9 +728,6 @@ def _cmd_blame(parser, args) -> int:
     from repro.obs.core import Observability
 
     figure_id = args.figures[0]
-    if figure_id not in FIGURES:
-        print(f"unknown figure {figure_id!r}; try --list", file=sys.stderr)
-        return 2
     _configure_engine(args)
     kwargs = _scaled_kwargs(
         figure_id, args.scale, seed=args.seed, fault_seed=args.fault_seed
@@ -795,28 +754,15 @@ def _cmd_blame(parser, args) -> int:
     return 0
 
 
-def _cmd_perf(parser, args) -> int:
-    from repro import perf as perf_harness
-
+def _cmd_perf(args) -> int:
+    baseline, against = args.compare, args.against
+    if against is not None and baseline is None:
+        args.error("--against requires --compare OLD.json")
     threshold = (
         args.threshold
         if args.threshold is not None
         else perf_harness.DEFAULT_THRESHOLD
     )
-    if args.against and not args.compare:
-        print("--against requires --compare OLD.json", file=sys.stderr)
-        return 2
-    # Read the documents before timing anything: a bad path fails at
-    # once, with one line.
-    try:
-        baseline = perf_harness.load_bench(args.compare) if args.compare else None
-        against = perf_harness.load_bench(args.against) if args.against else None
-    except OSError as exc:
-        print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if against is not None:
         comparison = perf_harness.compare_docs(
             baseline, against, threshold=threshold
@@ -826,17 +772,10 @@ def _cmd_perf(parser, args) -> int:
 
     targets = sorted(FIGURES) if args.all else args.figures
     if not targets:
-        parser.print_usage()
-        print(
-            "perf: name figures to time (or --all), or give "
-            "--compare OLD --against NEW",
-            file=sys.stderr,
+        args.error(
+            "name figures to time (or --all), or give "
+            "--compare OLD --against NEW"
         )
-        return 2
-    for figure_id in targets:
-        if figure_id not in FIGURES:
-            print(f"unknown figure {figure_id!r}; try --list", file=sys.stderr)
-            return 2
     # Honest timing by default: skip the persistent cache unless the
     # caller explicitly pointed at one (cache state is recorded either
     # way, and comparisons refuse to gate across mismatched states).
@@ -884,7 +823,7 @@ def _cmd_perf(parser, args) -> int:
     return 0
 
 
-def _cmd_profile(parser, args) -> int:
+def _cmd_profile(args) -> int:
     from repro.obs.core import Observability
     from repro.obs.prof import (
         ProfilerConfig,
@@ -896,9 +835,6 @@ def _cmd_profile(parser, args) -> int:
     from repro.obs.telemetry import DEFAULT_PERIOD_NS
 
     figure_id = args.figures[0]
-    if figure_id not in FIGURES:
-        print(f"unknown figure {figure_id!r}; try --list", file=sys.stderr)
-        return 2
     _configure_engine(args)
     config = ProfilerConfig(
         wall=not args.no_wall,
@@ -946,34 +882,17 @@ def _cmd_profile(parser, args) -> int:
     return 0
 
 
-def _cmd_devices(argv) -> int:
+def _cmd_devices(args) -> int:
     """``python -m repro devices list|show NAME [--format toml|json]``."""
     from repro.ssd.registry import (
         PRESET_ALIASES,
         PRESET_NAMES,
         get_spec,
         list_devices,
-        load_device_spec,
+        resolve_config,
         resolve_spec,
     )
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro devices",
-        description="Inspect the device registry (see docs/devices.md)",
-    )
-    sub = parser.add_subparsers(dest="action", required=True)
-    sub.add_parser("list", help="one line per registered device")
-    show = sub.add_parser(
-        "show", help="dump one device's fully resolved spec"
-    )
-    show.add_argument("name", help="registry name or spec-file path")
-    show.add_argument(
-        "--format",
-        choices=("toml", "json"),
-        default="toml",
-        help="output format (default toml)",
-    )
-    args = parser.parse_args(argv)
+    from repro.ssd.spec import spec_from_config
 
     if args.action == "list":
         names = list_devices()
@@ -988,12 +907,7 @@ def _cmd_devices(argv) -> int:
     name = args.name
     if name in PRESET_NAMES:
         # Present the alias as its target's spec under the alias name.
-        from repro.ssd.registry import resolve_config
-        from repro.ssd.spec import spec_from_config
-
         spec = spec_from_config(resolve_config(name), name=name)
-    elif "/" in name or name.endswith((".toml", ".json")):
-        spec = load_device_spec(name)
     else:
         spec = resolve_spec(name)
     if args.format == "json":
@@ -1005,89 +919,15 @@ def _cmd_devices(argv) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # `devices`/`lint`/`check` own their argument vocabulary and share
-    # nothing with the figure runners: dispatch before the
-    # figure-oriented parser gets a say.
-    if argv and argv[0] == "devices":
-        from repro.ssd.spec import DeviceSpecError
-
-        try:
-            return _cmd_devices(argv[1:])
-        except DeviceSpecError as exc:
-            print(f"devices: {exc}", file=sys.stderr)
-            return 2
-    if argv and argv[0] == "lint":
-        from repro.lint.cli import run_lint
-
-        return run_lint(argv[1:])
-    if argv and argv[0] == "check":
-        from repro.lint.cli import run_check
-
-        return run_check(argv[1:])
-    # Back-compat flat form: `python -m repro fig10 --scale 0.2` (and
-    # bare option forms like `--list`) are `figures ...`.  Top-level
-    # help still reaches the subcommand overview.
-    if argv and argv[0] not in SUBCOMMANDS and argv[0] not in ("-h", "--help"):
-        argv.insert(0, "figures")
     parser = _build_parser()
-    if not argv:
-        parser.print_usage()
-        return 2
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command in ("lint", "check"):
+        from repro.lint import cli as lint_cli
 
-    from repro.ssd.spec import DeviceSpecError
-
-    try:
-        return _dispatch(parser, args)
-    except DeviceSpecError as exc:
-        # The single-error contract: a bad device spec (or --device
-        # name) is one message naming file, key path, and value — never
-        # a mid-construction traceback.
-        print(f"device spec error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _dispatch(parser, args) -> int:
-    if args.command == "perf":
-        return _cmd_perf(parser, args)
-
-    if args.command == "profile":
-        return _cmd_profile(parser, args)
-
-    if args.command == "blame":
-        return _cmd_blame(parser, args)
-
-    if args.command == "trace":
-        # Observability is the point: fall back to the anatomy report
-        # when no output was chosen explicitly.
-        if not (
-            args.trace_out
-            or args.metrics
-            or args.metrics_out
-            or args.anatomy
-            or _wants_telemetry(args)
-            or _wants_blame(args)
-        ):
-            args.anatomy = True
-        return _run_targets(args.figures, args, render=True, observing=True)
-
-    targets = _select_targets(parser, args)
-    if targets is None:
-        return 0
-    if not targets:
-        return 2
-    observing = bool(
-        args.trace_out
-        or args.metrics
-        or args.metrics_out
-        or args.anatomy
-        or _wants_telemetry(args)
-        or _wants_blame(args)
-    )
-    if args.command == "sweep":
-        return _run_targets(targets, args, render=False, observing=observing)
-    return _run_targets(targets, args, render=True, observing=observing)
+        return getattr(lint_cli, f"run_{args.command}")(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ independently under their device's spec-hash identity and fan out
 across workers like any other grid.  The CLI's ``--device`` override is
 deliberately *not* applied here (the device axis is the figure's
 subject, not a default to substitute), which also makes the figure a
-cheap whole-zoo validity check: ``python -m repro zoo-latency`` builds
+cheap whole-zoo validity check: ``python -m repro figures zoo-latency`` builds
 and runs every spec in the tree.
 """
 

@@ -276,7 +276,8 @@ def parse_fault_spec(items: Iterable[object], *, seed: int = 0) -> FaultPlan:
     ``["nand.read_fail_prob=0.01", "nvme.timeout_prob=1e-3,nvme.timeout_ns=2000000"]``.
     Values are cast to the field's declared type (int fields accept
     ``250_000``-style underscores; float fields accept scientific
-    notation).
+    notation).  A ``*_prob`` must lie in [0, 1] and an int field must
+    be >= 0; any bad item raises ``ValueError`` naming it.
     """
     overrides: Dict[str, Dict[str, Any]] = {}
     for item in items:
@@ -303,10 +304,22 @@ def parse_fault_spec(items: Iterable[object], *, seed: int = 0) -> FaultPlan:
                 raise ValueError(
                     f"unknown fault field {layer}.{name} (known: {known})"
                 )
-            if spec_fields[name].type in ("int", int):
-                value: Any = int(raw.strip().replace("_", ""), 0)
-            else:
-                value = float(raw.strip())
+            # Every int field is a count or a duration; every float
+            # field is a ``*_prob``.
+            is_int = spec_fields[name].type in ("int", int)
+            try:
+                value: Any = (
+                    int(raw.strip().replace("_", ""), 0)
+                    if is_int
+                    else float(raw.strip())
+                )
+            except ValueError:
+                value = None
+            if value is None or not (value >= 0 if is_int else 0.0 <= value <= 1.0):
+                expected = "an integer >= 0" if is_int else "a probability in [0, 1]"
+                raise ValueError(
+                    f"fault field {layer}.{name} expects {expected}, got {raw!r}"
+                )
             overrides.setdefault(layer, {})[name] = value
     kwargs: Dict[str, Any] = {"seed": seed}
     for layer, fields in overrides.items():

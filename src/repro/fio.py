@@ -12,18 +12,17 @@ fails with one ``repro.fio: error: ...`` line and exit status 2.
 
 from __future__ import annotations
 
-import argparse
 from typing import Any, List, Optional, Sequence
 
 from repro.api import open_device
-from repro.core.cliargs import ArgumentParser
+from repro.core.cliargs import ArgumentParser, add_device_flag, number
 from repro.host.accounting import ExecMode
 from repro.kstack.completion import CompletionMethod
 from repro.kstack.stack import KernelStack
 from repro.sim.engine import Simulator
 from repro.spdk.stack import SpdkStack
 from repro.ssd.device import SsdDevice
-from repro.ssd.registry import PRESET_NAMES, DeviceLike
+from repro.ssd.registry import DeviceLike
 from repro.workloads.fiofile import FioFileError, load_fio_file
 from repro.workloads.job import FioJob, IoEngineKind
 from repro.workloads.runner import JobResult, run_job, run_jobs
@@ -75,25 +74,18 @@ def run_jobfile(
     return results
 
 
-def _fraction(text: str) -> float:
-    """argparse type: a number in [0, 1]."""
-    message = f"expected a fraction in [0, 1], got {text!r}"
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(message) from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(message)
-    return value
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = ArgumentParser(
         prog="repro.fio",
         description="Run a fio job file against a simulated SSD",
     )
     parser.add_argument("jobfile", help="fio-format job file")
-    parser.add_argument("--device", choices=PRESET_NAMES, default="ull")
+    add_device_flag(
+        parser,
+        default="ull",
+        help="registry name, preset alias or .toml/.json spec file "
+             "(default ull)",
+    )
     parser.add_argument(
         "--completion",
         choices=[m.value for m in CompletionMethod],
@@ -101,7 +93,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="kernel completion method (ignored for spdk jobs)",
     )
     parser.add_argument(
-        "--precondition", type=_fraction, default=1.0,
+        "--precondition",
+        type=number(float, minimum=0, maximum=1),
+        default=1.0,
         help="fraction of the drive written before the run, in [0, 1] "
              "(default 1.0)",
     )

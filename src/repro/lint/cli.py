@@ -16,6 +16,7 @@ import subprocess
 import sys
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.cliargs import ArgumentParser
 from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.cache import LintCache
 from repro.lint.engine import lint_paths, validate_select
@@ -29,7 +30,7 @@ EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE = 0, 1, 2
 
 
 def _lint_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="python -m repro lint",
         description=(
             "simlint: determinism, invariant & unit/dimension static "
@@ -153,7 +154,7 @@ def run_lint(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _check_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="python -m repro check",
         description=(
             "aggregate quality gate: simlint + ruff + strict mypy "

@@ -445,7 +445,7 @@ class TestCliValidation:
             ["profile", "fig04a", "--top", "0"],
             ["profile", "fig04a", "--period", "-1"],
             ["perf", "fig04a", "--threshold", "0"],
-            ["fig04a", "--fault-seed", "-1"],
+            ["figures", "fig04a", "--fault-seed", "-1"],
             ["blame", "fig04a", "--top", "0"],
             ["blame", "fig04a", "--slo", "read150us"],
         ],
@@ -455,11 +455,12 @@ class TestCliValidation:
             main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "error:" in err
+        assert f"argument {argv[2]}:" in err
 
     def test_fault_seed_zero_is_allowed(self, capsys):
         assert main(
-            ["fault-retry", "--fault-seed", "0", "--scale", "0.2", "--no-cache"]
+            ["figures", "fault-retry", "--fault-seed", "0", "--scale", "0.2",
+             "--no-cache"]
         ) == 0
 
 
@@ -489,13 +490,16 @@ class TestCliBlame:
 
     def test_blame_flag_on_figures(self, capsys):
         assert main(
-            ["fault-retry", "--blame", "--scale", "0.2", "--no-cache"]
+            ["figures", "fault-retry", "--blame", "--scale", "0.2", "--no-cache"]
         ) == 0
         out = capsys.readouterr().out
         assert "Blame: tail-latency wait-for attribution" in out
 
     def test_unknown_figure(self, capsys):
-        assert main(["blame", "fig99"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["blame", "fig99"])
+        assert excinfo.value.code == 2
+        assert "unknown figure 'fig99'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -1,29 +1,53 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.__main__ import _scaled_kwargs, main
+from repro.fio import main as fio_main
+from repro.sim import engine
+
+
+def _usage_error(argv, capsys):
+    """Run ``main(argv)``, expect a parse-time usage error, and return
+    its single stderr line."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1, err
+    assert "error:" in err
+    return err
 
 
 class TestCli:
     def test_list(self, capsys):
-        assert main(["--list"]) == 0
+        assert main(["figures", "--list"]) == 0
         out = capsys.readouterr().out
         assert "fig04a" in out and "fig23" in out and "table1" in out
 
     def test_run_table1(self, capsys):
-        assert main(["table1"]) == 0
+        assert main(["figures", "table1"]) == 0
         out = capsys.readouterr().out
         assert "Z-NAND" in out and "100.0" in out
 
     def test_unknown_figure(self, capsys):
-        assert main(["fig99"]) == 2
+        err = _usage_error(["figures", "fig99"], capsys)
+        assert "unknown figure 'fig99'" in err
 
     def test_no_arguments_prints_usage(self, capsys):
-        assert main([]) == 2
+        assert "required: command" in _usage_error([], capsys)
+
+    def test_flat_form_is_gone(self, capsys):
+        assert "invalid choice: 'fig10'" in _usage_error(["fig10"], capsys)
 
     def test_scaled_run(self, capsys):
-        assert main(["fig14b", "--scale", "0.1"]) == 0
+        assert main(["figures", "fig14b", "--scale", "0.1"]) == 0
         out = capsys.readouterr().out
         assert "blk_mq_poll" in out
 
@@ -76,6 +100,7 @@ class TestObservabilityFlags:
         assert (
             main(
                 [
+                    "figures",
                     "fig14b",
                     "--scale",
                     "0.1",
@@ -120,11 +145,13 @@ class TestSubcommands:
         assert "latency anatomy over" in captured.out
 
     def test_trace_requires_exactly_one_figure(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["trace"])
+        _usage_error(["trace"], capsys)
 
     def test_unknown_figure_in_subcommand(self, capsys):
-        assert main(["figures", "fig99"]) == 2
+        for command in ("sweep", "trace", "blame", "perf", "profile"):
+            assert "unknown figure 'fig99'" in _usage_error(
+                [command, "fig99"], capsys
+            )
 
 
 class TestDevicesSubcommand:
@@ -154,10 +181,9 @@ class TestDevicesSubcommand:
         assert 'name = "ull"' in capsys.readouterr().out
 
     def test_unknown_device_exits_2_with_clean_error(self, capsys):
-        assert main(["devices", "show", "warp-drive"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("devices:")
-        assert "Traceback" not in err
+        err = _usage_error(["devices", "show", "warp-drive"], capsys)
+        assert err.startswith("python -m repro devices show: error: ")
+        assert "warp-drive" in err
 
 
 class TestDeviceFlag:
@@ -176,12 +202,11 @@ class TestDeviceFlag:
         ) == 0
 
     def test_bad_device_name_exits_2(self, capsys):
-        assert main(
-            ["figures", "fig14b", "--scale", "0.1", "--device", "warp-drive"]
-        ) == 2
-        err = capsys.readouterr().err
-        assert "device spec error" in err
-        assert "Traceback" not in err
+        err = _usage_error(
+            ["figures", "fig14b", "--scale", "0.1", "--device", "warp-drive"],
+            capsys,
+        )
+        assert "argument --device" in err and "unknown device" in err
 
     def test_override_changes_measured_latency(self, capsys):
         # fig14b's grids are declared on the presets; overriding with the
@@ -215,9 +240,11 @@ class TestFaultFlags:
         ) == 0
         assert active_plan() is None
 
-    def test_bad_fault_spec_raises(self):
-        with pytest.raises(ValueError, match="unknown fault layer"):
-            main(["figures", "table1", "--faults", "bogus.x=1"])
+    def test_bad_fault_spec_raises(self, capsys):
+        err = _usage_error(
+            ["figures", "table1", "--faults", "bogus.x=1"], capsys
+        )
+        assert "unknown fault layer" in err
 
 
 class TestProfileSubcommand:
@@ -251,7 +278,7 @@ class TestProfileSubcommand:
         assert collapsed.read_text().strip()
 
     def test_profile_rejects_unknown_figure(self, capsys):
-        assert main(["profile", "fig99"]) == 2
+        _usage_error(["profile", "fig99"], capsys)
 
     def test_perf_profile_folds_hotspots_into_doc(self, tmp_path, capsys):
         import json
@@ -281,47 +308,161 @@ class TestProfileSubcommand:
 class TestCleanErrors:
     """Bad input fails with exit 2 and one stderr line, no traceback."""
 
-    @staticmethod
-    def _one_clean_line(capsys):
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert len(err.splitlines()) == 1, err
-        assert "error:" in err
-        return err
-
     @pytest.mark.parametrize(
         "argv",
         [
-            ["fig10", "--scale", "0"],
-            ["fig10", "--scale", "-0.5"],
+            ["figures", "fig10", "--scale", "0"],
+            ["figures", "fig10", "--scale", "-0.5"],
             ["sweep", "fig10", "--scale", "0"],
             ["trace", "fig10", "--scale", "0"],
             ["blame", "fig10", "--scale", "0"],
             ["perf", "fig10", "--scale", "0"],
             ["profile", "fig10", "--scale", "0"],
-            ["fig10", "--jobs", "0"],
-            ["fig10", "--jobs", "-2"],
+            ["figures", "fig10", "--jobs", "0"],
+            ["figures", "fig10", "--jobs", "-2"],
         ],
     )
     def test_bad_scale_or_jobs(self, argv, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        self._one_clean_line(capsys)
+        _usage_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figures", "ext-anatomy", "--seed", "-1"],
+            ["perf", "fig10", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed(self, argv, capsys):
+        assert "argument --seed" in _usage_error(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["devices", "bogus"],
+            ["devices", "show"],
+            ["lint", "--bogus"],
+            ["check", "--bogus"],
+        ],
+    )
+    def test_other_subcommands(self, argv, capsys):
+        _usage_error(argv, capsys)
 
     def test_compare_missing_file(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
-        assert main(["perf", "--compare", missing, "--against", missing]) == 2
-        assert missing in self._one_clean_line(capsys)
+        err = _usage_error(
+            ["perf", "--compare", missing, "--against", missing], capsys
+        )
+        assert missing in err
 
     def test_compare_missing_file_fails_before_timing(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
-        assert main(["perf", "fig10", "--compare", missing]) == 2
-        self._one_clean_line(capsys)
+        _usage_error(["perf", "fig10", "--compare", missing], capsys)
 
     @pytest.mark.parametrize("text", ['{"figures": {}}', "not json", "[1, 2]"])
     def test_compare_malformed_document(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
-        assert main(["perf", "--compare", str(path), "--against", str(path)]) == 2
-        assert str(path) in self._one_clean_line(capsys)
+        err = _usage_error(
+            ["perf", "--compare", str(path), "--against", str(path)], capsys
+        )
+        assert str(path) in err
+
+
+# ----------------------------------------------------------------------
+# The error contract, as a property over every checked flag
+# ----------------------------------------------------------------------
+_FIGURE_COMMANDS = ("figures", "sweep", "trace", "blame", "perf", "profile")
+_FAULT_COMMANDS = ("figures", "sweep", "trace", "blame", "profile")
+_OBS_COMMANDS = ("figures", "sweep", "trace", "blame")
+_BAD_DEVICES = ("warp-drive", "missing/spec.toml", "spec.yaml")
+_BAD_FAULTS = (
+    "bogus.x=1",
+    "nonsense",
+    "nand.explode_prob=1",
+    "nand.read_fail_prob=abc",
+    "nand.read_fail_prob=2",
+    "nvme.timeout_prob=-0.1",
+    "nand.ecc_retry_ns=-5",
+    "kstack.max_requeues=1.5",
+)
+
+
+def _bad_input_table(docs):
+    """(entry point, argv before the bad value, bad values): every typed
+    flag of every subcommand, plus figure ids and the other CLIs."""
+    missing, malformed = str(docs / "missing.json"), str(docs / "bad.json")
+    rows = []
+    for command in _FIGURE_COMMANDS:
+        figure = [command, "table1"]
+        rows += [
+            (main, [command], ("fig99", "Fig10")),
+            (main, figure + ["--scale"], ("0", "-0.5", "nan", "inf", "x")),
+            (main, figure + ["--seed"], ("-1", "1.5", "x")),
+            (main, figure + ["--jobs"], ("0", "-2", "x")),
+            (main, figure + ["--device"], _BAD_DEVICES),
+        ]
+    for command in _FAULT_COMMANDS:
+        figure = [command, "table1"]
+        rows += [
+            (main, figure + ["--faults"], _BAD_FAULTS),
+            (main, figure + ["--fault-seed"], ("-1", "x")),
+        ]
+    for command in _OBS_COMMANDS:
+        figure = [command, "table1"]
+        rows += [
+            (main, figure + ["--telemetry-period"], ("0", "x")),
+            (main, figure + ["--slo"], ("bad", "read:fast", "read:1us@2")),
+        ]
+    rows += [
+        (main, ["blame", "table1", "--top"], ("0", "x")),
+        (main, ["profile", "table1", "--top"], ("0", "x")),
+        (main, ["profile", "table1", "--period"], ("0", "-1")),
+        (main, ["perf", "table1", "--threshold"], ("0", "-0.1", "x")),
+        (main, ["perf", "table1", "--compare"], (missing, malformed)),
+        (main, ["perf", "--compare", malformed, "--against"], (missing,)),
+        # Flags a subcommand does not take.
+        (main, ["perf", "table1"], ("--faults", "--anatomy")),
+        (main, ["profile", "table1"], ("--anatomy", "--slo")),
+        (main, ["figures", "table1"], ("--clear-cache", "--top")),
+        (main, ["devices"], ("bogus",)),
+        (main, ["devices", "show"], _BAD_DEVICES),
+        (main, ["devices", "show", "ull", "--format"], ("yaml",)),
+        (main, ["lint", "--format"], ("xml",)),
+        (main, ["lint", "--select"], ("SIM999",)),
+        (main, ["lint"], ("--bogus",)),
+        (main, ["check"], ("--bogus",)),
+        (fio_main, ["examples/jobs/sync_latency.fio", "--device"], _BAD_DEVICES),
+        (fio_main, ["examples/jobs/sync_latency.fio", "--precondition"],
+         ("2", "-1", "x")),
+        (fio_main, ["examples/jobs/sync_latency.fio", "--completion"],
+         ("never",)),
+    ]
+    return rows
+
+
+@pytest.fixture(scope="module")
+def bench_docs(tmp_path_factory):
+    docs = tmp_path_factory.mktemp("bench-docs")
+    (docs / "bad.json").write_text("not json")
+    return docs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bad_input_fails_with_one_line_and_runs_nothing(bench_docs, data):
+    entry, argv, values = data.draw(
+        st.sampled_from(_bad_input_table(bench_docs))
+    )
+    argv = argv + [data.draw(st.sampled_from(values))]
+    events = engine.events_executed_total
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = exc.code
+    message = err.getvalue()
+    assert code == 2, (argv, message)
+    assert "Traceback" not in message
+    assert len(message.splitlines()) == 1, (argv, message)
+    assert engine.events_executed_total == events

@@ -80,6 +80,25 @@ class TestFaultPlan:
             parse_fault_spec(["disk.fail=1"])
         with pytest.raises(ValueError, match="unknown fault field"):
             parse_fault_spec(["nand.explode_prob=1"])
+        # A bad value names its field and its text, never a bare
+        # float()/int() error.
+        prob, count = "expects a probability in [0, 1]", "expects an integer >= 0"
+        for spec, message in (
+            ("nand.read_fail_prob=abc", f"nand.read_fail_prob {prob}, got 'abc'"),
+            ("nand.read_fail_prob=2", f"nand.read_fail_prob {prob}, got '2'"),
+            ("nand.read_fail_prob=-0.1", f"nand.read_fail_prob {prob}"),
+            ("nand.read_fail_prob=nan", f"nand.read_fail_prob {prob}"),
+            ("nvme.timeout_prob=1.5", f"nvme.timeout_prob {prob}"),
+            ("nand.ecc_retry_ns=-5", f"nand.ecc_retry_ns {count}, got '-5'"),
+            ("kstack.max_requeues=1.5", f"kstack.max_requeues {count}"),
+            ("net.flap_interval_ns=soon", f"net.flap_interval_ns {count}"),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                parse_fault_spec([spec])
+            assert message in str(excinfo.value)
+        # The bounds themselves are valid.
+        plan = parse_fault_spec(["nand.read_fail_prob=1,nand.ecc_retry_ns=0"])
+        assert plan.nand.read_fail_prob == 1.0 and plan.nand.ecc_retry_ns == 0
 
 
 class TestZeroFaultIdentity:

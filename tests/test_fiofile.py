@@ -156,6 +156,19 @@ class TestCliRunner:
         out = capsys.readouterr().out
         assert "lat (usec)" in out and "iops" in out
 
+    @pytest.mark.parametrize(
+        "device", ["zssd", "qlc", "src/repro/devices/qlc.toml"]
+    )
+    def test_cli_device_takes_any_registry_name_or_spec(
+        self, device, tmp_path, capsys
+    ):
+        path = tmp_path / "t.fio"
+        path.write_text("[r]\nrw=read\nbs=4k\nnumber_ios=40\n")
+        from repro.fio import main
+
+        assert main([str(path), "--device", device]) == 0
+        assert "lat (usec)" in capsys.readouterr().out
+
     def test_concurrent_jobs_share_one_device(self, tmp_path):
         path = tmp_path / "c.fio"
         path.write_text(

@@ -246,10 +246,15 @@ class TestCliGate:
         old, new = self.write_pair(tmp_path, new_wall=10.5)
         assert main(["perf", "--compare", old, "--against", new]) == 0
 
-    def test_against_requires_compare(self, tmp_path):
+    def test_against_requires_compare(self, tmp_path, capsys):
         new = tmp_path / "new.json"
         new.write_text(json.dumps(make_doc({})))
-        assert main(["perf", "--against", str(new)]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["perf", "--against", str(new)])
+        assert excinfo.value.code == 2
+        assert "--against requires --compare" in capsys.readouterr().err
 
     def test_perf_without_figures_is_usage_error(self):
-        assert main(["perf"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["perf"])
+        assert excinfo.value.code == 2
