@@ -1,7 +1,7 @@
 """The per-layer fault RNG stream.
 
 One :class:`FaultInjector` wraps one layer's spec plus a dedicated
-``numpy`` generator seeded from the plan (see
+seeded uniform stream (:class:`repro.sim.rng.UniformStream`; see
 :func:`repro.faults.plan.FaultPlan.injector`).  Layers hold the
 injector they were given and call :meth:`roll` at each potential fault
 site; because the stream is separate from every other RNG in the
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
+from repro.sim.rng import UniformStream
 
 
 class FaultInjector:
@@ -26,10 +26,12 @@ class FaultInjector:
         #: The layer's spec dataclass (NandFaults, NvmeFaults, ...);
         #: typed loosely because each layer reads its own fields.
         self.spec: Any = spec
-        self.rng = np.random.default_rng(seed)
+        #: Bernoulli rolls are the stream's only draw kind, so it is
+        #: block-drawn; a layer that never rolls never seeds it.
+        self.rng = UniformStream(seed)
 
     def roll(self, prob: float) -> bool:
         """One Bernoulli draw from this layer's stream."""
         if prob <= 0.0:
             return False
-        return bool(self.rng.random() < prob)
+        return self.rng.random() < prob

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Tuple
 
 from repro.flash.timing import FlashTiming
 from repro.sim.engine import Simulator
+from repro.sim.rng import UniformStream
 
 
 class OpKind(enum.Enum):
@@ -56,20 +57,17 @@ class FlashDie:
         observer: Optional[Callable[[OpKind, int, int], None]] = None,
         seed: int = 97,
     ) -> None:
-        import numpy as np
-
         self.sim = sim
         self.timing = timing
         self.allow_suspend = allow_suspend
         self.observer = observer
-        self._rng = np.random.default_rng(seed)
         # Slot-cached timing: the per-op-class table resolved once, plus
-        # the bound RNG method — booking an op reads flat locals instead
-        # of walking timing-attribute chains per call.  The RNG draw
-        # order is untouched (still exactly one uniform per jittered
-        # op), so booked intervals are bit-identical.
+        # the bound draw method — booking an op reads flat locals instead
+        # of walking timing-attribute chains per call.  Jitter is the
+        # die's only draw kind (one uniform per jittered op), so its
+        # stream is block-drawn (repro.sim.rng) with bit-identical values.
         self._slots = timing.slots()
-        self._uniform = self._rng.uniform
+        self._uniform = UniformStream(seed).uniform
         self.free_at: int = 0
         self.busy_ns: int = 0
         self._last_slow_op: Optional[_InFlightOp] = None

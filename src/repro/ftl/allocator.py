@@ -174,11 +174,11 @@ class BlockAllocator:
             if rem:
                 active_host[die] = base + full
                 ptr_host[die] = rem
-            closed = self._closed[die]
-            for k in range(full):
-                block = base + k
-                closed.add(block)
-                closed_at[block] = ((k + 1) * ppb - 1) * dies + die + 1
+            blocks = range(base, base + full)
+            self._closed[die].update(blocks)
+            stride = ppb * dies  # allocations between two closings
+            first = (ppb - 1) * dies + die + 1  # sequence number of the first
+            closed_at.update(zip(blocks, range(first, first + full * stride, stride)))
         self.sequence = count
         self._next_die = count % dies
 

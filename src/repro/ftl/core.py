@@ -155,9 +155,11 @@ class PageMappedFtl:
         :meth:`~repro.ftl.allocator.BlockAllocator.can_host_write`,
         i.e. while the busiest die opens at most ``blocks_per_die - 1``
         blocks; otherwise (or on a non-pristine FTL) this falls back to
-        the write loop.  Equivalence is pinned by
-        ``tests/test_ftl_fill.py``, which diffs the full FTL state
-        against the loop across geometries.
+        the write loop.  The mapping's share of the closed form is a
+        cached template (:func:`repro.ftl.mapping.striped_fill`), so
+        every fill of a layout after the first copies buffers.
+        Equivalence is pinned by ``tests/test_ftl_fill.py``, which diffs
+        the full FTL state against the loop across geometries.
         """
         if count < 0:
             raise ValueError(f"negative fill count: {count}")

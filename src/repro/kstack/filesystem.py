@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
-import numpy as np
-
 from repro.host.accounting import CpuAccounting, ExecMode
 from repro.host.costs import StepCost
 from repro.sim.engine import Simulator
 from repro.sim.events import Sleep, Wait
+from repro.sim.rng import UniformStream
 from repro.ssd.device import IoOp
 from repro.units import Bytes
 
@@ -79,7 +78,8 @@ class Ext4Model:
         self.block_io = block_io
         self.costs = costs
         self.capacity_bytes = capacity_bytes
-        self._rng = np.random.default_rng(seed)
+        # Metadata-miss rolls are this stream's only draw kind.
+        self._rng = UniformStream(seed)
         self._writes_since_commit = 0
         self._writes_since_writeback = 0
         meta_bytes = int(capacity_bytes * self.METADATA_REGION)

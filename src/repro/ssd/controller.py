@@ -25,13 +25,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.flash.chip import FlashDie
 from repro.ftl.allocator import OutOfSpace
 from repro.ftl.core import GcPlan, PageMappedFtl
 from repro.sim.engine import Simulator
 from repro.sim.resources import Store, TimelineResource
+from repro.sim.rng import UniformStream
 from repro.ssd.cache import ReadCache, WriteBuffer
 from repro.ssd.channels import ChannelArray
 from repro.ssd.config import UNIT_SIZE, SsdConfig
@@ -146,7 +145,8 @@ class SsdController:
         self.write_buffer = WriteBuffer(sim, config.write_buffer_units)
         self.read_cache = ReadCache(config.read_cache_units, config.prefetch_ahead)
         self.stats = ControllerStats()
-        self._rng = np.random.default_rng(seed)
+        # Stall rolls are this stream's only draw kind: block-drawn.
+        self._rng = UniformStream(seed)
         self._map_cache: "OrderedDict[int, None]" = OrderedDict()
         self._batches = Store(sim)
         #: Dies currently inside a GC cycle — write stalls that happen

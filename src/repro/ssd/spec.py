@@ -461,7 +461,7 @@ class DeviceSpec:
         location = Path(path)
         try:
             text = location.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DeviceSpecError(
                 f"cannot read spec file: {exc}", source=str(location)
             ) from exc

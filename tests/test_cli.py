@@ -185,6 +185,15 @@ class TestDevicesSubcommand:
         assert err.startswith("python -m repro devices show: error: ")
         assert "warp-drive" in err
 
+    def test_non_utf8_spec_file_exits_2_naming_the_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bin.toml").write_bytes(b"\xff\xfe not text")
+        err = _usage_error(["devices", "show", "bin.toml"], capsys)
+        assert err.startswith("python -m repro devices show: error: ")
+        assert "bin.toml: cannot read spec file: " in err
+
 
 class TestDeviceFlag:
     def test_figures_accept_device_override(self, capsys):

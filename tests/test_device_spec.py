@@ -191,6 +191,22 @@ class TestRoundTrip:
         assert doc["name"] == "dev"
 
 
+class TestUnreadableFiles:
+    def test_non_utf8_file_is_a_spec_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "bin.toml"
+        path.write_bytes(b"\xff\xfe not text")
+        with pytest.raises(DeviceSpecError) as excinfo:
+            DeviceSpec.from_path(path)
+        assert excinfo.value.source == str(path)
+        assert str(excinfo.value).startswith(f"{path}: cannot read spec file: ")
+
+    def test_missing_file_is_a_spec_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "absent.toml"
+        with pytest.raises(DeviceSpecError) as excinfo:
+            DeviceSpec.from_path(path)
+        assert excinfo.value.source == str(path)
+
+
 class TestPresetTwins:
     """``spec_from_config`` inverts ``to_ssd_config`` on the paper's
     devices (``devices show ull`` relies on it)."""

@@ -165,3 +165,74 @@ def test_unmapped_tail_stays_unmapped():
     ftl.fill_sequential(half)
     assert ftl.mapping.lookup(ftl.logical_pages - 1) == UNMAPPED
     assert ftl.read_ppa(ftl.logical_pages - 1) is None
+
+
+def _paper_ftl(name):
+    from repro.ssd.registry import resolve_config
+
+    config = resolve_config(name)
+    return PageMappedFtl(
+        config.ftl_layout(),
+        overprovision=config.overprovision,
+        gc_watermark_blocks=config.gc_watermark_blocks,
+        gc_policy=config.gc_policy,
+    )
+
+
+@pytest.mark.parametrize("device", ["zssd", "intel750"])
+@pytest.mark.parametrize("fraction", [0.5, 1.0])
+def test_fill_matches_write_loop_on_paper_layouts(device, fraction):
+    # The layouts every paper figure preconditions, at full size: the
+    # template path (not the fallback) must serve them.
+    bulk = _paper_ftl(device)
+    loop = _paper_ftl(device)
+    count = int(bulk.logical_pages * fraction)
+    assert bulk.fill_sequential(count) == count
+    for lpn in range(count):
+        loop.write(lpn)
+    assert snapshot(bulk) == snapshot(loop)
+    bulk.mapping.check_invariants()
+
+
+def _drive_gc(ftl):
+    """Reclaim blocks until no die is under the watermark (what the
+    controller's flush workers do)."""
+    progressing = True
+    while progressing and ftl.dies_needing_gc():
+        progressing = False
+        for die in ftl.dies_needing_gc():
+            plan = ftl.plan_gc(die)
+            if plan is None:
+                continue
+            for lpn in plan.victim_lpns:
+                if ftl.still_in_block(lpn, plan.victim_block):
+                    ftl.relocate(lpn, die)
+            ftl.finish_gc(plan)
+            progressing = True
+
+
+def test_clones_of_one_template_never_alias():
+    # Two drives preconditioned from the same cached template: churning
+    # one through overwrites and GC must leave the other (and the
+    # template) exactly as a fresh fill.
+    from repro.ftl.mapping import striped_fill
+
+    kwargs = dict(dies=2, blocks_per_die=6, pages_per_block=4, overprovision=0.25)
+    churned, untouched, fresh = (make_ftl(**kwargs) for _ in range(3))
+    count = churned.logical_pages
+    churned.fill_sequential(count)
+    hits = striped_fill.cache_info().hits
+    untouched.fill_sequential(count)
+    assert striped_fill.cache_info().hits == hits + 1  # the same template
+    for step in range(400):
+        _drive_gc(churned)
+        churned.write((step * 7) % count)
+    assert churned.gc_runs > 0
+    churned.mapping.check_invariants()
+    for lpn in range(count):
+        fresh.write(lpn)
+    assert snapshot(untouched) == snapshot(fresh)
+    layout = churned.layout
+    assert striped_fill(layout, count, count) == striped_fill.__wrapped__(
+        layout, count, count
+    )
