@@ -17,12 +17,12 @@ turns that fact into infrastructure:
   of (schema version, point params, device config, cost table) that
   survives across runs;
 * while an :class:`~repro.obs.core.Observability` bundle is installed,
-  the engine steps aside exactly like ``obs_aware_cache`` did: every
-  point executes live (a traced run must actually run to produce
-  spans), nothing is read from or written to either cache, and in
-  parallel mode each worker records into its own bundle which is
-  shipped back and absorbed into the parent tracer/registry in point
-  order.
+  the engine steps aside: every point executes live (a traced run must
+  actually run to produce spans), nothing is read from or written to
+  either cache, and each point records into a fresh bundle built from
+  the installed one's config, which is absorbed into it in point order.
+  Plain and traced points share one plan/execute/finish loop and one
+  worker entry point.
 
 The actual measurement code lives in :mod:`repro.core.runners`; runners
 register themselves by name so worker processes can resolve them after
@@ -41,7 +41,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.core import Observability, current_obs
 
@@ -220,30 +220,6 @@ def _ambient_fault_params():
     return plan.to_params() if plan is not None else None
 
 
-def _ambient_telemetry_params():
-    """The installed bundle's telemetry config as canonical params, or None.
-
-    Telemetry-enabled runs execute live (the engine steps aside under
-    any installed bundle), so this is belt-and-braces — but it keeps the
-    invariant airtight: a measurement produced with telemetry on can
-    never be served to a telemetry-off caller or vice versa, even if a
-    future path caches under an installed bundle.
-    """
-    telemetry = getattr(current_obs(), "telemetry", None)
-    if telemetry is None or not telemetry.enabled:
-        return None
-    return telemetry.config.to_params()
-
-
-# NOTE: the self-profiler (repro.obs.prof) and the blame recorder
-# (repro.obs.blame) are deliberately *excluded* from cache keys.  Their
-# configuration is attribution-only — it cannot change a measurement
-# (byte-identity is a tested guarantee for both), and profiled/blamed
-# runs always execute live because an enabled profiler or blame
-# recorder makes the installed bundle ``enabled`` (blame additionally
-# requires tracing).  Keying on them would only fragment warm caches.
-
-
 def point_cache_key(point: Point, version: int = CACHE_SCHEMA) -> str:
     """Canonical hash identifying one measurement across runs."""
     items = [
@@ -259,11 +235,6 @@ def point_cache_key(point: Point, version: int = CACHE_SCHEMA) -> str:
         # Appended only when a plan is live, so fault-free runs keep
         # their historical keys (and their warm caches).
         items.append(ambient_faults)
-    ambient_telemetry = _ambient_telemetry_params()
-    if ambient_telemetry is not None:
-        # Same append-only discipline as faults: telemetry-off runs keep
-        # their historical keys.
-        items.append(("telemetry", ambient_telemetry))
     blob = repr(tuple(items))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -309,56 +280,30 @@ class SweepCache:
 
 
 # ----------------------------------------------------------------------
-# Worker entry points (module-level: must be picklable)
+# The worker entry point (module-level: must be picklable)
 # ----------------------------------------------------------------------
 def _execute_point(
     runner_name: str,
     params: Tuple[Tuple[str, Any], ...],
-    fault_params=None,
-) -> Measurement:
+    fault_params: Optional[Tuple[Tuple[str, Any], ...]] = None,
+    obs_config: Optional[Dict[str, Any]] = None,
+) -> Tuple[Measurement, Optional[Observability]]:
+    """Run one point; returns the measurement and the bundle it recorded
+    into (``None`` unless ``obs_config`` is given).
+
+    The parent's ambient fault plan and bundle config arrive explicitly:
+    worker processes (spawn in particular) don't inherit module state.
+    """
     fn = get_runner(runner_name)
-    if fault_params:
-        # Re-install the parent's ambient fault plan explicitly: worker
-        # processes (spawn in particular) don't inherit module state.
-        from repro.faults.plan import FaultPlan
+    bundle = Observability(**obs_config) if obs_config is not None else None
+    with contextlib.ExitStack() as stack:
+        if bundle is not None:
+            stack.enter_context(bundle)
+        if fault_params:
+            from repro.faults.plan import FaultPlan
 
-        with FaultPlan.from_params(fault_params).installed():
-            return fn(**dict(params))
-    return fn(**dict(params))
-
-
-def _execute_point_traced(
-    runner_name: str,
-    params: Tuple[Tuple[str, Any], ...],
-    tracing: bool,
-    metrics: bool,
-    fault_params=None,
-    telemetry_params=None,
-    profile_params=None,
-    blame_params=None,
-):
-    """Run one point under a fresh worker-local bundle and ship both back."""
-    telemetry = None
-    if telemetry_params is not None:
-        from repro.obs.telemetry import TelemetryConfig
-
-        telemetry = TelemetryConfig.from_params(telemetry_params)
-    profile = None
-    if profile_params is not None:
-        from repro.obs.prof import ProfilerConfig
-
-        profile = ProfilerConfig.from_params(profile_params)
-    blame = None
-    if blame_params is not None:
-        from repro.obs.blame import BlameConfig
-
-        blame = BlameConfig.from_params(blame_params)
-    bundle = Observability(
-        tracing=tracing, metrics=metrics, telemetry=telemetry, profile=profile,
-        blame=blame,
-    )
-    with bundle:
-        measurement = _execute_point(runner_name, params, fault_params)
+            stack.enter_context(FaultPlan.from_params(fault_params).installed())
+        measurement = fn(**dict(params))
     return measurement, bundle
 
 
@@ -397,124 +342,78 @@ class SweepEngine:
     # ------------------------------------------------------------------
     def run(self, spec: ExperimentSpec) -> Dict[Any, Measurement]:
         """Execute every point of ``spec``; returns ``{key: Measurement}``
-        in spec point order regardless of execution order."""
+        in spec point order regardless of execution order.
+
+        Plain and traced runs share three steps:
+
+        * **plan** — with no bundle enabled, points are served from the
+          memo or the disk cache and the rest are grouped by cache key,
+          so a measurement several points share runs once.  Under an
+          enabled bundle every point is its own work item and neither
+          cache is read or written;
+        * **execute** — :func:`_execute_point`, serially or across a
+          process pool; under a bundle each call records into a fresh
+          bundle built from ``obs.config`` and returns it;
+        * **finish** — bundles are absorbed into ``obs`` in spec order
+          (deterministic pids, io ids and metric merge order, so traced
+          output is the same serial or parallel: gauge time-weighting in
+          particular cannot be merged from aggregates any other way),
+          and plain measurements go to the memo and the disk cache.
+        """
         self.stats.points += len(spec.points)
         obs = current_obs()
-        if obs.enabled:
-            return self._run_traced(spec, obs)
+        obs_config = obs.config if isinstance(obs, Observability) and obs.enabled else None
 
         results: Dict[Any, Measurement] = {}
-        pending: List[Tuple[str, List[Point]]] = []
-        pending_index: Dict[str, int] = {}
-        for point in spec.points:
-            key = point_cache_key(point, spec.version)
-            measurement = self._memo.get(key)
-            if measurement is not None:
-                self.stats.memo_hits += 1
-                results[point.key] = measurement
-                continue
-            if self.cache is not None:
-                measurement = self.cache.get(key)
+        work: Sequence[Tuple[Optional[str], List[Point]]]
+        if obs_config is not None:
+            work = [(None, [point]) for point in spec.points]
+        else:
+            queued: Dict[str, List[Point]] = {}
+            for point in spec.points:
+                key = point_cache_key(point, spec.version)
+                measurement = self._memo.get(key)
                 if measurement is not None:
-                    self.stats.disk_hits += 1
-                    self._memo[key] = measurement
+                    self.stats.memo_hits += 1
                     results[point.key] = measurement
                     continue
-            if key in pending_index:
-                pending[pending_index[key]][1].append(point)
-            else:
-                pending_index[key] = len(pending)
-                pending.append((key, [point]))
+                if self.cache is not None:
+                    measurement = self.cache.get(key)
+                    if measurement is not None:
+                        self.stats.disk_hits += 1
+                        self._memo[key] = measurement
+                        results[point.key] = measurement
+                        continue
+                queued.setdefault(key, []).append(point)
+            work = list(queued.items())
 
-        if pending:
-            fault_params = _ambient_fault_params()
-            if self.jobs > 1 and len(pending) > 1:
-                workers = min(self.jobs, len(pending))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = [
-                        pool.submit(
-                            _execute_point,
-                            points[0].runner,
-                            points[0].params,
-                            fault_params,
-                        )
-                        for _key, points in pending
-                    ]
-                    measured = [future.result() for future in futures]
+        fault_params = _ambient_fault_params()
+        calls = [
+            (points[0].runner, points[0].params, fault_params, obs_config)
+            for _key, points in work
+        ]
+        if self.jobs > 1 and len(calls) > 1:
+            with ProcessPoolExecutor(max_workers=min(self.jobs, len(calls))) as pool:
+                futures = [pool.submit(_execute_point, *call) for call in calls]
+                outcomes = [future.result() for future in futures]
+        else:
+            outcomes = [_execute_point(*call) for call in calls]
+
+        for (key, points), (measurement, bundle) in zip(work, outcomes):
+            self.stats.executed += 1
+            if bundle is not None:
+                assert isinstance(obs, Observability)
+                self.stats.traced += 1
+                obs.absorb(bundle)
             else:
-                measured = [
-                    _execute_point(points[0].runner, points[0].params, fault_params)
-                    for _key, points in pending
-                ]
-            for (key, points), measurement in zip(pending, measured):
-                self.stats.executed += 1
+                assert key is not None
                 self._memo[key] = measurement
                 if self.cache is not None:
                     self.cache.put(key, measurement)
-                for point in points:
-                    results[point.key] = measurement
+            for point in points:
+                results[point.key] = measurement
 
         return {point.key: results[point.key] for point in spec.points}
-
-    # ------------------------------------------------------------------
-    def _run_traced(self, spec: ExperimentSpec, obs) -> Dict[Any, Measurement]:
-        """Live execution under an installed bundle: no cache on either
-        side, every point runs, spans/metrics land in ``obs``.
-
-        Serial and parallel take the same shape — each point records
-        into a fresh per-point bundle which is absorbed into ``obs`` in
-        spec order — so traced output is identical either way by
-        construction (gauge time-weighting in particular cannot be
-        merged from aggregates any other way: each point restarts the
-        simulator clock at zero).
-        """
-        results: Dict[Any, Measurement] = {}
-        points = spec.points
-        tracing = bool(getattr(obs.tracer, "enabled", False))
-        metrics = bool(getattr(obs.registry, "enabled", False))
-        fault_params = _ambient_fault_params()
-        telemetry = getattr(obs, "telemetry", None)
-        telemetry_params = (
-            telemetry.config.to_params()
-            if telemetry is not None and telemetry.enabled
-            else None
-        )
-        profiler = getattr(obs, "profiler", None)
-        profile_params = (
-            profiler.config.to_params()
-            if profiler is not None and profiler.enabled
-            else None
-        )
-        blame = getattr(obs, "blame", None)
-        blame_params = blame.config.to_params() if blame is not None else None
-        if self.jobs > 1 and len(points) > 1:
-            workers = min(self.jobs, len(points))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _execute_point_traced, point.runner, point.params,
-                        tracing, metrics, fault_params, telemetry_params,
-                        profile_params, blame_params,
-                    )
-                    for point in points
-                ]
-                pairs = [future.result() for future in futures]
-        else:
-            pairs = [
-                _execute_point_traced(
-                    point.runner, point.params, tracing, metrics, fault_params,
-                    telemetry_params, profile_params, blame_params,
-                )
-                for point in points
-            ]
-        # Absorb per-point bundles in spec order: deterministic pids,
-        # io ids, and metric merge order.
-        for point, (measurement, bundle) in zip(points, pairs):
-            self.stats.executed += 1
-            self.stats.traced += 1
-            obs.absorb(bundle)
-            results[point.key] = measurement
-        return results
 
 
 # ----------------------------------------------------------------------

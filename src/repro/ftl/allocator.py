@@ -81,6 +81,11 @@ class BlockAllocator:
         die = self.layout.die_of_block(block)
         return self._active[0][die] == block or self._active[1][die] == block
 
+    @property
+    def stripe_cursor(self) -> int:
+        """The die :meth:`next_die` will return next (read-only)."""
+        return self._next_die
+
     # ------------------------------------------------------------------
     def next_die(self) -> int:
         """Round-robin die choice for the next striped host write."""

@@ -47,7 +47,7 @@ from repro.obs.blame import (
     parse_duration_ns,
     verify_blame_conservation,
 )
-from repro.obs.core import NULL_OBS, Observability, current_obs, obs_aware_cache
+from repro.obs.core import NULL_OBS, Observability, current_obs
 from repro.obs.prof import (
     NULL_PROFILER,
     CallSite,
@@ -90,7 +90,6 @@ from repro.obs.registry import (
     NULL_REGISTRY,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     NullRegistry,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "verify_conservation",
     "Observability",
     "current_obs",
-    "obs_aware_cache",
     "NULL_OBS",
     "atomic_write_text",
     "chrome_trace_events",
@@ -137,7 +135,6 @@ __all__ = [
     "write_telemetry_html",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",

@@ -44,8 +44,8 @@ applies to phase tiling.
 House rules (established by the telemetry/profiler PRs) all hold:
 recording never perturbs simulated time, ``absorb()`` merges worker
 bundles with pid rebasing so ``--jobs N`` sweeps are byte-identical to
-serial, and the blame config is *excluded* from sweep cache keys (blame
-requires live tracing, which already bypasses the cache).
+serial, and a blamed run never touches the sweep caches (the engine
+runs every point live under an enabled bundle).
 """
 
 from __future__ import annotations
@@ -176,9 +176,6 @@ class BlameConfig:
     ``top`` bounds the outlier reservoir per (device, op) group;
     ``slos`` is the tuple of :class:`SloSpec` objectives to monitor;
     ``period_ns`` is the bucket width of the SLO burn-rate series.
-    Ships to sweep workers via :meth:`to_params` (the
-    ``TelemetryConfig``/``ProfilerConfig`` pattern) but is *excluded*
-    from sweep cache keys — see ``repro.core.sweep.point_cache_key``.
     """
 
     __slots__ = ("top", "slos", "period_ns")
@@ -196,29 +193,6 @@ class BlameConfig:
         self.top = int(top)
         self.slos = tuple(slos)
         self.period_ns = int(period_ns)
-
-    def to_params(self) -> Tuple[Tuple[str, Any], ...]:
-        return (
-            ("period_ns", self.period_ns),
-            (
-                "slos",
-                tuple((s.op, s.threshold_ns, s.objective) for s in self.slos),
-            ),
-            ("top", self.top),
-        )
-
-    @classmethod
-    def from_params(cls, params: Tuple[Tuple[str, Any], ...]) -> "BlameConfig":
-        table = dict(params)
-        slos = tuple(
-            SloSpec(op, int(threshold_ns), float(objective))
-            for op, threshold_ns, objective in table["slos"]
-        )
-        return cls(
-            top=int(table["top"]),
-            slos=slos,
-            period_ns=int(table["period_ns"]),
-        )
 
 
 class OutlierRecord:

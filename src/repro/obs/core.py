@@ -16,14 +16,13 @@ uninstrumented runs pay nothing and stay bit-identical.
 
 from __future__ import annotations
 
-import functools
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.obs.blame import BlameConfig, BlameRecorder
-from repro.obs.prof import NULL_PROFILER, Profiler, ProfilerConfig
+from repro.obs.prof import NULL_PROFILER, NullProfiler, Profiler, ProfilerConfig
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, SpanTracer
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, TelemetryConfig
+from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry, TelemetryConfig
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
@@ -38,41 +37,25 @@ class Observability:
         *,
         tracing: bool = True,
         metrics: bool = True,
-        telemetry: Union[bool, Telemetry, TelemetryConfig, None] = None,
-        profile: Union[bool, Profiler, ProfilerConfig, None] = None,
-        blame: Union[bool, BlameRecorder, BlameConfig, None] = None,
+        telemetry: Union[bool, TelemetryConfig, None] = None,
+        profile: Union[bool, ProfilerConfig, None] = None,
+        blame: Union[bool, BlameConfig, None] = None,
     ) -> None:
         self.tracer = SpanTracer() if tracing else NULL_TRACER
         self.registry = MetricsRegistry() if metrics else NULL_REGISTRY
-        # Telemetry is opt-in: pass True for defaults, or a
-        # TelemetryConfig to control period/capacity/series.
-        if telemetry is True:
-            self.telemetry = Telemetry()
-        elif isinstance(telemetry, TelemetryConfig):
-            self.telemetry = Telemetry(telemetry)
-        elif isinstance(telemetry, Telemetry):
-            self.telemetry = telemetry
-        else:
-            self.telemetry = NULL_TELEMETRY
-        # The self-profiler (repro.obs.prof) is opt-in the same way.
-        if profile is True:
-            self.profiler = Profiler()
-        elif isinstance(profile, ProfilerConfig):
-            self.profiler = Profiler(profile)
-        elif isinstance(profile, Profiler):
-            self.profiler = profile
-        else:
-            self.profiler = NULL_PROFILER
-        # Blame attribution (repro.obs.blame) is opt-in the same way,
-        # but rides on the tracer: wait edges live on trace contexts.
-        if blame is True:
-            self.blame: Optional[BlameRecorder] = BlameRecorder()
-        elif isinstance(blame, BlameConfig):
-            self.blame = BlameRecorder(blame)
-        elif isinstance(blame, BlameRecorder):
-            self.blame = blame
-        else:
-            self.blame = None
+        # Telemetry, the self-profiler (repro.obs.prof) and blame
+        # attribution (repro.obs.blame) are opt-in: pass True for
+        # defaults, or a config object to tune them.  Blame rides on the
+        # tracer: wait edges live on trace contexts.
+        self.telemetry: Union[Telemetry, NullTelemetry] = (
+            Telemetry(_config_or_none(telemetry)) if telemetry else NULL_TELEMETRY
+        )
+        self.profiler: Union[Profiler, NullProfiler] = (
+            Profiler(_config_or_none(profile)) if profile else NULL_PROFILER
+        )
+        self.blame: Optional[BlameRecorder] = (
+            BlameRecorder(_config_or_none(blame)) if blame else None
+        )
         if self.blame is not None:
             if not self.tracer.enabled:
                 raise ValueError(
@@ -81,6 +64,22 @@ class Observability:
                 )
             assert isinstance(self.tracer, SpanTracer)
             self.tracer.blame = self.blame
+
+    @property
+    def config(self) -> Dict[str, Any]:
+        """This bundle's configuration as constructor keyword arguments.
+
+        Every value pickles, so a sweep worker process rebuilds an empty
+        twin with ``Observability(**obs.config)``, records into it, and
+        ships it back to be absorbed.
+        """
+        return {
+            "tracing": self.tracer.enabled,
+            "metrics": self.registry.enabled,
+            "telemetry": self.telemetry.config,
+            "profile": self.profiler.config,
+            "blame": self.blame.config if self.blame is not None else None,
+        }
 
     @property
     def enabled(self) -> bool:
@@ -177,25 +176,6 @@ def current_obs() -> Union[Observability, _NullObservability]:
     return _INSTALLED[-1] if _INSTALLED else NULL_OBS
 
 
-def obs_aware_cache(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """``lru_cache(maxsize=None)`` that steps aside while observability
-    is installed.
-
-    Figure measurements are memoized so figures can share runs, but a
-    traced run must actually execute to produce spans — and a result
-    computed under tracing must not be served to an untraced caller
-    (or vice versa).  While a bundle is installed the call runs fresh
-    and the cache is neither consulted nor populated.
-    """
-    cached = functools.lru_cache(maxsize=None)(fn)
-
-    @functools.wraps(fn)
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        if current_obs().enabled:
-            return fn(*args, **kwargs)
-        return cached(*args, **kwargs)
-
-    wrapper.cache_clear = cached.cache_clear
-    wrapper.cache_info = cached.cache_info
-    wrapper.__wrapped__ = fn
-    return wrapper
+def _config_or_none(option: Any) -> Any:
+    """A config object passed through; ``True`` becomes ``None`` (defaults)."""
+    return None if option is True else option

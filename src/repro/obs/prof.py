@@ -38,11 +38,9 @@ byte-identical to a run without the profiler imported.  With profiling
 enabled, event *counts* and attribution are a pure function of the
 simulation (parallel sweep workers ship their profilers back over the
 worker-bundle path and :meth:`Profiler.absorb` merges them in point
-order); only the sampled wall-time varies run to run.  Profiler
-configuration is deliberately **excluded from sweep cache keys**: a
-profiled run always executes live (the engine steps aside under any
-enabled bundle), and attribution-only fields must never fragment the
-measurement cache.
+order); only the sampled wall-time varies run to run.  A profiled run
+always executes live and never touches the sweep caches (the engine
+steps aside under any enabled bundle).
 """
 
 from __future__ import annotations
@@ -121,22 +119,6 @@ class ProfilerConfig:
         self.wall = bool(wall)
         self.period_ns = int(period_ns)
         self.top = int(top)
-
-    def to_params(self) -> Tuple[Tuple[str, Any], ...]:
-        return (
-            ("period_ns", self.period_ns),
-            ("top", self.top),
-            ("wall", self.wall),
-        )
-
-    @classmethod
-    def from_params(cls, params: Tuple[Tuple[str, Any], ...]) -> "ProfilerConfig":
-        table = dict(params)
-        return cls(
-            wall=bool(table["wall"]),
-            period_ns=int(table["period_ns"]),
-            top=int(table["top"]),
-        )
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, time-weighted histograms.
+"""The metrics registry: counters, time-weighted gauges, histograms.
 
 Layers register named instruments once (at construction) and update
 them on their fast paths.  The null registry hands back shared no-op
@@ -8,13 +8,16 @@ no-op method call.
 
 Naming convention: ``<layer>.<object>.<quantity>`` with unit suffixes
 carried in the instrument's ``unit`` field (``ns``, ``us``, ``units``,
-``cmds``, plain counts have no unit).
+``cmds``, plain counts have no unit).  Histograms are log2-bucketed
+:class:`~repro.obs.telemetry.TailDigest` objects, the same digest
+telemetry series and blame groups keep.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Union
+
+from repro.obs.telemetry import TailDigest
 
 
 class Counter:
@@ -73,69 +76,10 @@ class Gauge:
         return area / until if until > 0 else float(self.value)
 
 
-class Histogram:
-    """Log2-bucketed distribution of positive samples.
-
-    Buckets are powers of two of the observed unit; quantiles come from
-    the geometric midpoint of the covering bucket (coarse, but stable
-    and allocation-free — the same trade blk-mq's I/O stats make).
-    """
-
-    kind = "histogram"
-    __slots__ = ("name", "unit", "help", "count", "total", "min", "max", "_buckets")
-
-    def __init__(self, name: str, unit: str = "", help: str = "") -> None:
-        self.name = name
-        self.unit = unit
-        self.help = help
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self._buckets: Dict[int, int] = {}
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        exponent = math.frexp(value)[1] if value > 0 else 0
-        self._buckets[exponent] = self._buckets.get(exponent, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate ``q``-quantile (0 <= q <= 1)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for exponent in sorted(self._buckets):
-            seen += self._buckets[exponent]
-            if seen >= target:
-                low = 2.0 ** (exponent - 1) if exponent > 0 else 0.0
-                high = 2.0 ** exponent
-                return (low + high) / 2.0
-        return float(self.max or 0.0)
-
-    def buckets(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, count)`` pairs, ascending."""
-        return [
-            (2.0 ** exponent, self._buckets[exponent])
-            for exponent in sorted(self._buckets)
-        ]
-
-
 #: Any concrete instrument (the registry is heterogeneous by design).
-Metric = Union[Counter, Gauge, Histogram]
+Metric = Union[Counter, Gauge, TailDigest]
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": TailDigest}
 
 
 class MetricsRegistry:
@@ -169,9 +113,9 @@ class MetricsRegistry:
         assert isinstance(metric, Gauge)
         return metric
 
-    def histogram(self, name: str, unit: str = "", help: str = "") -> Histogram:
+    def histogram(self, name: str, unit: str = "", help: str = "") -> TailDigest:
         metric = self._get_or_create("histogram", name, unit, help)
-        assert isinstance(metric, Histogram)
+        assert isinstance(metric, TailDigest)
         return metric
 
     def get(self, name: str) -> Metric:
@@ -214,21 +158,8 @@ class MetricsRegistry:
                 mine.max_value = max(mine.max_value, metric.max_value)
                 mine.value = metric.value
             else:
-                assert isinstance(mine, Histogram)
-                mine.count += metric.count
-                mine.total += metric.total
-                if metric.min is not None:
-                    mine.min = (
-                        metric.min if mine.min is None else min(mine.min, metric.min)
-                    )
-                if metric.max is not None:
-                    mine.max = (
-                        metric.max if mine.max is None else max(mine.max, metric.max)
-                    )
-                for exponent, count in metric._buckets.items():
-                    mine._buckets[exponent] = (
-                        mine._buckets.get(exponent, 0) + count
-                    )
+                assert isinstance(mine, TailDigest)
+                mine.merge(metric)
 
     # ------------------------------------------------------------------
     def snapshot(self, now_ns: Optional[int] = None) -> List[dict]:

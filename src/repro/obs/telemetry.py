@@ -40,7 +40,7 @@ clock at zero) never alias on the time axis.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 #: Default sampling period: 10 us resolves queue ramps and GC cycles on
 #: runs whose interesting dynamics play out over milliseconds.
@@ -61,11 +61,22 @@ class TailDigest:
     Quantiles return the covering bucket's midpoint, so any reported
     quantile q satisfies ``q/true in [0.75, 1.5]`` — coarse but
     allocation-free and exactly mergeable across shards.
+
+    It is also the metrics registry's histogram instrument, which is why
+    it carries a ``name``/``unit``/``help`` and a ``kind``; ``min`` and
+    ``max`` keep samples as observed (an ``int`` stays an ``int`` in
+    the metrics CSV).
     """
 
-    __slots__ = ("count", "total", "min", "max", "_zeros", "_buckets")
+    kind = "histogram"
+    __slots__ = (
+        "name", "unit", "help", "count", "total", "min", "max", "_zeros", "_buckets"
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, name: str = "", unit: str = "", help: str = "") -> None:
+        self.name = name
+        self.unit = unit
+        self.help = help
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
@@ -80,7 +91,6 @@ class TailDigest:
         """Fold ``n`` identical samples in (bulk path for idle runs)."""
         if n <= 0:
             return
-        value = float(value)
         self.count += n
         self.total += value * n
         if self.min is None or value < self.min:
@@ -126,7 +136,7 @@ class TailDigest:
             self._buckets[exponent] = self._buckets.get(exponent, 0) + count
 
     def copy(self) -> "TailDigest":
-        clone = TailDigest()
+        clone = TailDigest(self.name, self.unit, self.help)
         clone.merge(self)
         return clone
 
@@ -399,9 +409,7 @@ class TelemetryConfig:
     """What to sample and how finely.
 
     ``series`` restricts recording to names matching any of the given
-    prefixes (``None`` = record everything).  The config participates in
-    sweep cache keys via :meth:`to_params`, so telemetry-on and
-    telemetry-off runs can never share cache entries.
+    prefixes (``None`` = record everything).
     """
 
     __slots__ = ("period_ns", "capacity", "series")
@@ -424,23 +432,6 @@ class TelemetryConfig:
         if self.series is None:
             return True
         return any(name.startswith(prefix) for prefix in self.series)
-
-    def to_params(self) -> Tuple[Tuple[str, Any], ...]:
-        return (
-            ("capacity", self.capacity),
-            ("period_ns", self.period_ns),
-            ("series", self.series),
-        )
-
-    @classmethod
-    def from_params(cls, params: Tuple[Tuple[str, Any], ...]) -> "TelemetryConfig":
-        table = dict(params)
-        series = table.get("series")
-        return cls(
-            period_ns=int(table["period_ns"]),
-            capacity=int(table["capacity"]),
-            series=tuple(series) if series is not None else None,
-        )
 
 
 class Telemetry:

@@ -130,17 +130,6 @@ class TestBlameConfig:
         with pytest.raises(ValueError, match="period"):
             BlameConfig(period_ns=0)
 
-    def test_params_round_trip(self):
-        config = BlameConfig(
-            top=7,
-            slos=(SloSpec.parse("read:150us"), SloSpec.parse("*:1ms@99%")),
-            period_ns=5_000,
-        )
-        rebuilt = BlameConfig.from_params(config.to_params())
-        assert rebuilt.top == 7
-        assert rebuilt.period_ns == 5_000
-        assert rebuilt.slos == config.slos
-
     def test_config_pickles(self):
         config = BlameConfig(slos=(SloSpec.parse("read:150us"),))
         clone = pickle.loads(pickle.dumps(config))

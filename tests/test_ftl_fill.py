@@ -49,7 +49,7 @@ def snapshot(ftl):
             for b in allocator.closed_blocks(d)
         },
         "sequence": allocator.sequence,
-        "next_die": allocator.next_die(),  # reveals the stripe cursor
+        "stripe_cursor": allocator.stripe_cursor,
         "host_writes": ftl.host_writes,
         "gc_writes": ftl.gc_writes,
     }
@@ -209,6 +209,14 @@ def _drive_gc(ftl):
                     ftl.relocate(lpn, die)
             ftl.finish_gc(plan)
             progressing = True
+
+
+def test_snapshot_has_no_side_effects():
+    ftl = make_ftl(dies=3, blocks_per_die=9, pages_per_block=7)
+    ftl.fill_sequential(ftl.logical_pages // 2)
+    first = snapshot(ftl)
+    assert snapshot(ftl) == first
+    assert first["stripe_cursor"] == ftl.allocator.next_die()
 
 
 def test_clones_of_one_template_never_alias():

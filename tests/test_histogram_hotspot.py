@@ -1,84 +1,8 @@
-"""Tests for the log-linear latency histogram and hotspot patterns."""
+"""Tests for hotspot-skewed access patterns."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.stats.histogram import LatencyHistogram
 from repro.workloads.patterns import make_pattern
-
-
-class TestHistogram:
-    def test_counts_and_extremes(self):
-        histogram = LatencyHistogram()
-        histogram.extend([100, 200, 300])
-        assert len(histogram) == 3
-        assert histogram.min_ns == 100
-        assert histogram.max_ns == 300
-
-    def test_small_values_are_exact(self):
-        histogram = LatencyHistogram()
-        histogram.extend([5, 10, 63])
-        buckets = dict(histogram.nonzero_buckets())
-        assert buckets == {5: 1, 10: 1, 63: 1}
-
-    def test_percentile_within_bucket_resolution(self):
-        rng = np.random.default_rng(1)
-        samples = rng.uniform(5_000, 500_000, size=5_000)
-        histogram = LatencyHistogram()
-        histogram.extend(samples)
-        for pct in (50, 90, 99):
-            exact = float(np.percentile(samples, pct))
-            approx = histogram.percentile(pct)
-            # fio's grid: error bounded by one sub-bucket (~1.6%).
-            assert abs(approx - exact) / exact < 0.05
-
-    def test_percentile_validation(self):
-        with pytest.raises(ValueError):
-            LatencyHistogram().percentile(101)
-        with pytest.raises(ValueError):
-            LatencyHistogram().record(-1)
-
-    def test_empty_percentile_is_zero(self):
-        assert LatencyHistogram().percentile(99) == 0.0
-
-    def test_percentiles_batch(self):
-        histogram = LatencyHistogram()
-        histogram.extend([1_000] * 100)
-        result = histogram.percentiles([50, 99])
-        assert set(result) == {50, 99}
-
-    def test_render(self):
-        histogram = LatencyHistogram()
-        histogram.extend([10_000] * 50 + [80_000] * 5)
-        text = histogram.render()
-        assert "#" in text and "us" in text
-        assert len(text.splitlines()) == 2
-        assert LatencyHistogram().render() == "(empty histogram)"
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(
-            st.integers(min_value=0, max_value=10**12), min_size=1, max_size=300
-        )
-    )
-    def test_property_percentiles_monotone_and_bounded(self, samples):
-        histogram = LatencyHistogram()
-        histogram.extend(samples)
-        p50 = histogram.percentile(50)
-        p99 = histogram.percentile(99)
-        assert p50 <= p99 * (1 + 1e-9)
-        # Representative values stay within ~2% of the true extremes.
-        assert histogram.percentile(100) <= max(samples) * 1.04 + 1
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=0, max_value=10**12))
-    def test_property_bucket_value_close_to_sample(self, value):
-        histogram = LatencyHistogram()
-        histogram.record(value)
-        (bucket_value, count), = histogram.nonzero_buckets()
-        assert count == 1
-        assert abs(bucket_value - value) <= max(2, value * 0.02)
 
 
 class TestHotspotPattern:

@@ -6,9 +6,14 @@ from repro.obs import (
     NULL_REGISTRY,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
+    TailDigest,
+    metrics_to_csv,
 )
+
+
+def histogram(name="lat", unit=""):
+    return MetricsRegistry().histogram(name, unit=unit)
 
 
 class TestCounter:
@@ -53,33 +58,47 @@ class TestGauge:
 
 class TestHistogram:
     def test_stats(self):
-        histogram = Histogram("lat", unit="us")
+        lat = histogram(unit="us")
+        assert isinstance(lat, TailDigest)
+        assert (lat.name, lat.unit, lat.kind) == ("lat", "us", "histogram")
         for value in (1.0, 2.0, 4.0, 8.0):
-            histogram.observe(value)
-        assert histogram.count == 4
-        assert histogram.mean == pytest.approx(3.75)
-        assert histogram.min == 1.0 and histogram.max == 8.0
+            lat.observe(value)
+        assert lat.count == 4
+        assert lat.mean == pytest.approx(3.75)
+        assert lat.min == 1.0 and lat.max == 8.0
 
     def test_quantiles_land_in_covering_bucket(self):
-        histogram = Histogram("lat")
+        lat = histogram()
         for _ in range(99):
-            histogram.observe(10.0)
-        histogram.observe(1000.0)
-        p50 = histogram.quantile(0.50)
+            lat.observe(10.0)
+        lat.observe(1000.0)
+        p50 = lat.quantile(0.50)
         assert 8.0 <= p50 <= 16.0  # 10.0 lives in the (8, 16] bucket
-        p999 = histogram.quantile(0.999)
+        p999 = lat.quantile(0.999)
         assert p999 > 100.0
-
-    def test_buckets_ascending(self):
-        histogram = Histogram("lat")
-        for value in (1.5, 3.0, 300.0):
-            histogram.observe(value)
-        bounds = [bound for bound, _count in histogram.buckets()]
-        assert bounds == sorted(bounds)
 
     def test_bad_quantile_rejected(self):
         with pytest.raises(ValueError):
-            Histogram("lat").quantile(1.5)
+            histogram().quantile(1.5)
+
+    def test_int_extremes_stay_ints(self):
+        # The metrics CSV prints extremes with str(): integer samples
+        # (GC durations in ns) must not turn into "123.0".
+        registry = MetricsRegistry()
+        duration = registry.histogram("gc", unit="ns")
+        duration.observe(123)
+        duration.observe(4567)
+        assert ",123,4567," in metrics_to_csv(registry)
+
+    def test_absorb_merges_histograms(self):
+        parent, worker = MetricsRegistry(), MetricsRegistry()
+        parent.histogram("lat", unit="us").observe(10.0)
+        for value in (20.0, 400.0):
+            worker.histogram("lat", unit="us").observe(value)
+        parent.absorb(worker)
+        merged = parent.histogram("lat")
+        assert (merged.count, merged.min, merged.max) == (3, 10.0, 400.0)
+        assert merged.total == pytest.approx(430.0)
 
 
 class TestRegistry:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.core.runners import config_point
-from repro.core.sweep import ExperimentSpec, SweepEngine, point_cache_key
+from repro.core.sweep import ExperimentSpec, SweepEngine
 from repro.obs import (
     NULL_SERIES,
     Observability,
@@ -214,31 +214,6 @@ class TestTelemetryRecorder:
         parent.absorb(worker)
         assert sorted(series.pid for series in parent) == [1, 2, 3]
         assert parent.current_pid == 3
-
-    def test_config_params_round_trip(self):
-        config = TelemetryConfig(period_ns=5000, capacity=64, series=("a", "b"))
-        clone = TelemetryConfig.from_params(config.to_params())
-        assert clone.to_params() == config.to_params()
-
-
-# ----------------------------------------------------------------------
-# Cache-key folding
-# ----------------------------------------------------------------------
-class TestCacheKeyFolding:
-    def test_telemetry_config_changes_the_key(self):
-        point = config_point("ull", "randread", io_count=10, key="k")
-        bare = point_cache_key(point)
-        with Observability(telemetry=TelemetryConfig(period_ns=5000)):
-            five = point_cache_key(point)
-        with Observability(telemetry=TelemetryConfig(period_ns=20000)):
-            twenty = point_cache_key(point)
-        assert len({bare, five, twenty}) == 3
-
-    def test_telemetry_off_keeps_historical_keys(self):
-        point = config_point("ull", "randread", io_count=10, key="k")
-        bare = point_cache_key(point)
-        with Observability():  # tracing only, no telemetry
-            assert point_cache_key(point) == bare
 
 
 # ----------------------------------------------------------------------

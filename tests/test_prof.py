@@ -74,11 +74,6 @@ class TestProfilerConfig:
         with pytest.raises(ValueError, match="table size"):
             ProfilerConfig(top=0)
 
-    def test_params_round_trip(self):
-        config = ProfilerConfig(wall=False, period_ns=5_000, top=7)
-        clone = ProfilerConfig.from_params(config.to_params())
-        assert (clone.wall, clone.period_ns, clone.top) == (False, 5_000, 7)
-
 
 class TestSiteMapping:
     def test_repro_module_maps_to_layer_and_component(self):

@@ -26,7 +26,10 @@ from repro.core.sweep import (
     make_point,
     point_cache_key,
 )
+from repro.obs.blame import BlameConfig
 from repro.obs.core import Observability
+from repro.obs.prof import ProfilerConfig
+from repro.obs.telemetry import TelemetryConfig
 
 
 def _fresh_engine(**kwargs) -> SweepEngine:
@@ -178,23 +181,37 @@ class TestPersistentCache:
         assert fresh.stats.disk_hits == 0
 
 
+#: Bundles that each enable one recorder: telemetry and the profiler
+#: alone, blame beside the tracer it requires.
+BUNDLES = {
+    "tracing": dict(),
+    "telemetry": dict(tracing=False, metrics=False, telemetry=TelemetryConfig(period_ns=5000)),
+    "profile": dict(tracing=False, metrics=False, profile=ProfilerConfig(wall=False)),
+    "blame": dict(metrics=False, blame=BlameConfig()),
+}
+
+
 class TestTracedRuns:
-    def test_traced_run_bypasses_caches(self, tmp_path):
+    @pytest.mark.parametrize("bundle", sorted(BUNDLES))
+    def test_traced_run_bypasses_caches(self, tmp_path, bundle):
         point = sync_point("ull", "randread", io_count=40)
         cache = SweepCache(tmp_path)
         engine = _fresh_engine(cache=cache)
         engine.run(_spec([point]))  # populates memo + disk
+        cached = sorted(tmp_path.rglob("*.pkl"))
 
-        with Observability() as obs:
+        with Observability(**BUNDLES[bundle]):
             engine.run(_spec([point]))
         assert engine.stats.traced == 1
-        assert engine.stats.executed == 2, "traced point must run live"
-        assert len(obs.tracer.finished_ios) > 0
+        assert engine.stats.executed == 2, "a warm cache must not be read"
+        assert engine.stats.memo_hits == engine.stats.disk_hits == 0
 
-        # And a traced result must not have been written back.
+        # Nor written: the disk holds the untraced entry alone, and a
+        # fresh untraced engine is served it.
+        assert sorted(tmp_path.rglob("*.pkl")) == cached
         untraced = _fresh_engine(cache=cache)
         untraced.run(_spec([point]))
-        assert untraced.stats.disk_hits == 1
+        assert untraced.stats.disk_hits == 1 and untraced.stats.executed == 0
 
     def test_parallel_traced_merges_worker_bundles(self):
         points = [
