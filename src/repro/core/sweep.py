@@ -222,15 +222,22 @@ def _ambient_fault_params():
 
 def point_cache_key(point: Point, version: int = CACHE_SCHEMA) -> str:
     """Canonical hash identifying one measurement across runs."""
+    return _cache_key(point, version, _costs_identity(), _ambient_fault_params())
+
+
+def _cache_key(
+    point: Point, version: int, costs_identity: str, ambient_faults: Any
+) -> str:
+    """:func:`point_cache_key` with the run-wide inputs (the cost table
+    and the ambient fault plan) computed once by the caller."""
     items = [
         CACHE_SCHEMA,
         version,
         point.runner,
         point.params,
         _device_identity(point.kwargs()),
-        _costs_identity(),
+        costs_identity,
     ]
-    ambient_faults = _ambient_fault_params()
     if ambient_faults is not None:
         # Appended only when a plan is live, so fault-free runs keep
         # their historical keys (and their warm caches).
@@ -365,13 +372,15 @@ class SweepEngine:
         obs_config = obs.config if isinstance(obs, Observability) and obs.enabled else None
 
         results: Dict[Any, Measurement] = {}
+        fault_params = _ambient_fault_params()
         work: Sequence[Tuple[Optional[str], List[Point]]]
         if obs_config is not None:
             work = [(None, [point]) for point in spec.points]
         else:
+            costs_identity = _costs_identity()
             queued: Dict[str, List[Point]] = {}
             for point in spec.points:
-                key = point_cache_key(point, spec.version)
+                key = _cache_key(point, spec.version, costs_identity, fault_params)
                 measurement = self._memo.get(key)
                 if measurement is not None:
                     self.stats.memo_hits += 1
@@ -387,7 +396,6 @@ class SweepEngine:
                 queued.setdefault(key, []).append(point)
             work = list(queued.items())
 
-        fault_params = _ambient_fault_params()
         calls = [
             (points[0].runner, points[0].params, fault_params, obs_config)
             for _key, points in work

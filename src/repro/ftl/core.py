@@ -10,7 +10,7 @@ lives in one place).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.ftl.allocator import BlockAllocator, OutOfSpace, WriteStream
 from repro.ftl.gc import CostBenefitVictimPolicy, GreedyVictimPolicy
@@ -21,7 +21,7 @@ from repro.ftl.wear import WearTracker
 
 @dataclass(frozen=True)
 class WritePlacement:
-    """Where a host (or GC) write landed."""
+    """Where a striped host write landed (:meth:`PageMappedFtl.write`)."""
 
     lpn: int
     ppa: int
@@ -105,11 +105,20 @@ class PageMappedFtl:
         striping engine steers host data toward dies that still have
         room, leaving every die able to collect itself.
         """
+        die, stream = self.host_write_point()
+        ppa = self.allocator.allocate_page(die, stream)
+        previous = self.mapping.bind(lpn, ppa)
+        self.host_writes += 1
+        return WritePlacement(lpn=lpn, ppa=ppa, die=die, previous_ppa=previous)
+
+    def host_write_point(self) -> Tuple[int, WriteStream]:
+        """The die and write stream the next striped host write uses
+        (advances the stripe cursor)."""
         allocator = self.allocator
         for _ in range(self.layout.dies):
             die = allocator.next_die()
             if allocator.can_host_write(die):
-                return self.write_to_die(lpn, die)
+                return die, WriteStream.HOST
         # Pressure fallback: every host write point is blocked, but an
         # open GC block may still have room.  Borrowing it sacrifices
         # stream purity, not correctness — and the overwrite it admits
@@ -122,23 +131,19 @@ class PageMappedFtl:
                 allocator.free_blocks(die) > 0
                 and allocator.remaining_in_active(die, WriteStream.GC) > 0
             ):
-                ppa = allocator.allocate_page(die, WriteStream.GC)
-                previous = self.mapping.bind(lpn, ppa)
-                self.host_writes += 1
-                return WritePlacement(
-                    lpn=lpn, ppa=ppa, die=die, previous_ppa=previous
-                )
+                return die, WriteStream.GC
         raise OutOfSpace(
             "no die can accept a host write; garbage collection is not "
             "keeping up with the overwrite stream"
         )
 
-    def write_to_die(self, lpn: int, die: int) -> WritePlacement:
-        """Place a host write on a specific die (flush workers)."""
-        ppa = self.allocator.allocate_page(die)
-        previous = self.mapping.bind(lpn, ppa)
+    def write_to_die(
+        self, lpn: int, die: int, stream: WriteStream = WriteStream.HOST
+    ) -> None:
+        """Place a host write on a specific die's write point (flush
+        workers; no placement record is built)."""
+        self.mapping.bind(lpn, self.allocator.allocate_page(die, stream))
         self.host_writes += 1
-        return WritePlacement(lpn=lpn, ppa=ppa, die=die, previous_ppa=previous)
 
     def fill_sequential(self, count: int) -> int:
         """Apply the exact state ``count`` sequential host writes
@@ -220,17 +225,15 @@ class PageMappedFtl:
             victim_lpns=self.mapping.valid_lpns_in_block(victim),
         )
 
-    def relocate(self, lpn: int, die: int) -> WritePlacement:
+    def relocate(self, lpn: int, die: int) -> None:
         """GC migration write of ``lpn`` onto ``die``'s GC stream.
 
         Migrated (cold-leaning) data lands on a separate write point, so
         it is not re-mixed with fresh host traffic — the hot/cold
         segregation age-aware GC policies rely on.
         """
-        ppa = self.allocator.allocate_page(die, WriteStream.GC)
-        previous = self.mapping.bind(lpn, ppa)
+        self.mapping.bind(lpn, self.allocator.allocate_page(die, WriteStream.GC))
         self.gc_writes += 1
-        return WritePlacement(lpn=lpn, ppa=ppa, die=die, previous_ppa=previous)
 
     def finish_gc(self, plan: GcPlan) -> None:
         """Erase the victim and return it to the die's pool.

@@ -12,7 +12,7 @@ Plus an ext4-like file-system cost model used by the server-client NBD
 experiments (Fig. 23).
 """
 
-from repro.kstack.blkmq import Bio, BlkMq, BlkRequest, Cookie
+from repro.kstack.blkmq import BlkMq
 from repro.kstack.driver import KernelNvmeDriver
 from repro.kstack.completion import (
     CompletionMethod,
@@ -25,9 +25,6 @@ from repro.kstack.filesystem import Ext4Model, FsCosts
 from repro.kstack.stack import KernelStack
 
 __all__ = [
-    "Bio",
-    "BlkRequest",
-    "Cookie",
     "BlkMq",
     "KernelNvmeDriver",
     "CompletionMethod",

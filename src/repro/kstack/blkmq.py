@@ -1,64 +1,22 @@
 """blk-mq: the multi-queue block layer (Section II-B1).
 
 Structure follows Bjorling et al. [11]: a *software queue* per CPU core
-accepts file-system ``bio`` requests; *hardware queues* map one-to-one
-onto the NVMe driver's queue pairs.  Submission returns a *cookie*
-identifying the hardware queue and tag, which ``blk_mq_poll`` later uses
-to find the completion queue to spin on.
+accepts file-system block requests; *hardware queues* map one-to-one
+onto the NVMe driver's queue pairs.  Submission tags the request's
+:class:`~repro.ssd.device.IoRecord` with its hardware queue and tag —
+the pair ``blk_mq_poll`` later uses to find the completion queue to spin
+on (the kernel's *cookie*).
 
 The timing of these steps is charged by the stack layer; this module is
-the structural substrate (queues, tags, cookies) that the driver and
-completion engines operate on.
+the structural substrate (queues, tags) that the driver and completion
+engines operate on.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.ssd.device import IoOp
-
-
-class BioDirection(enum.Enum):
-    READ = "read"
-    WRITE = "write"
-
-    @classmethod
-    def from_op(cls, op: IoOp) -> "BioDirection":
-        return cls.READ if op is IoOp.READ else cls.WRITE
-
-
-@dataclass(frozen=True)
-class Bio:
-    """A file-system block request (struct bio)."""
-
-    direction: BioDirection
-    offset: int
-    nbytes: int
-    hipri: bool = False  # high-priority flag set for polled I/O
-
-    def __post_init__(self) -> None:
-        if self.offset < 0 or self.nbytes <= 0:
-            raise ValueError("bio must cover a positive byte range")
-
-
-@dataclass(frozen=True)
-class Cookie:
-    """Returned at submission; identifies where to poll (hw queue, tag)."""
-
-    hw_queue: int
-    tag: int
-
-
-@dataclass
-class BlkRequest:
-    """A bio after it has been tagged into a hardware queue."""
-
-    bio: Bio
-    cookie: Cookie
-    submit_ns: int
-    completed: bool = False
+from repro.ssd.device import IoRecord
 
 
 class SoftwareQueue:
@@ -67,10 +25,6 @@ class SoftwareQueue:
     def __init__(self, cpu: int) -> None:
         self.cpu = cpu
         self.queued = 0  # lifetime count; requests pass straight through
-
-    def enqueue(self, bio: Bio) -> Bio:
-        self.queued += 1
-        return bio
 
 
 class HardwareQueue:
@@ -82,29 +36,29 @@ class HardwareQueue:
         self.index = index
         self.tag_count = tag_count
         self._free_tags: List[int] = list(range(tag_count))
-        self.inflight: Dict[int, BlkRequest] = {}
+        self.inflight: Dict[int, IoRecord] = {}
 
     @property
     def has_free_tag(self) -> bool:
         return bool(self._free_tags)
 
-    def allocate(self, bio: Bio, now_ns: int) -> BlkRequest:
+    def allocate(self, record: IoRecord) -> None:
+        """Tag ``record`` into this queue."""
         if not self._free_tags:
             raise RuntimeError(f"hardware queue {self.index} out of tags")
         tag = self._free_tags.pop()
-        request = BlkRequest(
-            bio=bio, cookie=Cookie(hw_queue=self.index, tag=tag), submit_ns=now_ns
-        )
-        self.inflight[tag] = request
-        return request
+        record.hw_queue = self.index
+        record.tag = tag
+        self.inflight[tag] = record
 
-    def complete(self, tag: int) -> BlkRequest:
-        request = self.inflight.pop(tag, None)
-        if request is None:
+    def complete(self, record: IoRecord) -> None:
+        """Retire ``record`` and free its tag."""
+        tag = record.tag
+        if self.inflight.get(tag) is not record:
             raise KeyError(f"no in-flight request with tag {tag}")
-        request.completed = True
+        del self.inflight[tag]
+        record.completed = True
         self._free_tags.append(tag)
-        return request
 
 
 class BlkMq:
@@ -124,13 +78,13 @@ class BlkMq:
             raise ValueError(f"cpu out of range: {cpu}")
         return self.hardware_queues[cpu % len(self.hardware_queues)]
 
-    def submit_bio(self, cpu: int, bio: Bio, now_ns: int) -> BlkRequest:
+    def submit(self, cpu: int, record: IoRecord) -> None:
         """The blk_mq_make_request path: stage, tag, dispatch."""
-        self.software_queues[cpu].enqueue(bio)
-        return self.map_queue(cpu).allocate(bio, now_ns)
+        if record.offset < 0 or record.nbytes <= 0:
+            raise ValueError("a block request must cover a positive byte range")
+        hardware_queue = self.map_queue(cpu)
+        self.software_queues[cpu].queued += 1
+        hardware_queue.allocate(record)
 
-    def complete(self, cookie: Cookie) -> BlkRequest:
-        return self.hardware_queues[cookie.hw_queue].complete(cookie.tag)
-
-    def request_of(self, cookie: Cookie) -> Optional[BlkRequest]:
-        return self.hardware_queues[cookie.hw_queue].inflight.get(cookie.tag)
+    def complete(self, record: IoRecord) -> None:
+        self.hardware_queues[record.hw_queue].complete(record)

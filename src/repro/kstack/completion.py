@@ -30,9 +30,10 @@ import numpy as np
 
 from repro.host.accounting import CpuAccounting, ExecMode
 from repro.host.costs import SoftwareCosts, StepCost
-from repro.kstack.driver import DriverRequest, KernelNvmeDriver
+from repro.kstack.driver import KernelNvmeDriver
 from repro.sim.engine import Simulator
 from repro.sim.events import Sleep, Wait
+from repro.ssd.device import IoRecord
 
 
 class CompletionMethod(enum.Enum):
@@ -88,9 +89,7 @@ class _EngineBase:
         )
         return self.sim.sleep(step.ns)
 
-    def _spin_until_cqe(
-        self, driver_request: DriverRequest
-    ) -> Generator[Wait, Any, int]:
+    def _spin_until_cqe(self, record: IoRecord) -> Generator[Wait, Any, int]:
         """Generator: spin on the CQ until the CQE lands.
 
         Returns the nanoseconds spent spinning.  Wall time advances to
@@ -103,14 +102,13 @@ class _EngineBase:
         *five-nines* (dominated by long device stalls) loses (Fig. 11).
         """
         costs = self.costs
-        pending = driver_request.pending
-        cqe_event = pending.cqe_event
         started = self.sim.now
-        if not cqe_event.triggered:
-            yield cqe_event
-        if pending.trace is not None:
+        if record.cqe_ns is None:
+            yield record.cqe_event
+        trace = record.trace
+        if trace is not None:
             # CQE landed; everything from here is completion software.
-            pending.trace.phase("completion_poll", pending.cqe_ns)
+            trace.phase("completion_poll", record.cqe_ns)
         detect = costs.kernel_poll_iter_ns
         yield self.sim.sleep(detect)
         spun = self.sim.now - started
@@ -130,8 +128,8 @@ class _EngineBase:
                 stores=int(density.stores * penalty / density.ns),
             )
             self._m_deferred_ns.inc(penalty)
-            if pending.trace is not None:
-                pending.trace.annotate(
+            if trace is not None:
+                trace.annotate(
                     "deferred_kernel_work", self.sim.now, self.sim.now + penalty
                 )
             yield self.sim.sleep(penalty)
@@ -162,10 +160,10 @@ class _EngineBase:
         )
 
     def _finish(
-        self, driver: KernelNvmeDriver, driver_request: DriverRequest
+        self, driver: KernelNvmeDriver, record: IoRecord
     ) -> Generator[Wait, Any, None]:
         """Complete the request through blk-mq (poll flavors)."""
-        completed = driver.nvme_poll(driver_request.blk_request.cookie)
+        completed = driver.nvme_poll(record)
         assert completed is not None, "poll finished before CQE?"
         yield self._charge_and_wait(
             self.costs.poll_complete,
@@ -181,28 +179,26 @@ class InterruptEngine(_EngineBase):
     method = CompletionMethod.INTERRUPT
 
     def complete(
-        self, driver: KernelNvmeDriver, driver_request: DriverRequest
+        self, driver: KernelNvmeDriver, record: IoRecord
     ) -> Generator[Wait, Any, None]:
         costs = self.costs
-        pending = driver_request.pending
         # Switch away; the core is free for other work while the device runs.
         self._m_ctx_switches.inc()
         yield self._charge_and_wait(
             costs.context_switch_out, ExecMode.KERNEL, "sched", "context_switch"
         )
-        cqe_event = pending.cqe_event
-        if not cqe_event.triggered:
-            yield cqe_event
-        if pending.trace is not None:
+        if record.cqe_ns is None:
+            yield record.cqe_event
+        if record.trace is not None:
             # CQE landed; MSI flight, ISR, and wake-up follow.
-            pending.trace.phase("completion_isr", pending.cqe_ns)
+            record.trace.phase("completion_isr", record.cqe_ns)
         # MSI flight, then the ISR completes the command.
         yield self.sim.sleep(costs.irq_delivery_ns)
         self._m_isr.inc()
         yield self._charge_and_wait(
             costs.isr, ExecMode.KERNEL, "nvme-driver", "nvme_irq"
         )
-        driver.complete_by_cid(driver_request.pending.command.cid)
+        driver.complete_by_cid(record.cid)
         yield self._charge_and_wait(
             costs.context_switch_in, ExecMode.KERNEL, "sched", "context_switch"
         )
@@ -217,10 +213,10 @@ class PollEngine(_EngineBase):
     method = CompletionMethod.POLL
 
     def complete(
-        self, driver: KernelNvmeDriver, driver_request: DriverRequest
+        self, driver: KernelNvmeDriver, record: IoRecord
     ) -> Generator[Wait, Any, None]:
-        yield from self._spin_until_cqe(driver_request)
-        yield from self._finish(driver, driver_request)
+        yield from self._spin_until_cqe(record)
+        yield from self._finish(driver, record)
 
 
 class HybridPollEngine(_EngineBase):
@@ -248,11 +244,10 @@ class HybridPollEngine(_EngineBase):
         return self._mean_wait_ns
 
     def complete(
-        self, driver: KernelNvmeDriver, driver_request: DriverRequest
+        self, driver: KernelNvmeDriver, record: IoRecord
     ) -> Generator[Wait, Any, None]:
         costs = self.costs
         wait_started = self.sim.now
-        cqe_event = driver_request.pending.cqe_event
         yield self._charge_and_wait(
             costs.hybrid_timer_setup, ExecMode.KERNEL, "blk-mq", "blk_mq_poll_hybrid_sleep"
         )
@@ -261,16 +256,14 @@ class HybridPollEngine(_EngineBase):
             if self._mean_wait_ns
             else 0
         )
-        if sleep_ns > 0 and not cqe_event.triggered:
+        if sleep_ns > 0 and record.cqe_ns is None:
             # hrtimer slack: the wake-up lands a little late, sometimes
             # past the CQE — the oversleep the paper measures.
             slack = int(self.rng.integers(0, costs.hybrid_timer_slack_ns + 1))
             slept_from = self.sim.now
             yield self.sim.sleep(sleep_ns + slack)  # core released: no charge
-            if driver_request.pending.trace is not None:
-                driver_request.pending.trace.annotate(
-                    "hybrid_sleep", slept_from, self.sim.now
-                )
+            if record.trace is not None:
+                record.trace.annotate("hybrid_sleep", slept_from, self.sim.now)
             yield self._charge_and_wait(
                 costs.hybrid_wakeup, ExecMode.KERNEL, "sched", "timer_wakeup"
             )
@@ -278,23 +271,21 @@ class HybridPollEngine(_EngineBase):
             yield self._charge_and_wait(
                 costs.hybrid_cold_detect, ExecMode.KERNEL, "blk-mq", "blk_mq_poll"
             )
-        if cqe_event.triggered:
+        if record.cqe_ns is not None:
             # Overslept: the CQE beat us; pay one observing iteration.
-            if driver_request.pending.trace is not None:
-                driver_request.pending.trace.phase(
-                    "completion_poll", driver_request.pending.cqe_ns
-                )
+            if record.trace is not None:
+                record.trace.phase("completion_poll", record.cqe_ns)
             detect = costs.kernel_poll_iter_ns
             yield self.sim.sleep(detect)
             self._charge_spin(detect)
             self._t_poll_burn.add_interval(self.sim.now - detect, self.sim.now)
         else:
-            yield from self._spin_until_cqe(driver_request)
-        self._update_mean(driver_request, wait_started)
-        yield from self._finish(driver, driver_request)
+            yield from self._spin_until_cqe(record)
+        self._update_mean(record, wait_started)
+        yield from self._finish(driver, record)
 
-    def _update_mean(self, driver_request: DriverRequest, wait_started: int) -> None:
-        cqe_ns = driver_request.pending.cqe_ns
+    def _update_mean(self, record: IoRecord, wait_started: int) -> None:
+        cqe_ns = record.cqe_ns
         observed = (cqe_ns if cqe_ns is not None else self.sim.now) - wait_started
         if self._mean_wait_ns is None:
             self._mean_wait_ns = float(observed)

@@ -15,11 +15,11 @@ from repro.host.accounting import CpuAccounting, ExecMode
 from repro.host.costs import DEFAULT_COSTS, SoftwareCosts, StepCost
 from repro.kstack.blkmq import BlkMq
 from repro.kstack.completion import CompletionMethod, make_engine
-from repro.kstack.driver import DriverRequest, KernelNvmeDriver
+from repro.kstack.driver import KernelNvmeDriver
 from repro.nvme.controller import NvmeController, NvmeQueuePair, NvmeTimings
 from repro.sim.engine import Simulator
 from repro.sim.events import Sleep, Wait
-from repro.ssd.device import IoOp, SsdDevice
+from repro.ssd.device import IoOp, IoRecord, SsdDevice
 from repro.units import Bytes
 
 if TYPE_CHECKING:
@@ -122,18 +122,15 @@ class KernelStack:
             ctx.phase("submit", started)
         yield self._charge_and_wait(costs.user_io_prep, ExecMode.USER, "fio", "fio_rw")
         yield from self._submit_path(op, offset, nbytes, ctx)
-        request = self.driver.submit(
-            0, op, offset, nbytes, hipri=self.hipri, now_ns=self.sim.now, trace=ctx
-        )
+        record = self.driver.submit(0, op, offset, nbytes, hipri=self.hipri, trace=ctx)
         submitted = self.sim.now
-        yield from self.engine.complete(self.driver, request)
+        yield from self.engine.complete(self.driver, record)
         yield self._charge_and_wait(
             costs.syscall_exit, ExecMode.KERNEL, "vfs", "syscall"
         )
         if self.stage_log is not None:
-            self.stage_log.append(
-                (started, submitted, request.pending.cqe_ns, self.sim.now)
-            )
+            assert record.cqe_ns is not None
+            self.stage_log.append((started, submitted, record.cqe_ns, self.sim.now))
         if ctx is not None:
             ctx.finish(self.sim.now)
         return self.sim.now - started
@@ -225,11 +222,11 @@ class KernelStack:
     # ------------------------------------------------------------------
     def submit_async(
         self, op: IoOp, offset: Bytes, nbytes: int
-    ) -> Generator[Wait, Any, DriverRequest]:
+    ) -> Generator[Wait, Any, IoRecord]:
         """Process: queue one libaio I/O (batched io_submit, amortized).
 
-        Returns the :class:`DriverRequest`; the caller observes
-        ``request.pending.cqe_event`` and applies the interrupt-side
+        Returns the I/O's record; the caller observes its CQE (through
+        ``on_cqe`` or ``cqe_event``) and applies the interrupt-side
         completion costs through :meth:`async_completion_ns`.
         """
         costs = self.costs
@@ -251,10 +248,7 @@ class KernelStack:
         )
         if self._requeue_faults is not None:
             yield from self._maybe_requeue(ctx)
-        request = self.driver.submit(
-            0, op, offset, nbytes, hipri=False, now_ns=self.sim.now, trace=ctx
-        )
-        return request
+        return self.driver.submit(0, op, offset, nbytes, trace=ctx)
 
     def async_completion_ns(self) -> int:
         """Charge and return the CQE-to-application completion delay for
@@ -282,7 +276,7 @@ class KernelStack:
             + costs.user_async_reap.ns
         )
 
-    def complete_async(self, request: DriverRequest) -> None:
+    def complete_async(self, record: IoRecord) -> None:
         """Release blk-mq/driver state for an async request."""
-        completed = self.driver.nvme_poll(request.blk_request.cookie)
-        assert completed is request
+        completed = self.driver.nvme_poll(record)
+        assert completed is record

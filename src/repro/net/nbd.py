@@ -224,9 +224,10 @@ class NbdSystem:
         yield self._charge_and_wait(
             sc.kernel_syscall_path, ExecMode.KERNEL, "nbd-server", "storage_stack"
         )
-        request = self.device.submit(op, offset, nbytes, trace=ctx)
-        if not request.done.triggered:
-            yield request.done
+        done = self.device.submit(op, offset, nbytes, trace=ctx).done
+        assert done is not None
+        if not done.triggered:
+            yield done
         if ctx is not None:
             ctx.phase("server", self.sim.now)
         if op is IoOp.READ:
@@ -256,9 +257,10 @@ class NbdSystem:
         yield self._charge_and_wait(
             sc.spdk_submit, ExecMode.USER, "spdk-nbd", "spdk_nvme_ns_cmd_rw"
         )
-        request = self.device.submit(op, offset, nbytes, trace=ctx)
-        if not request.done.triggered:
-            yield request.done
+        done = self.device.submit(op, offset, nbytes, trace=ctx).done
+        assert done is not None
+        if not done.triggered:
+            yield done
         if ctx is not None:
             ctx.phase("server", self.sim.now)
         yield self._charge_and_wait(

@@ -7,16 +7,13 @@ controller front-end that fetches commands and posts completions with
 protocol-level latencies.
 """
 
-from repro.nvme.command import CompletionEntry, NvmeCommand, Opcode, StatusCode
+from repro.nvme.command import StatusCode
 from repro.nvme.queue import CompletionQueue, Doorbell, QueueFull, SubmissionQueue
-from repro.nvme.controller import NvmeController, NvmeQueuePair, NvmeTimings, PendingCommand
+from repro.nvme.controller import NvmeController, NvmeQueuePair, NvmeTimings
 from repro.nvme.lightweight import LightQueuePair, LightQueueTimings
 
 __all__ = [
-    "Opcode",
     "StatusCode",
-    "NvmeCommand",
-    "CompletionEntry",
     "SubmissionQueue",
     "CompletionQueue",
     "Doorbell",
@@ -24,7 +21,6 @@ __all__ = [
     "NvmeController",
     "NvmeQueuePair",
     "NvmeTimings",
-    "PendingCommand",
     "LightQueuePair",
     "LightQueueTimings",
 ]

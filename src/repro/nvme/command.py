@@ -1,7 +1,10 @@
-"""NVMe command and completion entry structures.
+"""NVMe command-set constants.
 
-LBAs are 512-byte sectors as in the NVMe specification; the queue pair
-converts the byte-addressed requests used elsewhere in the simulator.
+LBAs are 512-byte sectors as in the NVMe specification.  Commands and
+completion entries are not objects here: the SQ ring holds the I/O's
+:class:`~repro.ssd.device.IoRecord`, and a CQ slot holds a completion
+entry's status/phase/command-identifier dword (see
+:mod:`repro.nvme.queue`).
 """
 
 from __future__ import annotations
@@ -9,18 +12,8 @@ from __future__ import annotations
 import enum
 
 from repro.units import Bytes
-from dataclasses import dataclass
 
 SECTOR_SIZE = 512
-
-
-class Opcode(enum.IntEnum):
-    """NVM command set opcodes (NVMe 1.3, Figure 188)."""
-
-    FLUSH = 0x00
-    WRITE = 0x01
-    READ = 0x02
-    DSM = 0x09  # Dataset Management (deallocate / TRIM)
 
 
 class StatusCode(enum.IntEnum):
@@ -30,54 +23,10 @@ class StatusCode(enum.IntEnum):
     SUCCESS = 0x0
 
 
-@dataclass(frozen=True)
-class NvmeCommand:
-    """One submission queue entry (64 bytes on the wire)."""
-
-    cid: int  # command identifier
-    opcode: Opcode
-    slba: int  # starting LBA (512 B sectors)
-    nlb: int  # number of logical blocks, 0's-based per spec
-
-    def __post_init__(self) -> None:
-        if self.cid < 0 or self.slba < 0 or self.nlb < 0:
-            raise ValueError("command fields must be non-negative")
-
-    @property
-    def offset_bytes(self) -> int:
-        return self.slba * SECTOR_SIZE
-
-    @property
-    def nbytes(self) -> int:
-        return (self.nlb + 1) * SECTOR_SIZE  # nlb is 0's-based
-
-    @classmethod
-    def from_bytes(
-        cls, cid: int, opcode: Opcode, offset: Bytes, nbytes: int
-    ) -> "NvmeCommand":
-        if offset % SECTOR_SIZE or nbytes % SECTOR_SIZE:
-            raise ValueError("offset and size must be sector-aligned")
-        return cls(
-            cid=cid,
-            opcode=opcode,
-            slba=offset // SECTOR_SIZE,
-            nlb=nbytes // SECTOR_SIZE - 1,
-        )
-
-
-@dataclass(frozen=True)
-class CompletionEntry:
-    """One completion queue entry (16 bytes on the wire).
-
-    ``phase`` is the phase tag the host compares against its expected
-    phase to detect new entries — the bit ``nvme_poll`` spins on.
-    """
-
-    cid: int
-    sq_head: int
-    status: StatusCode
-    phase: int
-
-    def __post_init__(self) -> None:
-        if self.phase not in (0, 1):
-            raise ValueError("phase tag is a single bit")
+def check_sector_range(offset: Bytes, nbytes: int) -> None:
+    """Reject a byte range an SQE cannot encode: its starting LBA and
+    0's-based block count are whole, non-negative sector counts."""
+    if offset % SECTOR_SIZE or nbytes % SECTOR_SIZE:
+        raise ValueError("offset and size must be sector-aligned")
+    if offset < 0 or nbytes < SECTOR_SIZE:
+        raise ValueError("command fields must be non-negative")

@@ -8,7 +8,7 @@ when interrupts are enabled on the queue pair — raises an MSI.
 
 Host-side software costs (ISR, polling, syscalls) do NOT live here;
 completion engines in :mod:`repro.kstack` and :mod:`repro.spdk` layer
-them on top of the ``cqe_event`` each submission exposes.
+them on top of the CQE time the queue pair stamps on each I/O record.
 """
 
 from __future__ import annotations
@@ -16,21 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.nvme.command import NvmeCommand, Opcode, StatusCode
+from repro.nvme.command import check_sector_range
 from repro.nvme.queue import CompletionQueue, QueueFull, SubmissionQueue
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
-from repro.ssd.device import IoOp, SsdDevice
+from repro.ssd.device import IoOp, IoRecord, SsdDevice
 from repro.units import Bytes
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
     from repro.obs.tracer import IoTrace
-
-_OPCODE_OF = {IoOp.READ: Opcode.READ, IoOp.WRITE: Opcode.WRITE, IoOp.TRIM: Opcode.DSM}
-_OP_OF = {opcode: op for op, opcode in _OPCODE_OF.items()}
-
 
 @dataclass(frozen=True)
 class NvmeTimings:
@@ -39,17 +34,6 @@ class NvmeTimings:
     sq_fetch_ns: int = 400  # doorbell -> SQE DMA'd into the controller
     cqe_post_ns: int = 200  # device done -> CQE visible in host memory
     msi_ns: int = 100  # CQE -> MSI write reaches the host bridge
-
-
-@dataclass
-class PendingCommand:
-    """A submitted command awaiting completion."""
-
-    command: NvmeCommand
-    submit_ns: int
-    cqe_event: Event  # fires, with no value, when the CQE lands in host memory
-    cqe_ns: Optional[int] = None
-    trace: Optional[object] = None  # the I/O's obs span context, if traced
 
 
 class NvmeQueuePair:
@@ -77,9 +61,9 @@ class NvmeQueuePair:
         self.index = index
         self.sq = SubmissionQueue(depth)
         self.cq = CompletionQueue(depth)
-        self._pending: Dict[int, PendingCommand] = {}
+        self._pending: Dict[int, IoRecord] = {}
         self._next_cid = 0
-        self._msi_handlers: List[Callable[[PendingCommand], None]] = []
+        self._msi_handlers: List[Callable[[IoRecord], None]] = []
         # Statistics.
         self.submitted = 0
         self.completed = 0
@@ -119,7 +103,7 @@ class NvmeQueuePair:
     def outstanding(self) -> int:
         return len(self._pending)
 
-    def on_msi(self, handler: Callable[[PendingCommand], None]) -> None:
+    def on_msi(self, handler: Callable[[IoRecord], None]) -> None:
         """Register an MSI handler (the kernel driver's ISR entry)."""
         self._msi_handlers.append(handler)
 
@@ -127,32 +111,32 @@ class NvmeQueuePair:
     def submit(
         self, op: IoOp, offset: Bytes, nbytes: int, *,
         trace: "Optional[IoTrace]" = None,
-    ) -> PendingCommand:
-        """Build an SQE, ring the doorbell, return the pending command."""
+    ) -> IoRecord:
+        """Build an I/O record, queue it as an SQE and ring the doorbell."""
+        record = IoRecord(self.sim, op, offset, nbytes, trace)
+        self.submit_record(record)
+        return record
+
+    def submit_record(self, record: IoRecord) -> None:
+        """Stamp a command identifier on ``record``, place it in the SQ
+        and ring the tail doorbell."""
         if self.sq.is_full:
             raise QueueFull("no free submission queue entry")
-        opcode = _OPCODE_OF[op]
-        cid = self._allocate_cid()
-        command = NvmeCommand.from_bytes(cid, opcode, offset, nbytes)
-        pending = PendingCommand(
-            command=command,
-            submit_ns=self.sim.now,
-            cqe_event=Event(self.sim),
-            trace=trace,
-        )
-        self._pending[cid] = pending
-        self.sq.push(command)
+        check_sector_range(record.offset, record.nbytes)
+        cid = record.cid = self._allocate_cid()
+        self._pending[cid] = record
+        self.sq.push(record)
         self.submitted += 1
         self._m_submitted.inc()
-        self._m_outstanding.add(1, self.sim.now)
-        self._t_sq_depth.record(self.sim.now, self.sq.occupancy())
-        self._t_outstanding.record(self.sim.now, len(self._pending))
-        if trace is not None:
+        now = self.sim.now
+        self._m_outstanding.add(1, now)
+        self._t_sq_depth.record(now, self.sq.occupancy())
+        self._t_outstanding.record(now, len(self._pending))
+        if record.trace is not None:
             # Doorbell rung: the SQE sits in the ring until the fetch DMA.
-            trace.phase("nvme_sq", self.sim.now)
+            record.trace.phase("nvme_sq", now)
         # Controller fetches the SQE one PCIe round-trip later.
         self.sim.schedule(self.timings.sq_fetch_ns, self._fetch_and_execute)
-        return pending
 
     # ------------------------------------------------------------------
     def _allocate_cid(self) -> int:
@@ -166,16 +150,14 @@ class NvmeQueuePair:
     def _fetch_and_execute(self) -> None:
         if self.sq.is_empty:
             return  # already fetched by an earlier doorbell callback
-        command = self.sq.fetch()
+        record = self.sq.fetch()
         self._t_sq_depth.record(self.sim.now, self.sq.occupancy())
-        self._execute(command, attempt=0)
+        self._execute(record, attempt=0)
 
-    def _execute(self, command: NvmeCommand, attempt: int) -> None:
+    def _execute(self, record: IoRecord, attempt: int) -> None:
         """Hand one command to the device; ``attempt`` counts injected
         timeouts already suffered by this command."""
-        op = _OP_OF[command.opcode]
-        pending = self._pending[command.cid]
-        trace = pending.trace
+        trace = record.trace
         if trace is not None:
             # SQE is in the controller: firmware takes over.
             trace.phase("ctrl", self.sim.now)
@@ -185,12 +167,9 @@ class NvmeQueuePair:
                 trace.wait(
                     f"nvme.q{self.index}",
                     "sq_backlog",
-                    pending.submit_ns + self.timings.sq_fetch_ns,
+                    record.submit_ns + self.timings.sq_fetch_ns,
                     self.sim.now,
                 )
-        request = self.device.submit(
-            op, command.offset_bytes, command.nbytes, trace=trace
-        )
         fi = self._faults
         if (
             fi is not None
@@ -198,35 +177,37 @@ class NvmeQueuePair:
             and fi.roll(fi.spec.timeout_prob)
         ):
             # Injected fault: the completion is lost in flight.  The
-            # device still did the work; nothing reaches the CQ until
+            # device still does the work; nothing reaches the CQ until
             # the host's command timer expires and the command is
             # aborted and re-delivered.
+            self.device.serve(record, None)
             self.sim.schedule(
-                fi.spec.timeout_ns, self._command_timeout, command, attempt + 1
+                fi.spec.timeout_ns, self._command_timeout, record, attempt + 1
             )
             return
-        request.done.add_callback(lambda _event, cid=command.cid: self._device_done(cid))
+        self.device.serve(record, self._device_done)
 
-    def _command_timeout(self, command: NvmeCommand, attempt: int) -> None:
+    def _command_timeout(self, record: IoRecord, attempt: int) -> None:
         """The host's timer fired: abort and re-deliver the command.
 
         The ``reset_after``-th timeout of the same command escalates to
         a controller reset (``reset_ns`` of recovery) before the retry —
         the nvme driver's timeout handler does exactly this ladder.
         """
-        pending = self._pending.get(command.cid)
-        if pending is None:
+        if self._pending.get(record.cid) is not record:
             return
         fi = self._faults
+        assert fi is not None
         self.timeouts += 1
         self._m_timeouts.inc()
         now = self.sim.now
+        trace = record.trace
         self._t_fault_recovery.add_interval(now - fi.spec.timeout_ns, now)
-        if pending.trace is not None:
-            pending.trace.annotate(
+        if trace is not None:
+            trace.annotate(
                 "nvme_timeout", now - fi.spec.timeout_ns, now, attempt=attempt
             )
-            pending.trace.wait(
+            trace.wait(
                 f"nvme.q{self.index}",
                 "timeout_recovery",
                 now - fi.spec.timeout_ns,
@@ -239,7 +220,7 @@ class NvmeQueuePair:
                 "nvme_timeout",
                 now - fi.spec.timeout_ns,
                 now,
-                cid=command.cid,
+                cid=record.cid,
                 attempt=attempt,
             )
         if attempt >= fi.spec.reset_after:
@@ -249,46 +230,43 @@ class NvmeQueuePair:
             if tracer.enabled:
                 tracer.span(
                     "faults", "nvme_reset", now, now + fi.spec.reset_ns,
-                    cid=command.cid,
+                    cid=record.cid,
                 )
-            if pending.trace is not None:
-                pending.trace.annotate(
-                    "nvme_reset", now, now + fi.spec.reset_ns
-                )
-                pending.trace.wait(
+            if trace is not None:
+                trace.annotate("nvme_reset", now, now + fi.spec.reset_ns)
+                trace.wait(
                     f"nvme.q{self.index}",
                     "controller_reset",
                     now,
                     now + fi.spec.reset_ns,
                 )
-            self.sim.schedule(fi.spec.reset_ns, self._execute, command, attempt)
+            self.sim.schedule(fi.spec.reset_ns, self._execute, record, attempt)
         else:
-            self._execute(command, attempt)
+            self._execute(record, attempt)
 
-    def _device_done(self, cid: int) -> None:
-        trace = self._pending[cid].trace
-        if trace is not None:
-            trace.phase("cqe_post", self.sim.now)
-        self.sim.schedule(self.timings.cqe_post_ns, self._post_cqe, cid)
+    def _device_done(self, record: IoRecord) -> None:
+        if record.trace is not None:
+            record.trace.phase("cqe_post", self.sim.now)
+        self.sim.schedule(self.timings.cqe_post_ns, self._post_cqe, record)
 
-    def _post_cqe(self, cid: int) -> None:
-        pending = self._pending.pop(cid, None)
-        if pending is None:
+    def _post_cqe(self, record: IoRecord) -> None:
+        cid = record.cid
+        if self._pending.pop(cid, None) is not record:
             raise RuntimeError(f"completion for unknown cid {cid}")
-        self.cq.post(cid, self.sq.head, StatusCode.SUCCESS)
+        self.cq.post(cid)
         self.cq.reap()  # host consumes on detection; keep the ring tidy
-        pending.cqe_ns = self.sim.now
+        now = self.sim.now
         self.completed += 1
         self._m_completed.inc()
-        self._m_outstanding.add(-1, self.sim.now)
-        self._t_outstanding.record(self.sim.now, len(self._pending))
-        pending.cqe_event.succeed()
+        self._m_outstanding.add(-1, now)
+        self._t_outstanding.record(now, len(self._pending))
+        record.land_cqe(now)
         if self.interrupts_enabled:
-            self.sim.schedule(self.timings.msi_ns, self._raise_msi, pending)
+            self.sim.schedule(self.timings.msi_ns, self._raise_msi, record)
 
-    def _raise_msi(self, pending: PendingCommand) -> None:
+    def _raise_msi(self, record: IoRecord) -> None:
         for handler in self._msi_handlers:
-            handler(pending)
+            handler(record)
 
 
 class NvmeController:

@@ -22,12 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.nvme.command import NvmeCommand, Opcode
-from repro.nvme.controller import PendingCommand
+from repro.nvme.command import check_sector_range
 from repro.nvme.queue import QueueFull
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
-from repro.ssd.device import IoOp, SsdDevice
+from repro.ssd.device import IoOp, IoRecord, SsdDevice
 from repro.units import Bytes
 
 if TYPE_CHECKING:
@@ -66,9 +64,9 @@ class LightQueuePair:
         self.device = device
         self.timings = timings or LightQueueTimings()
         self.interrupts_enabled = interrupts_enabled
-        self._pending: Dict[int, PendingCommand] = {}
+        self._pending: Dict[int, IoRecord] = {}
         self._free_slots: List[int] = list(range(self.DEPTH))
-        self._msi_handlers: List[Callable[[PendingCommand], None]] = []
+        self._msi_handlers: List[Callable[[IoRecord], None]] = []
         self.submitted = 0
         self.completed = 0
         registry = sim.obs.registry
@@ -87,62 +85,58 @@ class LightQueuePair:
     def outstanding(self) -> int:
         return len(self._pending)
 
-    def on_msi(self, handler: Callable[[PendingCommand], None]) -> None:
+    def on_msi(self, handler: Callable[[IoRecord], None]) -> None:
         self._msi_handlers.append(handler)
 
     # ------------------------------------------------------------------
     def submit(
         self, op: IoOp, offset: Bytes, nbytes: int, *,
         trace: "Optional[IoTrace]" = None,
-    ) -> PendingCommand:
-        """Latch a command into a free register slot."""
+    ) -> IoRecord:
+        """Build an I/O record and latch it into a free register slot."""
+        record = IoRecord(self.sim, op, offset, nbytes, trace)
+        self.submit_record(record)
+        return record
+
+    def submit_record(self, record: IoRecord) -> None:
+        """Latch ``record`` into a free register slot (its slot number
+        is its command identifier)."""
         if not self._free_slots:
             raise QueueFull(f"all {self.DEPTH} NCQ slots are busy")
-        slot = self._free_slots.pop()
-        opcode = Opcode.READ if op is IoOp.READ else Opcode.WRITE
-        command = NvmeCommand.from_bytes(slot, opcode, offset, nbytes)
-        pending = PendingCommand(
-            command=command,
-            submit_ns=self.sim.now,
-            cqe_event=Event(self.sim),
-            trace=trace,
-        )
-        self._pending[slot] = pending
+        check_sector_range(record.offset, record.nbytes)
+        slot = record.cid = self._free_slots.pop()
+        self._pending[slot] = record
         self.submitted += 1
         self._m_submitted.inc()
-        self._m_outstanding.add(1, self.sim.now)
-        self._t_outstanding.record(self.sim.now, len(self._pending))
-        if trace is not None:
+        now = self.sim.now
+        self._m_outstanding.add(1, now)
+        self._t_outstanding.record(now, len(self._pending))
+        if record.trace is not None:
             # MMIO burst in flight: the light-queue analog of the SQ ring.
-            trace.phase("nvme_sq", self.sim.now)
+            record.trace.phase("nvme_sq", now)
         # The register write itself delivers the command.
-        self.sim.schedule(self.timings.issue_ns, self._execute, slot, op)
-        return pending
+        self.sim.schedule(self.timings.issue_ns, self._execute, record)
 
     # ------------------------------------------------------------------
-    def _execute(self, slot: int, op: IoOp) -> None:
-        pending = self._pending[slot]
-        command = pending.command
-        if pending.trace is not None:
-            pending.trace.phase("ctrl", self.sim.now)
-        request = self.device.submit(
-            op, command.offset_bytes, command.nbytes, trace=pending.trace
-        )
-        request.done.add_callback(lambda _event, slot=slot: self._device_done(slot))
+    def _execute(self, record: IoRecord) -> None:
+        if record.trace is not None:
+            record.trace.phase("ctrl", self.sim.now)
+        self.device.serve(record, self._device_done)
 
-    def _device_done(self, slot: int) -> None:
-        if self._pending[slot].trace is not None:
-            self._pending[slot].trace.phase("cqe_post", self.sim.now)
-        self.sim.schedule(self.timings.complete_ns, self._post_status, slot)
+    def _device_done(self, record: IoRecord) -> None:
+        if record.trace is not None:
+            record.trace.phase("cqe_post", self.sim.now)
+        self.sim.schedule(self.timings.complete_ns, self._post_status, record)
 
-    def _post_status(self, slot: int) -> None:
-        pending = self._pending.pop(slot)
+    def _post_status(self, record: IoRecord) -> None:
+        slot = record.cid
+        del self._pending[slot]
         self._free_slots.append(slot)
-        pending.cqe_ns = self.sim.now
+        now = self.sim.now
         self.completed += 1
-        self._m_outstanding.add(-1, self.sim.now)
-        self._t_outstanding.record(self.sim.now, len(self._pending))
-        pending.cqe_event.succeed()
+        self._m_outstanding.add(-1, now)
+        self._t_outstanding.record(now, len(self._pending))
+        record.land_cqe(now)
         if self.interrupts_enabled:
             for handler in self._msi_handlers:
-                handler(pending)
+                handler(record)

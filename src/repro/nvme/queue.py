@@ -5,13 +5,23 @@ BARs); the host owns the SQ tail and CQ head, the device owns the SQ
 head and CQ tail.  New completion entries are detected via the phase
 tag, which the device flips on every wrap — exactly the bit the kernel's
 ``nvme_poll`` and SPDK's ``process_completions`` spin on.
+
+A submission slot holds the I/O's record itself (the SQE's fields are
+the record's op, offset and size, plus the command identifier the queue
+pair stamped on it).  A completion slot holds the entry's last dword as
+the wire carries it: status in bits 31:17, the phase tag in bit 16 and
+the command identifier in bits 15:0.  The ring starts zeroed, so every
+slot reads as phase 0 until the device's first pass writes phase 1.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.nvme.command import CompletionEntry, NvmeCommand, StatusCode
+from repro.nvme.command import StatusCode
+from repro.ssd.device import IoRecord
+
+_CID_MASK = 0xFFFF
 
 
 class QueueFull(Exception):
@@ -40,7 +50,7 @@ class SubmissionQueue:
         if depth < 2:
             raise ValueError("queue depth must be >= 2")
         self.depth = depth
-        self._ring: List[Optional[NvmeCommand]] = [None] * depth
+        self._ring: List[Optional[IoRecord]] = [None] * depth
         self.tail = 0  # host-owned
         self.head = 0  # device-owned
         self.tail_doorbell = Doorbell()
@@ -57,23 +67,23 @@ class SubmissionQueue:
     def is_empty(self) -> bool:
         return self.tail == self.head
 
-    def push(self, command: NvmeCommand) -> None:
+    def push(self, record: IoRecord) -> None:
         """Host: place a command and ring the tail doorbell."""
         if self.is_full:
             raise QueueFull(f"submission queue full (depth {self.depth})")
-        self._ring[self.tail] = command
+        self._ring[self.tail] = record
         self.tail = (self.tail + 1) % self.depth
         self.tail_doorbell.write(self.tail)
 
-    def fetch(self) -> NvmeCommand:
+    def fetch(self) -> IoRecord:
         """Device: take the oldest command."""
         if self.is_empty:
             raise IndexError("submission queue empty")
-        command = self._ring[self.head]
-        assert command is not None
+        record = self._ring[self.head]
+        assert record is not None
         self._ring[self.head] = None
         self.head = (self.head + 1) % self.depth
-        return command
+        return record
 
 
 class CompletionQueue:
@@ -83,39 +93,38 @@ class CompletionQueue:
         if depth < 2:
             raise ValueError("queue depth must be >= 2")
         self.depth = depth
-        self._ring: List[Optional[CompletionEntry]] = [None] * depth
+        self._ring: List[int] = [0] * depth
         self.tail = 0  # device-owned
         self.head = 0  # host-owned
         self._device_phase = 1
         self._host_phase = 1
         self.head_doorbell = Doorbell()
 
-    def post(self, cid: int, sq_head: int, status: StatusCode) -> CompletionEntry:
-        """Device: append a completion entry with the current phase."""
-        entry = CompletionEntry(
-            cid=cid, sq_head=sq_head, status=status, phase=self._device_phase
+    def post(self, cid: int, status: StatusCode = StatusCode.SUCCESS) -> None:
+        """Device: write a completion entry with the current phase."""
+        self._ring[self.tail] = (
+            (int(status) << 17) | (self._device_phase << 16) | cid
         )
-        self._ring[self.tail] = entry
         self.tail = (self.tail + 1) % self.depth
         if self.tail == 0:
             self._device_phase ^= 1
-        return entry
 
-    def peek(self) -> Optional[CompletionEntry]:
-        """Host: new entry at the head, if its phase tag matches."""
+    def peek(self) -> Optional[int]:
+        """Host: the command identifier of a new entry at the head, if
+        its phase tag matches the expected phase."""
         entry = self._ring[self.head]
-        if entry is None or entry.phase != self._host_phase:
+        if (entry >> 16) & 1 != self._host_phase:
             return None
-        return entry
+        return entry & _CID_MASK
 
-    def reap(self) -> Optional[CompletionEntry]:
-        """Host: consume the entry at the head and ring the doorbell."""
-        entry = self.peek()
-        if entry is None:
+    def reap(self) -> Optional[int]:
+        """Host: consume the entry at the head and ring the doorbell;
+        returns its command identifier."""
+        cid = self.peek()
+        if cid is None:
             return None
-        self._ring[self.head] = None
         self.head = (self.head + 1) % self.depth
         if self.head == 0:
             self._host_phase ^= 1
         self.head_doorbell.write(self.head)
-        return entry
+        return cid

@@ -149,7 +149,8 @@ def _module_from_filename(filename: str) -> str:
 
 
 def _generator_of(callback: Callable[..., Any]) -> Optional[Any]:
-    """The generator a dispatched callback will synchronously resume.
+    """The innermost generator a dispatched callback will synchronously
+    resume.
 
     Covers the three trampoline shapes the kernel produces:
 
@@ -160,6 +161,12 @@ def _generator_of(callback: Callable[..., Any]) -> Optional[Any]:
       event resumes that generator in the same dispatch;
     * one or two levels of event indirection (``AnyOf`` racing).
 
+    A process whose generator is suspended inside ``yield from`` resumes
+    the delegate it is parked in, so the chain is followed through
+    ``gi_yieldfrom`` to the generator whose code actually runs: a
+    workload loop that delegates to ``KernelStack.sync_io``, which
+    delegates to a completion engine, is charged to the engine.
+
     Duck-typed on ``_generator`` / ``_callbacks`` so this module never
     imports the sim kernel (which imports :mod:`repro.obs.core`).
     """
@@ -167,9 +174,15 @@ def _generator_of(callback: Callable[..., Any]) -> Optional[Any]:
     if owner is None:
         return None
     generator = getattr(owner, "_generator", None)
-    if generator is not None:
-        return generator
-    return _generator_behind_event(owner, _RESOLVE_DEPTH)
+    if generator is None:
+        generator = _generator_behind_event(owner, _RESOLVE_DEPTH)
+        if generator is None:
+            return None
+    inner = getattr(generator, "gi_yieldfrom", None)
+    while inner is not None and hasattr(inner, "gi_code"):
+        generator = inner
+        inner = getattr(generator, "gi_yieldfrom", None)
+    return generator
 
 
 def _generator_behind_event(event: Any, depth: int) -> Optional[Any]:

@@ -20,10 +20,12 @@ identical to the classic single-heap engine (see
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -84,6 +86,8 @@ class Simulator:
         #: (an insertion-ordered dict used as a set).  Each process adds
         #: and removes itself; :meth:`close` closes what is left.
         self._live: Dict[Process, None] = {}
+        #: FIFOs of parked callbacks handed out by :meth:`waitlist`.
+        self._waitlists: List[Deque[_Entry]] = []
         #: Sampled at construction so one test can run sanitized next to
         #: an unsanitized neighbour (see :mod:`repro.sim.sanitize`).
         self.sanitize: bool = sanitize.enabled()
@@ -175,6 +179,15 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative sleep delay: {delay}")
         return Sleep(delay)
+
+    def waitlist(self) -> Deque[_Entry]:
+        """A FIFO for ``(callback, args)`` entries parked outside the
+        queue until some resource frees (a callback-stage analogue of
+        an event's waiter list).  :meth:`close` empties it, like the
+        queue itself."""
+        waitlist: Deque[_Entry] = deque()
+        self._waitlists.append(waitlist)
+        return waitlist
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Create an event that fires when the first of ``events`` fires."""
@@ -279,10 +292,10 @@ class Simulator:
     def close(self) -> None:
         """Tear down a simulator that will not run again.
 
-        Drops every queued callback, detaches each live process from the
-        event or sleep it is parked on, and closes its generator, so the
-        ``finally`` blocks of parked processes run now, once, in creation
-        order.  Nothing is dispatched (``events_executed_total`` does not
+        Drops every queued or waitlisted callback, detaches each live
+        process from the event or sleep it is parked on, and closes its
+        generator, so the ``finally`` blocks of parked processes run
+        now, once, in creation order.  Nothing is dispatched (``events_executed_total`` does not
         move).  What is left holds no reference cycle through the
         simulator, so reference counting frees it as soon as the caller
         drops it.  Idempotent.
@@ -295,6 +308,9 @@ class Simulator:
             process._detach()  # noqa: SLF001
         for process in live:
             process._generator.close()  # noqa: SLF001
+        waitlists, self._waitlists = self._waitlists, []
+        for waitlist in waitlists:
+            waitlist.clear()
         self._buckets.clear()
         self._ticks.clear()
         self._batch = None

@@ -18,12 +18,12 @@ from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
 from repro.host.accounting import CpuAccounting, ExecMode
 from repro.host.costs import DEFAULT_COSTS, SoftwareCosts, StepCost
-from repro.nvme.controller import NvmeController, NvmeTimings, PendingCommand
+from repro.nvme.controller import NvmeController, NvmeTimings
 from repro.sim.engine import Simulator
 from repro.sim.events import Sleep, Wait
 from repro.spdk.hugepage import HugePageAllocator
 from repro.spdk.uio import UioBinding
-from repro.ssd.device import IoOp, SsdDevice
+from repro.ssd.device import IoOp, IoRecord, SsdDevice
 from repro.units import Bytes
 
 if TYPE_CHECKING:
@@ -111,21 +111,19 @@ class SpdkStack:
             costs.spdk_check_enabled_iter, "nvme_qpair_check_enabled"
         )
         yield self._charge_and_wait(costs.spdk_submit, "spdk_nvme_ns_cmd_rw")
-        pending = self.qpair.submit(op, offset, nbytes, trace=ctx)
+        record = self.qpair.submit(op, offset, nbytes, trace=ctx)
         submitted = self.sim.now
-        yield from self._process_completions(pending)
+        yield from self._process_completions(record)
         yield self._charge_and_wait(costs.spdk_complete, "io_complete_cb")
         if self.stage_log is not None:
-            self.stage_log.append(
-                (started, submitted, pending.cqe_ns, self.sim.now)
-            )
+            self.stage_log.append((started, submitted, record.cqe_ns, self.sim.now))
         if ctx is not None:
             ctx.finish(self.sim.now)
         return self.sim.now - started
 
     def submit_async(
         self, op: IoOp, offset: Bytes, nbytes: int, *, trace: "Optional[IoTrace]" = None
-    ) -> PendingCommand:
+    ) -> IoRecord:
         """Queue an I/O without waiting (SPDK is natively asynchronous)."""
         costs = self.costs
         self.accounting.charge(
@@ -139,23 +137,21 @@ class SpdkStack:
         return self.qpair.submit(op, offset, nbytes, trace=trace)
 
     # ------------------------------------------------------------------
-    def _process_completions(
-        self, pending: PendingCommand
-    ) -> Generator[Wait, Any, None]:
+    def _process_completions(self, record: IoRecord) -> Generator[Wait, Any, None]:
         """Spin in the user-space completion loop until the CQE lands."""
         costs = self.costs
         started = self.sim.now
-        cqe_event = pending.cqe_event
-        if not cqe_event.triggered:
-            yield cqe_event
+        if record.cqe_ns is None:
+            yield record.cqe_event
         # The iteration that observes the phase flip.
         detect = costs.spdk_iter_ns
-        if pending.trace is not None:
+        trace = record.trace
+        if trace is not None:
             # CQE visible: the remaining time is user-space detection.
-            pending.trace.phase("completion_poll", pending.cqe_ns)
-            pending.trace.wait(
-                "spdk.poller", "poll_gap", pending.cqe_ns, pending.cqe_ns + detect
-            )
+            cqe_ns = record.cqe_ns
+            assert cqe_ns is not None
+            trace.phase("completion_poll", cqe_ns)
+            trace.wait("spdk.poller", "poll_gap", cqe_ns, cqe_ns + detect)
         yield self.sim.sleep(detect)
         self._charge_spin(self.sim.now - started)
         self._t_poll_burn.add_interval(started, self.sim.now)

@@ -19,7 +19,7 @@ from repro.ssd.config import SsdConfig
 from repro.ssd.cache import ReadCache, WriteBuffer
 from repro.ssd.channels import ChannelArray
 from repro.ssd.power import PowerMeter, PowerParams
-from repro.ssd.device import DeviceRequest, SsdDevice
+from repro.ssd.device import IoRecord, SsdDevice
 from repro.ssd.registry import list_devices, load_device_spec, resolve_config
 from repro.ssd.spec import DeviceSpec, DeviceSpecError
 
@@ -31,7 +31,7 @@ __all__ = [
     "PowerMeter",
     "PowerParams",
     "SsdDevice",
-    "DeviceRequest",
+    "IoRecord",
     "DeviceSpec",
     "DeviceSpecError",
     "list_devices",

@@ -14,8 +14,8 @@ the paper's explanation for the 82.9 µs random-read latency.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional
+from collections import OrderedDict
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
@@ -32,7 +32,8 @@ class WriteBuffer:
         self.sim = sim
         self.capacity = capacity_units
         self._occupancy = 0
-        self._waiters: Deque[Event] = deque()
+        #: Blocked reservations, oldest first, as ``(callback, args)``.
+        self._waiters = sim.waitlist()
         self._resident: Dict[int, int] = {}  # lpn -> copies buffered
         self._dirty = Store(sim)
         # Statistics.
@@ -53,16 +54,21 @@ class WriteBuffer:
         return self._resident.get(lpn, 0) > 0
 
     # ------------------------------------------------------------------
-    def reserve(self) -> Event:
-        """Acquire a slot; the event fires when one is held."""
-        event = Event(self.sim)
+    def reserve(self, callback: Callable[..., Any], *args: Any) -> None:
+        """Acquire a slot, then run ``callback(*args)``.
+
+        With a slot free the callback is posted: it runs in the FIFO
+        slot where a process yielding an already-fired event would
+        resume.  Otherwise it waits its turn and is called from
+        :meth:`flushed` the moment a slot is handed to it, as a process
+        waiting on an event would be resumed from its trigger.
+        """
         if self._occupancy < self.capacity and not self._waiters:
             self._occupancy += 1
-            event.succeed()
+            self.sim.post(callback, *args)
         else:
             self.stall_count += 1
-            self._waiters.append(event)
-        return event
+            self._waiters.append((callback, args))
 
     def insert(self, lpn: int) -> None:
         """Deposit ``lpn`` into a previously reserved slot."""
@@ -93,7 +99,8 @@ class WriteBuffer:
             self._resident[lpn] = count - 1
         if self._waiters:
             # Hand the slot straight to the oldest stalled writer.
-            self._waiters.popleft().succeed()
+            callback, args = self._waiters.popleft()
+            callback(*args)
         else:
             self._occupancy -= 1
 

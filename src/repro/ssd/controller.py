@@ -412,29 +412,31 @@ class SsdController:
             self.stats.flash_reads += 1
 
     # ------------------------------------------------------------------
-    # Write datapath (process: may stall on a full buffer)
+    # Write datapath (the device's write stages call in here once a unit
+    # holds a buffer slot; see SsdDevice._write_unit)
     # ------------------------------------------------------------------
-    def write_unit(
-        self, lpn: int, trace: "Optional[IoTrace]" = None
-    ) -> "Generator[Wait, Any, None]":
-        """Process: admit one unit into the write buffer."""
-        wait_from = self.sim.now
-        yield self.write_buffer.reserve()
-        if trace is not None and self.sim.now > wait_from:
+    def admit_unit(
+        self, lpn: int, wait_from: int, trace: "Optional[IoTrace]" = None
+    ) -> None:
+        """Deposit one unit into the buffer slot it was granted;
+        ``wait_from`` is when it asked for the slot."""
+        now = self.sim.now
+        if trace is not None and now > wait_from:
             # The buffer was full; name the wait for what was holding it:
             # an active GC cycle, or plain flush backlog.
             blocked_on = "gc_stall" if self.gc_active > 0 else "buffer_full"
             trace.phase(blocked_on, wait_from)
-            trace.phase("write_buffer", self.sim.now)
+            trace.phase("write_buffer", now)
             trace.wait(
                 "ssd.write_buffer",
                 "gc" if self.gc_active > 0 else "flush",
                 wait_from,
-                self.sim.now,
+                now,
             )
-        self.write_buffer.insert(lpn)
-        self._m_buffer_occ.set(self.write_buffer.occupancy, self.sim.now)
-        self._t_buffer_occ.record(self.sim.now, self.write_buffer.occupancy)
+        buffer = self.write_buffer
+        buffer.insert(lpn)
+        self._m_buffer_occ.set(buffer.occupancy, now)
+        self._t_buffer_occ.record(now, buffer.occupancy)
 
     # ------------------------------------------------------------------
     # Background flush workers (one per die)
@@ -519,23 +521,24 @@ class SsdController:
             placed = list(local)
             for lpn in overflow:
                 try:
-                    placement = self.ftl.write(lpn)
+                    die, stream = self.ftl.host_write_point()
+                    self.ftl.write_to_die(lpn, die, stream)
                 except OutOfSpace:
                     # Every die is down to its GC reserve: give the unit
                     # back to the queue and let GC elsewhere catch up.
                     buffer.requeue(lpn)
                     continue
                 placed.append(lpn)
-                channel = self.channels.channel_of_die(placement.die)
+                channel = self.channels.channel_of_die(die)
                 _, staged = self.channels.transfer(
                     channel, UNIT_SIZE, not_before=self.sim.now
                 )
                 prog_start, programmed = self._program_page(
-                    placement.die, not_before=staged
+                    die, not_before=staged
                 )
                 if tracer.enabled:
                     tracer.span(
-                        f"die{placement.die}",
+                        f"die{die}",
                         "flash_prog",
                         prog_start,
                         programmed,

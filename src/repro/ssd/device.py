@@ -1,22 +1,21 @@
-"""The block-device facade over the SSD controller.
+"""The block-device facade over the SSD controller, and the I/O record.
 
 :class:`SsdDevice` is what the NVMe protocol layer (and the examples)
-talk to: ``submit()`` a read or write covering a byte range, get back a
-request whose ``done`` event fires when the device would have raised its
-completion.  All protocol costs (SQ fetch, CQE, MSI, host software) live
-*above* this layer; the device covers firmware, DRAM, flash, channels,
-and the PCIe data DMA.
+talk to: hand it an :class:`IoRecord` covering a byte range and a
+callback that runs when the device would have raised its completion.
+All protocol costs (SQ fetch, CQE, MSI, host software) live *above*
+this layer; the device covers firmware, DRAM, flash, channels, and the
+PCIe data DMA.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.obs.core import current_obs
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, Wait
+from repro.sim.events import Event
 from repro.ssd.config import UNIT_SIZE, SsdConfig
 from repro.ssd.controller import SsdController
 from repro.units import Bytes
@@ -37,25 +36,102 @@ class IoOp(enum.Enum):
     TRIM = "trim"  # dataset management / deallocate
 
 
-@dataclass
-class DeviceRequest:
-    """One outstanding block request and its lifecycle timestamps."""
+class IoRecord:
+    """One I/O on its way from blk-mq to flash and back.
 
-    op: IoOp
-    offset: int
-    nbytes: int
-    submit_ns: int
-    #: Fires with no value: a request holding itself through its own
-    #: event would be a cycle only the cyclic collector could free.
-    done: Event
-    device_done_ns: Optional[int] = None
-    lpns: List[int] = field(default_factory=list)
+    The only per-I/O object on the simulated path.  Whoever starts the
+    I/O builds it (the kernel NVMe driver, a queue pair for SPDK, or a
+    direct device user), and each layer stamps its own fields as the
+    I/O passes: blk-mq the hardware queue, tag and ``hipri`` flag; the
+    NVMe queue pair the command identifier and the CQE time (the record
+    sits in its SQ ring slot until fetched); :class:`SsdDevice` the
+    first LPN, the unit count and the device-done time.
+
+    Completion is signalled without events by default: the device calls
+    the callback it was handed, and the queue pair calls ``on_cqe``.
+    Host code that blocks on the CQE asks for :attr:`cqe_event`, built
+    on first use; a record submitted straight to the device carries a
+    ``done`` event.  Neither fires with a value, so no record holds
+    itself through its own event.
+    """
+
+    __slots__ = (
+        "sim", "op", "offset", "nbytes", "submit_ns", "trace",
+        "hw_queue", "tag", "hipri", "completed",
+        "cid", "cqe_ns", "_cqe_event", "on_cqe", "app_start_ns",
+        "lpn", "units", "device_done_ns", "done",
+    )
+
+    def __init__(
+        self,
+        sim: Simulator,
+        op: IoOp,
+        offset: Bytes,
+        nbytes: int,
+        trace: "Optional[IoTrace]" = None,
+    ) -> None:
+        self.sim = sim
+        self.op = op
+        self.offset = offset
+        self.nbytes = nbytes
+        #: When the record was built (the issuing layer's submit time).
+        self.submit_ns: int = sim.now
+        #: The I/O's obs span context, if traced.
+        self.trace = trace
+        # blk-mq
+        self.hw_queue = -1
+        self.tag = -1
+        self.hipri = False
+        self.completed = False
+        # NVMe queue pair
+        self.cid = -1
+        self.cqe_ns: Optional[int] = None
+        self._cqe_event: Optional[Event] = None
+        #: Called with the record when the CQE lands (libaio reaping).
+        self.on_cqe: Optional[Callable[["IoRecord"], None]] = None
+        #: When the application started it (before any host software).
+        self.app_start_ns = -1
+        # device
+        self.lpn = -1
+        self.units = 0
+        self.device_done_ns: Optional[int] = None
+        self.done: Optional[Event] = None
+
+    @property
+    def cqe_event(self) -> Event:
+        """An event that fires when the CQE lands (already fired if it
+        has).  Built on first use, so only I/Os whose host code blocks
+        on the CQE pay for one."""
+        event = self._cqe_event
+        if event is None:
+            event = self._cqe_event = Event(self.sim)
+            if self.cqe_ns is not None:
+                event.succeed()
+        return event
+
+    def land_cqe(self, cqe_ns: int) -> None:
+        """The queue pair's last step: stamp the CQE time, then wake
+        whoever waits on it (the CQE event, then ``on_cqe``)."""
+        self.cqe_ns = cqe_ns
+        event = self._cqe_event
+        if event is not None:
+            event.succeed()
+        on_cqe = self.on_cqe
+        if on_cqe is not None:
+            self.on_cqe = None
+            on_cqe(self)
 
     @property
     def device_latency_ns(self) -> int:
+        """Device completion minus ``submit_ns``: the device's own
+        latency for a record submitted straight to it."""
         if self.device_done_ns is None:
             raise RuntimeError("request not complete yet")
         return self.device_done_ns - self.submit_ns
+
+
+#: What the device calls when it completes a record.
+DeviceDone = Callable[[IoRecord], None]
 
 
 class SsdDevice:
@@ -105,32 +181,34 @@ class SsdDevice:
     # ------------------------------------------------------------------
     def submit(
         self, op: IoOp, offset: Bytes, nbytes: int, *, trace: "Optional[IoTrace]" = None
-    ) -> DeviceRequest:
-        """Issue a request; ``request.done`` fires at device completion."""
-        lpns = self._lpns_of(offset, nbytes)
-        request = DeviceRequest(
-            op=op,
-            offset=offset,
-            nbytes=nbytes,
-            submit_ns=self.sim.now,
-            done=Event(self.sim),
-            lpns=lpns,
-        )
-        if op is IoOp.READ:
-            self._submit_read(request, trace)
-        elif op is IoOp.WRITE:
-            self.sim.process(self._write_flow(request, trace))
-        else:
-            self._submit_trim(request)
-        return request
+    ) -> IoRecord:
+        """Submit a request straight to the device (no queue pair above
+        it); the record's ``done`` event fires at device completion."""
+        record = IoRecord(self.sim, op, offset, nbytes, trace)
+        record.done = Event(self.sim)
+        self.serve(record, self._signal_done)
+        return record
 
-    def read(self, offset: Bytes, nbytes: int) -> DeviceRequest:
+    def serve(self, record: IoRecord, on_done: "Optional[DeviceDone]") -> None:
+        """Serve ``record``; ``on_done(record)`` runs at device completion
+        (``None``: nobody listens, as for a command whose completion an
+        injected fault lost)."""
+        record.lpn, record.units = self._units_of(record.offset, record.nbytes)
+        op = record.op
+        if op is IoOp.READ:
+            self._submit_read(record, on_done)
+        elif op is IoOp.WRITE:
+            self.sim.post(self._write_start, record, on_done)
+        else:
+            self._submit_trim(record, on_done)
+
+    def read(self, offset: Bytes, nbytes: int) -> IoRecord:
         return self.submit(IoOp.READ, offset, nbytes)
 
-    def write(self, offset: Bytes, nbytes: int) -> DeviceRequest:
+    def write(self, offset: Bytes, nbytes: int) -> IoRecord:
         return self.submit(IoOp.WRITE, offset, nbytes)
 
-    def trim(self, offset: Bytes, nbytes: int) -> DeviceRequest:
+    def trim(self, offset: Bytes, nbytes: int) -> IoRecord:
         """Deallocate a range (NVMe Dataset Management).
 
         Pure FTL metadata work: the mapped pages are invalidated, which
@@ -158,7 +236,8 @@ class SsdDevice:
         return count
 
     # ------------------------------------------------------------------
-    def _lpns_of(self, offset: int, nbytes: int) -> List[int]:
+    def _units_of(self, offset: Bytes, nbytes: int) -> Tuple[int, int]:
+        """The first LPN and the unit count of a byte range."""
         if offset < 0 or nbytes <= 0:
             raise ValueError("offset must be >= 0 and nbytes > 0")
         if offset % UNIT_SIZE:
@@ -168,77 +247,128 @@ class SsdDevice:
                 f"request [{offset}, {offset + nbytes}) exceeds capacity "
                 f"{self.capacity_bytes}"
             )
-        first = offset // UNIT_SIZE
-        return list(range(first, first + self.config.units_of(nbytes)))
+        return offset // UNIT_SIZE, self.config.units_of(nbytes)
 
-    def _submit_trim(self, request: DeviceRequest) -> None:
+    def _submit_trim(self, record: IoRecord, on_done: "Optional[DeviceDone]") -> None:
         ftl = self.controller.ftl
-        for lpn in request.lpns:
+        for lpn in range(record.lpn, record.lpn + record.units):
             ftl.trim(lpn)
         done_at = (
             self.sim.now
             + self.config.write_fw_ns
             + self.config.completion_fw_ns
         )
-        self.sim.schedule_at(done_at, self._complete, request, done_at)
+        self.sim.schedule_at(done_at, self._complete, record, on_done)
 
-    def _submit_read(
-        self, request: DeviceRequest, trace: "Optional[IoTrace]" = None
-    ) -> None:
+    def _submit_read(self, record: IoRecord, on_done: "Optional[DeviceDone]") -> None:
         controller = self.controller
-        internal_done = max(
-            controller.read_unit(lpn, trace=trace) for lpn in request.lpns
-        )
+        trace = record.trace
+        internal_done = 0
+        for lpn in range(record.lpn, record.lpn + record.units):
+            unit_done = controller.read_unit(lpn, trace=trace)
+            if unit_done > internal_done:
+                internal_done = unit_done
         dma_start, dma_done = controller.pcie.reserve(
-            self.config.pcie_transfer_ns(request.nbytes), not_before=internal_done
+            self.config.pcie_transfer_ns(record.nbytes), not_before=internal_done
         )
         done_at = dma_done + self.config.completion_fw_ns
         if trace is not None:
             # Data moves host-ward, then completion firmware wraps up.
             trace.wait("ssd.pcie", "dma_backlog", internal_done, dma_start)
             trace.phase("dma", dma_start)
-            trace.annotate("pcie_dma", dma_start, dma_done, nbytes=request.nbytes)
+            trace.annotate("pcie_dma", dma_start, dma_done, nbytes=record.nbytes)
             trace.phase("ctrl", dma_done)
-        self.sim.schedule_at(done_at, self._complete, request, done_at)
+        self.sim.schedule_at(done_at, self._complete, record, on_done)
 
-    def _write_flow(
-        self, request: DeviceRequest, trace: "Optional[IoTrace]" = None
-    ) -> Generator[Wait, Any, None]:
-        config = self.config
-        controller = self.controller
-        yield self.sim.sleep(config.write_fw_ns)
-        dma_start, dma_done = controller.pcie.reserve(
-            config.pcie_transfer_ns(request.nbytes), not_before=self.sim.now
+    # ------------------------------------------------------------------
+    # Write path: callback stages, no process.  Each stage runs at the
+    # tick and in the FIFO slot where a generator process doing the same
+    # work would have resumed (see docs/sim-engine.md): a stage a process
+    # would reach by sleeping is scheduled at now + delay; one it would
+    # reach through an already-granted buffer slot is posted; one it
+    # would reach when a blocked slot frees is called from
+    # ``WriteBuffer.flushed``.
+    # ------------------------------------------------------------------
+    def _write_start(self, record: IoRecord, on_done: "Optional[DeviceDone]") -> None:
+        """Command firmware."""
+        self.sim.schedule_at(
+            self.sim.now + self.config.write_fw_ns, self._write_dma, record, on_done
         )
+
+    def _write_dma(self, record: IoRecord, on_done: "Optional[DeviceDone]") -> None:
+        """Host-to-device data DMA."""
+        now = self.sim.now
+        dma_start, dma_done = self.controller.pcie.reserve(
+            self.config.pcie_transfer_ns(record.nbytes), not_before=now
+        )
+        trace = record.trace
         if trace is not None:
-            trace.wait("ssd.pcie", "dma_backlog", self.sim.now, dma_start)
+            trace.wait("ssd.pcie", "dma_backlog", now, dma_start)
             trace.phase("dma", dma_start)
-            trace.annotate("pcie_dma", dma_start, dma_done, nbytes=request.nbytes)
-        if dma_done > self.sim.now:
-            yield self.sim.sleep(dma_done - self.sim.now)
-        if trace is not None:
-            trace.phase("write_buffer", self.sim.now)
-        for lpn in request.lpns:
-            yield from controller.write_unit(lpn, trace=trace)
+            trace.annotate("pcie_dma", dma_start, dma_done, nbytes=record.nbytes)
+        if dma_done > now:
+            self.sim.schedule_at(dma_done, self._write_buffered, record, on_done)
+        else:
+            self._write_buffered(record, on_done)
+
+    def _write_buffered(self, record: IoRecord, on_done: "Optional[DeviceDone]") -> None:
+        if record.trace is not None:
+            record.trace.phase("write_buffer", self.sim.now)
+        self._write_unit(record, 0, on_done)
+
+    def _write_unit(
+        self, record: IoRecord, index: int, on_done: "Optional[DeviceDone]"
+    ) -> None:
+        """Ask the write buffer for unit ``index``'s slot."""
+        self.controller.write_buffer.reserve(
+            self._write_admitted, record, index, self.sim.now, on_done
+        )
+
+    def _write_admitted(
+        self,
+        record: IoRecord,
+        index: int,
+        wait_from: int,
+        on_done: "Optional[DeviceDone]",
+    ) -> None:
+        """Unit ``index`` holds a slot: buffer it, then the next unit or,
+        after the last, the completion firmware."""
+        controller = self.controller
+        controller.admit_unit(record.lpn + index, wait_from, record.trace)
+        index += 1
+        if index < record.units:
+            self._write_unit(record, index, on_done)
+            return
         stall = controller.roll_write_stall()
+        now = self.sim.now
+        trace = record.trace
         if trace is not None:
             if stall:
-                trace.phase("write_stall", self.sim.now)
-                trace.phase("ctrl", self.sim.now + stall)
-                trace.wait(
-                    "ssd.firmware", "write_stall", self.sim.now, self.sim.now + stall
-                )
+                trace.phase("write_stall", now)
+                trace.phase("ctrl", now + stall)
+                trace.wait("ssd.firmware", "write_stall", now, now + stall)
             else:
-                trace.phase("ctrl", self.sim.now)
-        yield self.sim.sleep(stall + config.dram_hit_ns + config.completion_fw_ns)
-        self._complete(request, self.sim.now)
+                trace.phase("ctrl", now)
+        config = self.config
+        self.sim.schedule_at(
+            now + stall + config.dram_hit_ns + config.completion_fw_ns,
+            self._complete,
+            record,
+            on_done,
+        )
 
-    def _complete(self, request: DeviceRequest, done_at: int) -> None:
-        request.device_done_ns = done_at
-        if request.op is IoOp.READ:
+    def _complete(self, record: IoRecord, on_done: "Optional[DeviceDone]") -> None:
+        record.device_done_ns = self.sim.now
+        op = record.op
+        if op is IoOp.READ:
             self.completed_reads += 1
-        elif request.op is IoOp.WRITE:
+        elif op is IoOp.WRITE:
             self.completed_writes += 1
         else:
             self.completed_trims += 1
-        request.done.succeed()
+        if on_done is not None:
+            on_done(record)
+
+    def _signal_done(self, record: IoRecord) -> None:
+        assert record.done is not None
+        record.done.succeed()

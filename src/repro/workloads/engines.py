@@ -23,8 +23,8 @@ from repro.workloads.patterns import AccessPattern
 from repro.workloads.trace import TraceRecorder
 
 if TYPE_CHECKING:
-    from repro.kstack.driver import DriverRequest
     from repro.obs.core import Observability
+    from repro.ssd.device import IoRecord
 
 
 class MetricsCollector:
@@ -144,36 +144,28 @@ class AsyncJobEngine:
                 yield self._slot_waiter
             op, offset = self.pattern.next_io()
             issued_at = self.sim.now
-            request = yield from self.stack.submit_async(op, offset, job.block_size)
+            record = yield from self.stack.submit_async(op, offset, job.block_size)
             self._inflight += 1
-            request.pending.cqe_event.add_callback(
-                lambda _event, req=request, t0=issued_at, op=op, off=offset: (
-                    self._on_cqe(req, t0, op, off)
-                )
-            )
+            record.app_start_ns = issued_at
+            record.on_cqe = self._on_cqe
         if self._completed < job.io_count:
             self._drained = Event(self.sim)
             yield self._drained
 
     # ------------------------------------------------------------------
-    def _on_cqe(
-        self, request: "DriverRequest", issued_at: int, op: IoOp, offset: int
-    ) -> None:
-        trace = getattr(request.pending, "trace", None)
-        if trace is not None:
-            trace.phase("completion_isr", self.sim.now)
+    def _on_cqe(self, record: "IoRecord") -> None:
+        if record.trace is not None:
+            record.trace.phase("completion_isr", self.sim.now)
         delay = self.stack.async_completion_ns()
-        self.sim.schedule(delay, self._finish, request, issued_at, op, offset)
+        self.sim.schedule(delay, self._finish, record)
 
-    def _finish(
-        self, request: "DriverRequest", issued_at: int, op: IoOp, offset: int
-    ) -> None:
-        self.stack.complete_async(request)
-        trace = getattr(request.pending, "trace", None)
-        if trace is not None:
-            trace.finish(self.sim.now)
+    def _finish(self, record: "IoRecord") -> None:
+        self.stack.complete_async(record)
+        now = self.sim.now
+        if record.trace is not None:
+            record.trace.finish(now)
         self.metrics.record(
-            op, self.sim.now - issued_at, self.sim.now, self.job.block_size, offset
+            record.op, now - record.app_start_ns, now, self.job.block_size, record.offset
         )
         self._inflight -= 1
         self._completed += 1

@@ -2,27 +2,31 @@
 
 import pytest
 
-from repro.kstack import Bio, BlkMq, KernelNvmeDriver
-from repro.kstack.blkmq import BioDirection
+from repro.kstack import BlkMq, KernelNvmeDriver
 from repro.nvme import NvmeController
 from repro.sim import Simulator
 from repro.ssd import SsdDevice
-from repro.ssd.device import IoOp
+from repro.ssd.device import IoOp, IoRecord
 from tests.test_ssd_device import tiny_config
+
+
+def block_request(op=IoOp.READ, offset=0, nbytes=4096):
+    return IoRecord(Simulator(), op, offset, nbytes)
 
 
 class TestBlkMq:
     def test_bio_validation(self):
         with pytest.raises(ValueError):
-            Bio(BioDirection.READ, offset=0, nbytes=0)
+            BlkMq().submit(0, block_request(nbytes=0))
 
     def test_submit_returns_cookie(self):
+        """Submission tags the record with the (hw queue, tag) cookie."""
         blkmq = BlkMq(cpus=2, hw_queues=2, tags_per_queue=4)
-        bio = Bio(BioDirection.READ, 0, 4096, hipri=True)
-        request = blkmq.submit_bio(1, bio, now_ns=100)
-        assert request.cookie.hw_queue == 1
-        assert request.submit_ns == 100
-        assert blkmq.request_of(request.cookie) is request
+        record = block_request()
+        blkmq.submit(1, record)
+        assert record.hw_queue == 1
+        assert record.tag >= 0
+        assert blkmq.hardware_queues[1].inflight[record.tag] is record
 
     def test_cpu_to_hw_queue_mapping_wraps(self):
         blkmq = BlkMq(cpus=4, hw_queues=2)
@@ -31,23 +35,24 @@ class TestBlkMq:
 
     def test_tags_are_recycled(self):
         blkmq = BlkMq(tags_per_queue=2)
-        bio = Bio(BioDirection.WRITE, 0, 4096)
-        first = blkmq.submit_bio(0, bio, 0)
-        second = blkmq.submit_bio(0, bio, 0)
+        first, second, third = (block_request(IoOp.WRITE) for _ in range(3))
+        blkmq.submit(0, first)
+        blkmq.submit(0, second)
         with pytest.raises(RuntimeError):
-            blkmq.submit_bio(0, bio, 0)
-        blkmq.complete(first.cookie)
-        third = blkmq.submit_bio(0, bio, 0)  # reuses the freed tag
-        assert third.cookie.tag == first.cookie.tag
-        assert second.cookie.tag != third.cookie.tag
+            blkmq.submit(0, block_request(IoOp.WRITE))
+        blkmq.complete(first)
+        blkmq.submit(0, third)  # reuses the freed tag
+        assert third.tag == first.tag
+        assert second.tag != third.tag
 
     def test_complete_marks_request(self):
         blkmq = BlkMq()
-        request = blkmq.submit_bio(0, Bio(BioDirection.READ, 0, 512), 0)
-        completed = blkmq.complete(request.cookie)
-        assert completed.completed
+        record = block_request(nbytes=512)
+        blkmq.submit(0, record)
+        blkmq.complete(record)
+        assert record.completed
         with pytest.raises(KeyError):
-            blkmq.complete(request.cookie)
+            blkmq.complete(record)
 
     def test_invalid_cpu_rejected(self):
         with pytest.raises(ValueError):
@@ -56,7 +61,7 @@ class TestBlkMq:
     def test_software_queue_counts_traffic(self):
         blkmq = BlkMq()
         for _ in range(3):
-            blkmq.submit_bio(0, Bio(BioDirection.READ, 0, 512), 0)
+            blkmq.submit(0, block_request(nbytes=512))
         assert blkmq.software_queues[0].queued == 3
 
 
@@ -73,33 +78,34 @@ class TestKernelNvmeDriver:
 
     def test_submit_ties_bio_to_command(self):
         sim, driver = self.make_driver()
-        request = driver.submit(0, IoOp.READ, 0, 4096, hipri=True, now_ns=0)
-        assert request.blk_request.bio.hipri
-        assert request.pending.command.offset_bytes == 0
+        record = driver.submit(0, IoOp.READ, 0, 4096, hipri=True)
+        assert record.hipri
+        assert record.tag >= 0 and record.cid >= 0
+        assert driver.qpair.sq.occupancy() == 1
         assert driver.outstanding == 1
 
     def test_nvme_poll_before_cqe_returns_none(self):
         sim, driver = self.make_driver()
-        request = driver.submit(0, IoOp.READ, 0, 4096, now_ns=0)
-        assert driver.nvme_poll(request.blk_request.cookie) is None
+        record = driver.submit(0, IoOp.READ, 0, 4096)
+        assert driver.nvme_poll(record) is None
 
     def test_nvme_poll_after_cqe_completes(self):
         sim, driver = self.make_driver()
-        request = driver.submit(0, IoOp.READ, 0, 4096, now_ns=0)
-        sim.run_until_event(request.pending.cqe_event)
-        completed = driver.nvme_poll(request.blk_request.cookie)
-        assert completed is request
+        record = driver.submit(0, IoOp.READ, 0, 4096)
+        sim.run_until_event(record.cqe_event)
+        completed = driver.nvme_poll(record)
+        assert completed is record
         assert driver.outstanding == 0
         with pytest.raises(KeyError):
-            driver.nvme_poll(request.blk_request.cookie)
+            driver.nvme_poll(record)
 
     def test_complete_by_cid_isr_path(self):
         sim, driver = self.make_driver(interrupts=True)
-        request = driver.submit(0, IoOp.WRITE, 0, 4096, now_ns=0)
-        sim.run_until_event(request.pending.cqe_event)
-        completed = driver.complete_by_cid(request.pending.command.cid)
-        assert completed is request
-        assert request.blk_request.completed
+        record = driver.submit(0, IoOp.WRITE, 0, 4096)
+        sim.run_until_event(record.cqe_event)
+        completed = driver.complete_by_cid(record.cid)
+        assert completed is record
+        assert record.completed
 
     def test_unknown_cid_rejected(self):
         _, driver = self.make_driver()

@@ -168,7 +168,7 @@ class TestStackFacade:
 
         def flow():
             request = yield from stack.submit_async(IoOp.READ, 0, 4096)
-            yield request.pending.cqe_event
+            yield request.cqe_event
             delay = stack.async_completion_ns()
             yield sim.timeout(delay)
             stack.complete_async(request)

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import types
 
 import pytest
 
@@ -115,6 +116,34 @@ class TestToySimulation:
         assert site.callsite.endswith("worker")
         assert not prof.wall_ns  # wall sampling was off
 
+    def test_delegated_dispatches_land_on_the_inner_generator(self):
+        """A process parked inside ``yield from`` resumes its delegate, so
+        the dispatch is charged to the delegate's module, not the
+        outermost generator's."""
+        inner_module = types.ModuleType("repro.kstack.toy_inner")
+        exec(
+            "def inner(sim, n):\n"
+            "    for _ in range(n):\n"
+            "        yield sim.sleep(10)\n",
+            inner_module.__dict__,
+        )
+        obs = profiled_bundle(wall=False)
+        sim = Simulator(obs=obs)
+
+        def outer():
+            yield from inner_module.inner(sim, 20)
+
+        sim.process(outer())
+        sim.run()
+        process = {
+            site: count
+            for site, count in obs.profiler.events.items()
+            if site.kind == "process"
+        }
+        inner_site = CallSite("kstack", "kstack.toy_inner", "inner", "process")
+        assert sum(process.values()) == 21  # start + 20 wakes
+        assert process[inner_site] / sum(process.values()) >= 0.9
+
     def test_wall_sampling_records_nanoseconds(self):
         obs = profiled_bundle(wall=True)
         toy_run(obs=obs)
@@ -224,6 +253,17 @@ class TestRealStackAttribution:
         assert prof.attributed_share() >= 0.95
         layers = dict(prof.layer_totals())
         assert "ssd" in layers
+        # Host-stack resumes are charged to the stack code they run,
+        # not to the workload loop that delegates to it.
+        kstack = sum(
+            count for site, count in prof.events.items()
+            if site.kind == "process" and site.layer == "kstack"
+        )
+        workloads = sum(
+            count for site, count in prof.events.items()
+            if site.kind == "process" and site.layer == "workloads"
+        )
+        assert kstack > 10 * workloads
         table = hotspot_table(prof)
         assert "attributed" in table
         assert "layers:" in table

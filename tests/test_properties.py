@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.flash import FlashDie, FlashTiming
 from repro.flash.chip import OpKind
-from repro.nvme import CompletionQueue, NvmeCommand, Opcode, StatusCode, SubmissionQueue
+from repro.nvme import CompletionQueue, SubmissionQueue
 from repro.sim import Simulator
+from repro.ssd.device import IoOp, IoRecord
 from repro.ssd.power import PowerMeter, PowerParams
 from repro.workloads.patterns import make_pattern
 
@@ -111,7 +112,9 @@ class TestNvmeRingProperties:
         fetched = []
         for do_push in pushes:
             if do_push and not sq.is_full:
-                sq.push(NvmeCommand.from_bytes(next_cid, Opcode.READ, 0, 4096))
+                record = IoRecord(Simulator(), IoOp.READ, 0, 4096)
+                record.cid = next_cid
+                sq.push(record)
                 expected.append(next_cid)
                 next_cid += 1
             elif not sq.is_empty:
@@ -126,9 +129,8 @@ class TestNvmeRingProperties:
         cq = CompletionQueue(4)
         for cid in range(count):
             assert cq.peek() is None  # nothing stale ever shows up
-            cq.post(cid, 0, StatusCode.SUCCESS)
-            entry = cq.reap()
-            assert entry is not None and entry.cid == cid
+            cq.post(cid)
+            assert cq.reap() == cid
 
 
 class TestPatternProperties:

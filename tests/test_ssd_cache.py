@@ -6,32 +6,40 @@ from repro.sim import Simulator
 from repro.ssd.cache import ReadCache, WriteBuffer
 
 
+def take_slot(buffer):
+    """Reserve a slot for a writer that needs no wake-up."""
+    buffer.reserve(lambda: None)
+
+
 class TestWriteBuffer:
     def test_reserve_up_to_capacity(self):
         sim = Simulator()
         buffer = WriteBuffer(sim, capacity_units=2)
-        assert buffer.reserve().triggered
-        assert buffer.reserve().triggered
-        stalled = buffer.reserve()
-        assert not stalled.triggered
+        granted = []
+        for writer in "abc":
+            buffer.reserve(granted.append, writer)
+        sim.run()
+        assert granted == ["a", "b"]  # a free slot's grant is posted
         assert buffer.is_full
         assert buffer.stall_count == 1
 
     def test_flush_frees_slot_to_oldest_waiter(self):
         sim = Simulator()
         buffer = WriteBuffer(sim, capacity_units=1)
-        buffer.reserve()
+        take_slot(buffer)
         buffer.insert(7)
-        first_waiter = buffer.reserve()
-        second_waiter = buffer.reserve()
+        granted = []
+        buffer.reserve(granted.append, "first")
+        buffer.reserve(granted.append, "second")
         buffer.next_dirty()  # flusher picks it up
         buffer.flushed(7)
-        assert first_waiter.triggered and not second_waiter.triggered
+        assert granted == ["first"]  # handed over at once, not posted
+        assert buffer.occupancy == 1
 
     def test_contains_tracks_residency(self):
         sim = Simulator()
         buffer = WriteBuffer(sim, capacity_units=4)
-        buffer.reserve()
+        take_slot(buffer)
         buffer.insert(3)
         assert buffer.contains(3)
         buffer.flushed(3)
@@ -41,7 +49,7 @@ class TestWriteBuffer:
         sim = Simulator()
         buffer = WriteBuffer(sim, capacity_units=4)
         for _ in range(2):
-            buffer.reserve()
+            take_slot(buffer)
             buffer.insert(3)
         buffer.flushed(3)
         assert buffer.contains(3)  # second copy still resident
@@ -52,7 +60,7 @@ class TestWriteBuffer:
         sim = Simulator()
         buffer = WriteBuffer(sim, capacity_units=4)
         for lpn in (5, 6, 7):
-            buffer.reserve()
+            take_slot(buffer)
             buffer.insert(lpn)
         assert buffer.next_dirty().value == 5
         assert buffer.next_dirty().value == 6
@@ -67,6 +75,15 @@ class TestWriteBuffer:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             WriteBuffer(Simulator(), capacity_units=0)
+
+    def test_close_drops_blocked_writers(self):
+        sim = Simulator()
+        buffer = WriteBuffer(sim, capacity_units=1)
+        take_slot(buffer)
+        buffer.reserve(lambda: None)
+        assert len(buffer._waiters) == 1
+        sim.close()
+        assert len(buffer._waiters) == 0
 
 
 class TestReadCache:

@@ -104,6 +104,50 @@ class TestCacheKeys:
         assert point_cache_key(point) != before
 
 
+    def test_run_keys_equal_standalone_keys(self):
+        points = SMALL_GRID()
+        engine = _fresh_engine()
+        engine.run(_spec(points))
+        assert set(engine._memo) == {point_cache_key(p) for p in points}
+
+    def test_run_wide_inputs_computed_once_per_run(self, monkeypatch):
+        calls = {"costs": 0, "faults": 0}
+        costs_identity = sweep._costs_identity
+        fault_params = sweep._ambient_fault_params
+
+        def counted_costs():
+            calls["costs"] += 1
+            return costs_identity()
+
+        def counted_faults():
+            calls["faults"] += 1
+            return fault_params()
+
+        monkeypatch.setattr(sweep, "_costs_identity", counted_costs)
+        monkeypatch.setattr(sweep, "_ambient_fault_params", counted_faults)
+        _fresh_engine().run(_spec(SMALL_GRID()))
+        assert calls == {"costs": 1, "faults": 1}
+
+    def test_cost_patch_between_runs_changes_run_keys(self, monkeypatch):
+        points = SMALL_GRID()
+        engine = _fresh_engine()
+        engine.run(_spec(points))
+        before = set(engine._memo)
+        patched = dataclasses.replace(
+            costs_module.DEFAULT_COSTS,
+            user_io_prep=dataclasses.replace(
+                costs_module.DEFAULT_COSTS.user_io_prep,
+                ns=costs_module.DEFAULT_COSTS.user_io_prep.ns + 100,
+            ),
+        )
+        monkeypatch.setattr(costs_module, "DEFAULT_COSTS", patched)
+        engine.run(_spec(points))
+        assert engine.stats.executed == 2 * len(points)  # no stale memo hit
+        after = set(engine._memo) - before
+        assert after == {point_cache_key(p) for p in points}
+        assert not after & before
+
+
 class TestParallelEqualsSerial:
     def test_engine_results_identical(self):
         points = SMALL_GRID()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ftl import WearTracker
-from repro.nvme import NvmeController, Opcode
+from repro.nvme import NvmeController
 from repro.ssd.device import IoOp
 from tests.test_ssd_device import make_device, wait
 
@@ -55,9 +55,9 @@ class TestDeviceTrim:
         device.precondition(1.0)
         qpair = NvmeController(sim, device).create_queue_pair()
         pending = qpair.submit(IoOp.TRIM, 0, 4096)
-        assert pending.command.opcode is Opcode.DSM
         sim.run_until_event(pending.cqe_event)
         assert device.completed_trims == 1
+        assert device.ftl.read_ppa(0) is None
 
 
 class TestWearTracker:
