@@ -178,11 +178,9 @@ class FileSystemOverNbd:
         from repro.ssd.device import IoOp
 
         costs = self.costs
-        self.accounting.charge(
-            costs.user_io_prep.ns, ExecMode.USER, "fio", "fio_rw",
-            loads=costs.user_io_prep.loads, stores=costs.user_io_prep.stores,
+        yield self.sim.sleep(
+            self.accounting.charge_step(costs.user_io_prep, ExecMode.USER, "fio", "fio_rw")
         )
-        yield self.sim.sleep(costs.user_io_prep.ns)
         if op is IoOp.READ:
             latency = yield from self.fs.read(offset, nbytes)
         else:

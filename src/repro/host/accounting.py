@@ -11,7 +11,14 @@ instructions it executes.  The experiment harness then renders:
   (Figs. 15, 21, 22).
 
 Charging records bookkeeping only; advancing simulated time is the
-caller's job (the stack processes yield matching ``sim.sleep`` calls).
+caller's job.  The stack processes charge every cost-table step through
+:meth:`CpuAccounting.charge_step` on its own label, but sum a run of
+consecutive pure-CPU steps and yield one ``sim.sleep`` for the whole
+run: a run ends right before host code touches state another process
+can see (a doorbell, a CQ, the device, the network link, the requeue
+injector), tests clock-dependent state (has the CQE landed?), releases
+the core (hybrid polling's timer sleep), or appends to a per-I/O trace
+list the device may still append to.
 
 Each label owns one ``[ns, loads, stores]`` cell in a single dict, so a
 charge hashes its label once.  The views walk that dict in first-charge
@@ -26,12 +33,20 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.host.costs import StepCost
+
 
 class ExecMode(enum.Enum):
     """Privilege mode a cycle is spent in."""
 
     USER = "user"
     KERNEL = "kernel"
+
+    # ``Enum.__hash__`` is a Python-level function (it hashes the
+    # member's name) and every charge hashes its mode.  Members are
+    # singletons compared by identity, so identity hashing, computed in
+    # C, is equivalent.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -77,6 +92,15 @@ class CpuAccounting:
             cell[1] += loads
             cell[2] += stores
         return ns
+
+    def charge_step(
+        self, step: StepCost, mode: ExecMode, module: str, function: str
+    ) -> int:
+        """Attribute one cost-table step; returns its ns so the caller
+        can add it to the run it sleeps through."""
+        return self.charge(
+            step.ns, mode, module, function, loads=step.loads, stores=step.stores
+        )
 
     # ------------------------------------------------------------------
     # Cycle views

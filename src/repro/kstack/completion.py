@@ -2,7 +2,9 @@
 
 Each engine is a generator that runs from "command submitted" to "request
 completed back through blk-mq", charging CPU time and memory instructions
-to the functions the paper's profiler attributes them to.
+to the functions the paper's profiler attributes them to.  It returns the
+ns of its last run of CPU steps, not yet slept: the caller's syscall exit
+joins that run, so the clock advances once for both.
 
 * :class:`InterruptEngine` — the process context-switches away; the MSI
   arrives, the ISR runs, the scheduler switches back.
@@ -29,10 +31,10 @@ from typing import Any, Generator, Optional
 import numpy as np
 
 from repro.host.accounting import CpuAccounting, ExecMode
-from repro.host.costs import SoftwareCosts, StepCost
+from repro.host.costs import SoftwareCosts
 from repro.kstack.driver import KernelNvmeDriver
 from repro.sim.engine import Simulator
-from repro.sim.events import Sleep, Wait
+from repro.sim.events import Wait
 from repro.ssd.device import IoRecord
 
 
@@ -80,26 +82,19 @@ class _EngineBase:
         )
 
     # ------------------------------------------------------------------
-    def _charge_and_wait(
-        self, step: StepCost, mode: ExecMode, module: str, function: str
-    ) -> Sleep:
-        """Charge one step and advance the clock by its duration."""
-        self.accounting.charge(
-            step.ns, mode, module, function, loads=step.loads, stores=step.stores
-        )
-        return self.sim.sleep(step.ns)
-
-    def _spin_until_cqe(self, record: IoRecord) -> Generator[Wait, Any, int]:
+    def _spin_until_cqe(self, record: IoRecord) -> Generator[Wait, Any, None]:
         """Generator: spin on the CQ until the CQE lands.
 
-        Returns the nanoseconds spent spinning.  Wall time advances to
-        one poll iteration past the CQE (the iteration that observes the
-        phase-tag flip), plus the scheduler-fairness penalty for spins
-        that outlive the grace window: the spinning thread holds the core
-        with spin locks taken, so once it exceeds a scheduling quantum it
-        loses CPU share to the kernel work it displaced.  Short spins are
-        free — which is why polling's *average* wins while its
-        *five-nines* (dominated by long device stalls) loses (Fig. 11).
+        Wall time advances to one poll iteration past the CQE (the
+        iteration that observes the phase-tag flip), plus the
+        scheduler-fairness penalty for spins that outlive the grace
+        window: the spinning thread holds the core with spin locks
+        taken, so once it exceeds a scheduling quantum it loses CPU
+        share to the kernel work it displaced.  Short spins are free —
+        which is why polling's *average* wins while its *five-nines*
+        (dominated by long device stalls) loses (Fig. 11).  The
+        observing iteration and the penalty are one run: the clock
+        advances once, and the completion path starts after it.
         """
         costs = self.costs
         started = self.sim.now
@@ -109,12 +104,12 @@ class _EngineBase:
         if trace is not None:
             # CQE landed; everything from here is completion software.
             trace.phase("completion_poll", record.cqe_ns)
-        detect = costs.kernel_poll_iter_ns
-        yield self.sim.sleep(detect)
-        spun = self.sim.now - started
+        run_ns = costs.kernel_poll_iter_ns
+        spun_until = self.sim.now + run_ns
+        spun = spun_until - started
         self._charge_spin(spun)
         self._m_spin_ns.inc(spun)
-        self._t_poll_burn.add_interval(started, self.sim.now)
+        self._t_poll_burn.add_interval(started, spun_until)
         over = spun - costs.poll_preempt_grace_ns
         if over > 0:
             penalty = int(over * costs.poll_preempt_rate)
@@ -130,10 +125,10 @@ class _EngineBase:
             self._m_deferred_ns.inc(penalty)
             if trace is not None:
                 trace.annotate(
-                    "deferred_kernel_work", self.sim.now, self.sim.now + penalty
+                    "deferred_kernel_work", spun_until, spun_until + penalty
                 )
-            yield self.sim.sleep(penalty)
-        return spun
+            run_ns += penalty
+        yield self.sim.sleep(run_ns)
 
     def _charge_spin(self, spun_ns: int) -> None:
         """Attribute spin time/instructions to blk_mq_poll + nvme_poll."""
@@ -159,13 +154,12 @@ class _EngineBase:
             stores=iters * costs.nvme_poll_iter.stores,
         )
 
-    def _finish(
-        self, driver: KernelNvmeDriver, record: IoRecord
-    ) -> Generator[Wait, Any, None]:
-        """Complete the request through blk-mq (poll flavors)."""
+    def _finish(self, driver: KernelNvmeDriver, record: IoRecord) -> int:
+        """Complete the request through blk-mq (poll flavors); returns
+        the ns of the run it opens."""
         completed = driver.nvme_poll(record)
         assert completed is not None, "poll finished before CQE?"
-        yield self._charge_and_wait(
+        return self.accounting.charge_step(
             self.costs.poll_complete,
             ExecMode.KERNEL,
             "blk-mq",
@@ -180,12 +174,13 @@ class InterruptEngine(_EngineBase):
 
     def complete(
         self, driver: KernelNvmeDriver, record: IoRecord
-    ) -> Generator[Wait, Any, None]:
+    ) -> Generator[Wait, Any, int]:
         costs = self.costs
+        charge = self.accounting.charge_step
         # Switch away; the core is free for other work while the device runs.
         self._m_ctx_switches.inc()
-        yield self._charge_and_wait(
-            costs.context_switch_out, ExecMode.KERNEL, "sched", "context_switch"
+        yield self.sim.sleep(
+            charge(costs.context_switch_out, ExecMode.KERNEL, "sched", "context_switch")
         )
         if record.cqe_ns is None:
             yield record.cqe_event
@@ -193,16 +188,13 @@ class InterruptEngine(_EngineBase):
             # CQE landed; MSI flight, ISR, and wake-up follow.
             record.trace.phase("completion_isr", record.cqe_ns)
         # MSI flight, then the ISR completes the command.
-        yield self.sim.sleep(costs.irq_delivery_ns)
         self._m_isr.inc()
-        yield self._charge_and_wait(
-            costs.isr, ExecMode.KERNEL, "nvme-driver", "nvme_irq"
-        )
+        isr_ns = charge(costs.isr, ExecMode.KERNEL, "nvme-driver", "nvme_irq")
+        yield self.sim.sleep(costs.irq_delivery_ns + isr_ns)
         driver.complete_by_cid(record.cid)
-        yield self._charge_and_wait(
-            costs.context_switch_in, ExecMode.KERNEL, "sched", "context_switch"
-        )
-        yield self._charge_and_wait(
+        # The wake-up run; the caller's syscall exit joins it.
+        run_ns = charge(costs.context_switch_in, ExecMode.KERNEL, "sched", "context_switch")
+        return run_ns + charge(
             costs.blkmq_complete, ExecMode.KERNEL, "blk-mq", "blk_mq_complete_request"
         )
 
@@ -214,9 +206,9 @@ class PollEngine(_EngineBase):
 
     def complete(
         self, driver: KernelNvmeDriver, record: IoRecord
-    ) -> Generator[Wait, Any, None]:
+    ) -> Generator[Wait, Any, int]:
         yield from self._spin_until_cqe(record)
-        yield from self._finish(driver, record)
+        return self._finish(driver, record)
 
 
 class HybridPollEngine(_EngineBase):
@@ -245,11 +237,17 @@ class HybridPollEngine(_EngineBase):
 
     def complete(
         self, driver: KernelNvmeDriver, record: IoRecord
-    ) -> Generator[Wait, Any, None]:
+    ) -> Generator[Wait, Any, int]:
         costs = self.costs
+        charge = self.accounting.charge_step
         wait_started = self.sim.now
-        yield self._charge_and_wait(
-            costs.hybrid_timer_setup, ExecMode.KERNEL, "blk-mq", "blk_mq_poll_hybrid_sleep"
+        yield self.sim.sleep(
+            charge(
+                costs.hybrid_timer_setup,
+                ExecMode.KERNEL,
+                "blk-mq",
+                "blk_mq_poll_hybrid_sleep",
+            )
         )
         sleep_ns = (
             int(self._mean_wait_ns * self.sleep_fraction)
@@ -264,25 +262,24 @@ class HybridPollEngine(_EngineBase):
             yield self.sim.sleep(sleep_ns + slack)  # core released: no charge
             if record.trace is not None:
                 record.trace.annotate("hybrid_sleep", slept_from, self.sim.now)
-            yield self._charge_and_wait(
-                costs.hybrid_wakeup, ExecMode.KERNEL, "sched", "timer_wakeup"
-            )
+            run_ns = charge(costs.hybrid_wakeup, ExecMode.KERNEL, "sched", "timer_wakeup")
             # Poll state comes back cache-cold after the sleep.
-            yield self._charge_and_wait(
+            run_ns += charge(
                 costs.hybrid_cold_detect, ExecMode.KERNEL, "blk-mq", "blk_mq_poll"
             )
+            yield self.sim.sleep(run_ns)
         if record.cqe_ns is not None:
             # Overslept: the CQE beat us; pay one observing iteration.
             if record.trace is not None:
                 record.trace.phase("completion_poll", record.cqe_ns)
             detect = costs.kernel_poll_iter_ns
-            yield self.sim.sleep(detect)
             self._charge_spin(detect)
-            self._t_poll_burn.add_interval(self.sim.now - detect, self.sim.now)
+            self._t_poll_burn.add_interval(self.sim.now, self.sim.now + detect)
+            yield self.sim.sleep(detect)
         else:
             yield from self._spin_until_cqe(record)
         self._update_mean(record, wait_started)
-        yield from self._finish(driver, record)
+        return self._finish(driver, record)
 
     def _update_mean(self, record: IoRecord, wait_started: int) -> None:
         cqe_ns = record.cqe_ns

@@ -21,7 +21,7 @@ from typing import Any, Callable, Generator
 from repro.host.accounting import CpuAccounting, ExecMode
 from repro.host.costs import StepCost
 from repro.sim.engine import Simulator
-from repro.sim.events import Sleep, Wait
+from repro.sim.events import Wait
 from repro.sim.rng import UniformStream
 from repro.ssd.device import IoOp
 from repro.units import Bytes
@@ -95,16 +95,8 @@ class Ext4Model:
         """First byte usable for file data."""
         return self._meta_blocks * self.costs.metadata_block_bytes
 
-    def _charge_and_wait(self, step: StepCost, function: str) -> Sleep:
-        self.accounting.charge(
-            step.ns,
-            ExecMode.KERNEL,
-            "ext4",
-            function,
-            loads=step.loads,
-            stores=step.stores,
-        )
-        return self.sim.sleep(step.ns)
+    def _charge(self, step: StepCost, function: str) -> int:
+        return self.accounting.charge_step(step, ExecMode.KERNEL, "ext4", function)
 
     def _meta_offset(self, key: int) -> int:
         block = key % self._meta_blocks
@@ -115,23 +107,25 @@ class Ext4Model:
         """Process: file read.  Returns application latency (ns)."""
         costs = self.costs
         started = self.sim.now
-        yield self._charge_and_wait(costs.inode_lookup, "ext4_file_read_iter")
+        yield self.sim.sleep(self._charge(costs.inode_lookup, "ext4_file_read_iter"))
         if self._rng.random() < costs.metadata_miss_prob:
             self.metadata_reads += 1
             yield from self.block_io(
                 IoOp.READ, self._meta_offset(offset), costs.metadata_block_bytes
             )
         yield from self.block_io(IoOp.READ, self.data_base + offset, nbytes)
-        yield self._charge_and_wait(costs.atime_update, "ext4_update_atime")
+        yield self.sim.sleep(self._charge(costs.atime_update, "ext4_update_atime"))
         return self.sim.now - started
 
     def write(self, offset: Bytes, nbytes: int) -> Generator[Wait, Any, int]:
         """Process: file write with journaling.  Returns latency (ns)."""
         costs = self.costs
         started = self.sim.now
-        yield self._charge_and_wait(costs.inode_lookup, "ext4_file_write_iter")
-        yield self._charge_and_wait(costs.write_prepare, "ext4_map_blocks")
-        yield self._charge_and_wait(costs.journal_memcpy, "jbd2_journal_dirty")
+        # One run of in-memory work: the clock advances once for it.
+        run_ns = self._charge(costs.inode_lookup, "ext4_file_write_iter")
+        run_ns += self._charge(costs.write_prepare, "ext4_map_blocks")
+        run_ns += self._charge(costs.journal_memcpy, "jbd2_journal_dirty")
+        yield self.sim.sleep(run_ns)
         yield from self.block_io(IoOp.WRITE, self.data_base + offset, nbytes)
         self._writes_since_commit += 1
         self._writes_since_writeback += 1

@@ -12,13 +12,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
 from repro.host.accounting import CpuAccounting, ExecMode
-from repro.host.costs import DEFAULT_COSTS, SoftwareCosts, StepCost
+from repro.host.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.kstack.blkmq import BlkMq
 from repro.kstack.completion import CompletionMethod, make_engine
 from repro.kstack.driver import KernelNvmeDriver
 from repro.nvme.controller import NvmeController, NvmeQueuePair, NvmeTimings
 from repro.sim.engine import Simulator
-from repro.sim.events import Sleep, Wait
+from repro.sim.events import Wait
 from repro.ssd.device import IoOp, IoRecord, SsdDevice
 from repro.units import Bytes
 
@@ -94,25 +94,22 @@ class KernelStack:
         """Polled submissions carry the high-priority flag."""
         return self.completion_method is not CompletionMethod.INTERRUPT
 
-    def _charge_and_wait(
-        self, step: StepCost, mode: ExecMode, module: str, function: str
-    ) -> Sleep:
-        self.accounting.charge(
-            step.ns, mode, module, function, loads=step.loads, stores=step.stores
-        )
-        return self.sim.sleep(step.ns)
-
     # ------------------------------------------------------------------
     def sync_io(
         self, op: IoOp, offset: Bytes, nbytes: int
     ) -> Generator[Wait, Any, int]:
         """Process: one synchronous (pvsync2-style) I/O.
 
-        Returns the application-observed latency in nanoseconds.
+        Returns the application-observed latency in nanoseconds.  Each
+        step is charged to its own label, but the clock advances once
+        per run of pure-CPU steps (see :mod:`repro.host.accounting`):
+        fio prep through the doorbell, then the completion engine's
+        runs, whose last one the ``syscall_exit`` joins.
         """
         costs = self.costs
-        started = self.sim.now
-        tracer = self.sim.obs.tracer
+        sim = self.sim
+        started = sim.now
+        tracer = sim.obs.tracer
         ctx = (
             tracer.begin_io(op, offset, nbytes, started)
             if tracer.enabled
@@ -120,59 +117,64 @@ class KernelStack:
         )
         if ctx is not None:
             ctx.phase("submit", started)
-        yield self._charge_and_wait(costs.user_io_prep, ExecMode.USER, "fio", "fio_rw")
-        yield from self._submit_path(op, offset, nbytes, ctx)
+        run_ns = self.accounting.charge_step(
+            costs.user_io_prep, ExecMode.USER, "fio", "fio_rw"
+        )
+        yield from self._submit_path(run_ns, ctx)
         record = self.driver.submit(0, op, offset, nbytes, hipri=self.hipri, trace=ctx)
-        submitted = self.sim.now
-        yield from self.engine.complete(self.driver, record)
-        yield self._charge_and_wait(
+        submitted = sim.now
+        run_ns = yield from self.engine.complete(self.driver, record)
+        run_ns += self.accounting.charge_step(
             costs.syscall_exit, ExecMode.KERNEL, "vfs", "syscall"
         )
+        yield sim.sleep(run_ns)
         if self.stage_log is not None:
             assert record.cqe_ns is not None
-            self.stage_log.append((started, submitted, record.cqe_ns, self.sim.now))
+            self.stage_log.append((started, submitted, record.cqe_ns, sim.now))
         if ctx is not None:
-            ctx.finish(self.sim.now)
-        return self.sim.now - started
+            ctx.finish(sim.now)
+        return sim.now - started
 
     def _submit_path(
-        self,
-        op: IoOp,
-        offset: int,
-        nbytes: int,
-        ctx: "Optional[IoTrace]" = None,
+        self, run_ns: int, ctx: "Optional[IoTrace]" = None
     ) -> Generator[Wait, Any, None]:
+        """Generator: syscall entry through the doorbell write, on top
+        of the caller's ``run_ns`` of not yet slept CPU time.  Returns
+        with the clock at the doorbell."""
         costs = self.costs
-        yield self._charge_and_wait(
-            costs.syscall_entry, ExecMode.KERNEL, "vfs", "syscall"
-        )
-        yield self._charge_and_wait(costs.vfs_submit, ExecMode.KERNEL, "vfs", "vfs_rw")
+        charge = self.accounting.charge_step
+        run_ns += charge(costs.syscall_entry, ExecMode.KERNEL, "vfs", "syscall")
+        run_ns += charge(costs.vfs_submit, ExecMode.KERNEL, "vfs", "vfs_rw")
         if self.thin_submit:
             # Lightweight-protocol dispatch: no blk-mq tag machinery, no
             # SQE build — the driver latches the command into device
             # registers directly (Section IV-C's "lighter queue").
             if ctx is not None:
-                ctx.phase("light_queue", self.sim.now)
-            yield self._charge_and_wait(
+                ctx.phase("light_queue", self.sim.now + run_ns)
+            run_ns += charge(
                 costs.light_queue_dispatch,
                 ExecMode.KERNEL,
                 "nvme-driver",
                 "light_queue_issue",
             )
+            yield self.sim.sleep(run_ns)
             return
         if ctx is not None:
-            ctx.phase("blkmq_queue", self.sim.now)
-        yield self._charge_and_wait(
+            ctx.phase("blkmq_queue", self.sim.now + run_ns)
+        run_ns += charge(
             costs.blkmq_submit, ExecMode.KERNEL, "blk-mq", "blk_mq_make_request"
         )
         if self._requeue_faults is not None:
+            yield self.sim.sleep(run_ns)
+            run_ns = 0
             yield from self._maybe_requeue(ctx)
-        yield self._charge_and_wait(
+        run_ns += charge(
             costs.nvme_driver_submit, ExecMode.KERNEL, "nvme-driver", "nvme_queue_rq"
         )
-        yield self._charge_and_wait(
+        run_ns += charge(
             costs.doorbell_write, ExecMode.KERNEL, "nvme-driver", "doorbell_write"
         )
+        yield self.sim.sleep(run_ns)
 
     def _maybe_requeue(
         self, ctx: "Optional[IoTrace]" = None
@@ -209,13 +211,8 @@ class KernelStack:
                     "faults", "blkmq_requeue", start, start + delay,
                     attempt=attempt,
                 )
-            self.accounting.charge(
-                costs.blkmq_submit.ns,
-                ExecMode.KERNEL,
-                "blk-mq",
-                "blk_mq_requeue_work",
-                loads=costs.blkmq_submit.loads,
-                stores=costs.blkmq_submit.stores,
+            self.accounting.charge_step(
+                costs.blkmq_submit, ExecMode.KERNEL, "blk-mq", "blk_mq_requeue_work"
             )
             yield self.sim.sleep(delay)
 
@@ -230,22 +227,19 @@ class KernelStack:
         completion costs through :meth:`async_completion_ns`.
         """
         costs = self.costs
+        charge = self.accounting.charge_step
+        now = self.sim.now
         tracer = self.sim.obs.tracer
-        ctx = (
-            tracer.begin_io(op, offset, nbytes, self.sim.now)
-            if tracer.enabled
-            else None
-        )
+        ctx = tracer.begin_io(op, offset, nbytes, now) if tracer.enabled else None
         if ctx is not None:
-            ctx.phase("submit", self.sim.now)
-        yield self._charge_and_wait(
-            costs.async_submit_user, ExecMode.USER, "fio", "io_submit"
-        )
+            ctx.phase("submit", now)
+        run_ns = charge(costs.async_submit_user, ExecMode.USER, "fio", "io_submit")
         if ctx is not None:
-            ctx.phase("blkmq_queue", self.sim.now)
-        yield self._charge_and_wait(
+            ctx.phase("blkmq_queue", now + run_ns)
+        run_ns += charge(
             costs.async_submit_kernel, ExecMode.KERNEL, "blk-mq", "aio_submit_path"
         )
+        yield self.sim.sleep(run_ns)
         if self._requeue_faults is not None:
             yield from self._maybe_requeue(ctx)
         return self.driver.submit(0, op, offset, nbytes, trace=ctx)
@@ -254,26 +248,11 @@ class KernelStack:
         """Charge and return the CQE-to-application completion delay for
         the interrupt-driven async path (MSI + ISR + io_getevents)."""
         costs = self.costs
-        self.accounting.charge(
-            costs.async_complete_kernel.ns,
-            ExecMode.KERNEL,
-            "nvme-driver",
-            "nvme_irq",
-            loads=costs.async_complete_kernel.loads,
-            stores=costs.async_complete_kernel.stores,
-        )
-        self.accounting.charge(
-            costs.user_async_reap.ns,
-            ExecMode.USER,
-            "fio",
-            "io_getevents",
-            loads=costs.user_async_reap.loads,
-            stores=costs.user_async_reap.stores,
-        )
+        charge = self.accounting.charge_step
         return (
             costs.irq_delivery_ns
-            + costs.async_complete_kernel.ns
-            + costs.user_async_reap.ns
+            + charge(costs.async_complete_kernel, ExecMode.KERNEL, "nvme-driver", "nvme_irq")
+            + charge(costs.user_async_reap, ExecMode.USER, "fio", "io_getevents")
         )
 
     def complete_async(self, record: IoRecord) -> None:

@@ -32,7 +32,7 @@ from repro.host.accounting import CpuAccounting, ExecMode
 from repro.host.costs import DEFAULT_COSTS, SoftwareCosts, StepCost
 from repro.net.link import NetworkLink
 from repro.sim.engine import Simulator
-from repro.sim.events import Sleep, Wait
+from repro.sim.events import Wait
 from repro.ssd.device import IoOp, SsdDevice
 from repro.units import Bytes
 
@@ -110,71 +110,64 @@ class NbdSystem:
         self.requests = 0
 
     # ------------------------------------------------------------------
-    def _charge_and_wait(
-        self, step: StepCost, mode: ExecMode, module: str, function: str
-    ) -> Sleep:
-        self.accounting.charge(
-            step.ns, mode, module, function, loads=step.loads, stores=step.stores
-        )
-        return self.sim.sleep(step.ns)
-
-    # ------------------------------------------------------------------
     def sync_io(
         self, op: IoOp, offset: Bytes, nbytes: int
     ) -> Generator[Wait, Any, int]:
-        """Process: one block I/O across the network.  Returns latency."""
+        """Process: one block I/O across the network.  Returns latency.
+
+        CPU steps are charged one by one, but the clock advances once
+        per run of them: each run ends where the request or its reply
+        goes onto the link, or where the server touches the device.
+        """
         costs = self.costs
-        started = self.sim.now
+        sim = self.sim
+        charge = self.accounting.charge_step
+        started = sim.now
         self.requests += 1
-        tracer = self.sim.obs.tracer
+        tracer = sim.obs.tracer
         ctx = tracer.begin_io(op, offset, nbytes, started) if tracer.enabled else None
         if ctx is not None:
             ctx.phase("submit", started)
         # Client: submission through the local kernel stack into nbd.ko.
-        yield self._charge_and_wait(
-            costs.syscall_entry, ExecMode.KERNEL, "vfs", "syscall"
-        )
-        yield self._charge_and_wait(costs.vfs_submit, ExecMode.KERNEL, "vfs", "vfs_rw")
-        yield self._charge_and_wait(
+        run_ns = charge(costs.syscall_entry, ExecMode.KERNEL, "vfs", "syscall")
+        run_ns += charge(costs.vfs_submit, ExecMode.KERNEL, "vfs", "vfs_rw")
+        run_ns += charge(
             costs.blkmq_submit, ExecMode.KERNEL, "blk-mq", "blk_mq_make_request"
         )
+        yield sim.sleep(run_ns)
         # Request (+ payload for writes) to the server.
         request_bytes = NBD_HEADER_BYTES + (nbytes if op is IoOp.WRITE else 0)
-        send_at = self.sim.now
+        send_at = sim.now
         sent, delivered = self.link.send_to_server(request_bytes, send_at)
         if ctx is not None:
             ctx.phase("net_send", send_at)
             self._trace_link_waits(ctx, send_at, sent, delivered)
-        if delivered > self.sim.now:
-            yield self.sim.sleep(delivered - self.sim.now)
+        if delivered > sim.now:
+            yield sim.sleep(delivered - sim.now)
         # Server-side residence.
         yield from self._server_side(op, offset, nbytes, ctx)
         # Reply (+ payload for reads) back to the client.
         reply_bytes = NBD_HEADER_BYTES + (nbytes if op is IoOp.READ else 0)
-        reply_at = self.sim.now
+        reply_at = sim.now
         sent, returned = self.link.send_to_client(reply_bytes, reply_at)
         if ctx is not None:
             ctx.phase("net_return", reply_at)
             self._trace_link_waits(ctx, reply_at, sent, returned)
-        if returned > self.sim.now:
-            yield self.sim.sleep(returned - self.sim.now)
+        if returned > sim.now:
+            yield sim.sleep(returned - sim.now)
         # Client: completion (interrupt-driven; the NBD client is kernel
         # code either way — SPDK only bypasses the *server* side).
         if ctx is not None:
-            ctx.phase("completion_isr", self.sim.now)
-        yield self.sim.sleep(self.costs.irq_delivery_ns)
-        yield self._charge_and_wait(
+            ctx.phase("completion_isr", sim.now)
+        run_ns = costs.irq_delivery_ns + charge(
             costs.blkmq_complete, ExecMode.KERNEL, "blk-mq", "blk_mq_complete_request"
         )
-        yield self._charge_and_wait(
-            costs.context_switch_in, ExecMode.KERNEL, "sched", "context_switch"
-        )
-        yield self._charge_and_wait(
-            costs.syscall_exit, ExecMode.KERNEL, "vfs", "syscall"
-        )
+        run_ns += charge(costs.context_switch_in, ExecMode.KERNEL, "sched", "context_switch")
+        run_ns += charge(costs.syscall_exit, ExecMode.KERNEL, "vfs", "syscall")
+        yield sim.sleep(run_ns)
         if ctx is not None:
-            ctx.finish(self.sim.now)
-        return self.sim.now - started
+            ctx.finish(sim.now)
+        return sim.now - started
 
     def _trace_link_waits(
         self, ctx: "IoTrace", queued_ns: int, sent_ns: int, delivered_ns: int
@@ -213,17 +206,19 @@ class NbdSystem:
         self, op: IoOp, offset: int, nbytes: int, ctx: "Optional[IoTrace]" = None
     ) -> Generator[Wait, Any, None]:
         sc = self.server_costs
+        charge = self.accounting.charge_step
         if op is IoOp.READ:
-            yield self._charge_and_wait(
+            run_ns = charge(
                 sc.kernel_socket_wakeup, ExecMode.KERNEL, "nbd-server", "socket_wakeup"
             )
         else:
-            yield self._charge_and_wait(
+            run_ns = charge(
                 sc.kernel_write_recv, ExecMode.KERNEL, "nbd-server", "stream_recv"
             )
-        yield self._charge_and_wait(
+        run_ns += charge(
             sc.kernel_syscall_path, ExecMode.KERNEL, "nbd-server", "storage_stack"
         )
+        yield self.sim.sleep(run_ns)
         done = self.device.submit(op, offset, nbytes, trace=ctx).done
         assert done is not None
         if not done.triggered:
@@ -232,37 +227,32 @@ class NbdSystem:
             ctx.phase("server", self.sim.now)
         if op is IoOp.READ:
             # The server slept on flash: interrupt + process wake-up.
-            yield self._charge_and_wait(
+            run_ns = charge(
                 sc.kernel_block_wakeup, ExecMode.KERNEL, "nbd-server", "block_wakeup"
             )
-            yield self._charge_and_wait(
-                sc.kernel_reply_send, ExecMode.KERNEL, "nbd-server", "tcp_send"
-            )
+            run_ns += charge(sc.kernel_reply_send, ExecMode.KERNEL, "nbd-server", "tcp_send")
         else:
-            yield self._charge_and_wait(
-                sc.kernel_write_reply, ExecMode.KERNEL, "nbd-server", "tcp_send"
-            )
+            run_ns = charge(sc.kernel_write_reply, ExecMode.KERNEL, "nbd-server", "tcp_send")
+        yield self.sim.sleep(run_ns)
 
     def _spdk_server(
         self, op: IoOp, offset: int, nbytes: int, ctx: "Optional[IoTrace]" = None
     ) -> Generator[Wait, Any, None]:
         sc = self.server_costs
-        yield self._charge_and_wait(
-            sc.spdk_poll_dispatch, ExecMode.USER, "spdk-nbd", "reactor_poll"
-        )
+        charge = self.accounting.charge_step
+        run_ns = charge(sc.spdk_poll_dispatch, ExecMode.USER, "spdk-nbd", "reactor_poll")
         if op is IoOp.WRITE:
-            yield self._charge_and_wait(
+            run_ns += charge(
                 sc.spdk_write_copy, ExecMode.USER, "spdk-nbd", "hugepage_memcpy"
             )
-        yield self._charge_and_wait(
-            sc.spdk_submit, ExecMode.USER, "spdk-nbd", "spdk_nvme_ns_cmd_rw"
-        )
+        run_ns += charge(sc.spdk_submit, ExecMode.USER, "spdk-nbd", "spdk_nvme_ns_cmd_rw")
+        yield self.sim.sleep(run_ns)
         done = self.device.submit(op, offset, nbytes, trace=ctx).done
         assert done is not None
         if not done.triggered:
             yield done
         if ctx is not None:
             ctx.phase("server", self.sim.now)
-        yield self._charge_and_wait(
-            sc.spdk_reply_send, ExecMode.USER, "spdk-nbd", "dpdk_send"
+        yield self.sim.sleep(
+            charge(sc.spdk_reply_send, ExecMode.USER, "spdk-nbd", "dpdk_send")
         )

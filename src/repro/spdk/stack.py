@@ -17,10 +17,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
 from repro.host.accounting import CpuAccounting, ExecMode
-from repro.host.costs import DEFAULT_COSTS, SoftwareCosts, StepCost
+from repro.host.costs import DEFAULT_COSTS, SoftwareCosts
 from repro.nvme.controller import NvmeController, NvmeTimings
 from repro.sim.engine import Simulator
-from repro.sim.events import Sleep, Wait
+from repro.sim.events import Wait
 from repro.spdk.hugepage import HugePageAllocator
 from repro.spdk.uio import UioBinding
 from repro.ssd.device import IoOp, IoRecord, SsdDevice
@@ -77,28 +77,21 @@ class SpdkStack:
         self.stage_log: Optional[List[Tuple[int, int, Optional[int], int]]] = None
 
     # ------------------------------------------------------------------
-    def _charge_and_wait(self, step: StepCost, function: str) -> Sleep:
-        self.accounting.charge(
-            step.ns,
-            ExecMode.USER,
-            "spdk",
-            function,
-            loads=step.loads,
-            stores=step.stores,
-        )
-        return self.sim.sleep(step.ns)
-
-    # ------------------------------------------------------------------
     def sync_io(
         self, op: IoOp, offset: Bytes, nbytes: int
     ) -> Generator[Wait, Any, int]:
         """Process: one QD-1 I/O through the SPDK fast path.
 
-        Returns the application-observed latency in nanoseconds.
+        Returns the application-observed latency in nanoseconds.  The
+        clock advances once per run of user-space steps: prep through
+        submission, then the observing poll iteration with the
+        completion callback.
         """
         costs = self.costs
-        started = self.sim.now
-        tracer = self.sim.obs.tracer
+        sim = self.sim
+        charge = self.accounting.charge_step
+        started = sim.now
+        tracer = sim.obs.tracer
         ctx = (
             tracer.begin_io(op, offset, nbytes, started)
             if tracer.enabled
@@ -106,20 +99,22 @@ class SpdkStack:
         )
         if ctx is not None:
             ctx.phase("submit", started)
-        yield self._charge_and_wait(costs.spdk_user_prep, "fio_spdk_plugin")
-        yield self._charge_and_wait(
-            costs.spdk_check_enabled_iter, "nvme_qpair_check_enabled"
+        run_ns = charge(costs.spdk_user_prep, ExecMode.USER, "spdk", "fio_spdk_plugin")
+        run_ns += charge(
+            costs.spdk_check_enabled_iter, ExecMode.USER, "spdk", "nvme_qpair_check_enabled"
         )
-        yield self._charge_and_wait(costs.spdk_submit, "spdk_nvme_ns_cmd_rw")
+        run_ns += charge(costs.spdk_submit, ExecMode.USER, "spdk", "spdk_nvme_ns_cmd_rw")
+        yield sim.sleep(run_ns)
         record = self.qpair.submit(op, offset, nbytes, trace=ctx)
-        submitted = self.sim.now
-        yield from self._process_completions(record)
-        yield self._charge_and_wait(costs.spdk_complete, "io_complete_cb")
+        submitted = sim.now
+        run_ns = yield from self._process_completions(record)
+        run_ns += charge(costs.spdk_complete, ExecMode.USER, "spdk", "io_complete_cb")
+        yield sim.sleep(run_ns)
         if self.stage_log is not None:
-            self.stage_log.append((started, submitted, record.cqe_ns, self.sim.now))
+            self.stage_log.append((started, submitted, record.cqe_ns, sim.now))
         if ctx is not None:
-            ctx.finish(self.sim.now)
-        return self.sim.now - started
+            ctx.finish(sim.now)
+        return sim.now - started
 
     def submit_async(
         self, op: IoOp, offset: Bytes, nbytes: int, *, trace: "Optional[IoTrace]" = None
@@ -137,8 +132,12 @@ class SpdkStack:
         return self.qpair.submit(op, offset, nbytes, trace=trace)
 
     # ------------------------------------------------------------------
-    def _process_completions(self, record: IoRecord) -> Generator[Wait, Any, None]:
-        """Spin in the user-space completion loop until the CQE lands."""
+    def _process_completions(self, record: IoRecord) -> Generator[Wait, Any, int]:
+        """Spin in the user-space completion loop until the CQE lands.
+
+        Returns the ns of the iteration that observes the phase flip,
+        charged but not yet slept: the completion callback joins its run.
+        """
         costs = self.costs
         started = self.sim.now
         if record.cqe_ns is None:
@@ -152,9 +151,10 @@ class SpdkStack:
             assert cqe_ns is not None
             trace.phase("completion_poll", cqe_ns)
             trace.wait("spdk.poller", "poll_gap", cqe_ns, cqe_ns + detect)
-        yield self.sim.sleep(detect)
-        self._charge_spin(self.sim.now - started)
-        self._t_poll_burn.add_interval(started, self.sim.now)
+        spun_until = self.sim.now + detect
+        self._charge_spin(spun_until - started)
+        self._t_poll_burn.add_interval(started, spun_until)
+        return detect
 
     def _charge_spin(self, spun_ns: int) -> None:
         """Attribute spin time/instructions to the three SPDK functions."""

@@ -6,8 +6,12 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import JobConfig, Testbed
 from repro.host import CpuAccounting, ExecMode, SoftwareCosts, StepCost
 from repro.host.accounting import FunctionProfile
+from repro.host.costs import DEFAULT_COSTS
+from repro.sim.engine import Simulator
+from repro.workloads.runner import run_job
 
 
 class TestCharging:
@@ -234,6 +238,18 @@ class TestAgainstThreeDictOracle:
             assert results[0] == results[1]
         assert views(cells, elapsed_ns) == views(oracle, elapsed_ns)
 
+    @settings(max_examples=200, deadline=None)
+    @given(charges=st.lists(_charge, max_size=40))
+    def test_charge_step_matches_charge(self, charges):
+        by_step, by_charge = CpuAccounting(), CpuAccounting()
+        for ns, mode, module, function, loads, stores in charges:
+            if min(ns, loads, stores) < 0:
+                continue
+            step = StepCost(ns=ns, loads=loads, stores=stores)
+            assert by_step.charge_step(step, mode, module, function) == ns
+            by_charge.charge(ns, mode, module, function, loads=loads, stores=stores)
+        assert views(by_step, 100_000) == views(by_charge, 100_000)
+
 
 class TestSoftwareCosts:
     def test_step_cost_validation(self):
@@ -277,3 +293,40 @@ class TestSoftwareCosts:
         order of magnitude tighter than blk_mq_poll + nvme_poll."""
         costs = SoftwareCosts()
         assert costs.spdk_iter_ns * 5 < costs.kernel_poll_iter_ns
+
+
+def stage_log(completion, rw, io_count=300):
+    """``(start, submitted, cqe, done)`` rows of a ull psync QD1 run."""
+    sim = Simulator()
+    testbed = Testbed(device="ull", completion=completion)
+    _, host = testbed.build(sim)
+    host.stage_log = []
+    run_job(sim, host, testbed.job(JobConfig(rw=rw, io_count=io_count)))
+    sim.close()
+    assert len(host.stage_log) == io_count
+    return host.stage_log
+
+
+class TestHostTermsOnTheIoPath:
+    """The host side of every QD1 I/O is exactly the cost table's steps:
+    the clock advances once per run of CPU steps, never by a different
+    amount than the steps of that run sum to."""
+
+    @pytest.mark.parametrize("rw", ["randread", "randwrite"])
+    def test_interrupt_terms(self, rw):
+        costs = DEFAULT_COSTS
+        submit_ns = costs.user_io_prep.ns + costs.submit_path_ns
+        assert (submit_ns, costs.interrupt_completion_ns) == (1750, 2750)
+        for start, submitted, cqe, done in stage_log("interrupt", rw):
+            assert submitted - start == submit_ns
+            assert done - cqe == costs.interrupt_completion_ns
+
+    @pytest.mark.parametrize("rw", ["randread", "randwrite"])
+    def test_poll_terms(self, rw):
+        costs = DEFAULT_COSTS
+        complete_ns = (
+            costs.kernel_poll_iter_ns + costs.poll_complete.ns + costs.syscall_exit.ns
+        )
+        assert complete_ns == 650
+        for _, _, cqe, done in stage_log("poll", rw):
+            assert done - cqe == complete_ns

@@ -1,20 +1,25 @@
-"""The per-I/O object budget of the simulated I/O path.
+"""The per-I/O object and dispatch budget of the simulated I/O path.
 
 Each I/O travels as one slotted :class:`~repro.ssd.device.IoRecord`
 from blk-mq to flash; the device runs writes as callback stages, not as
-a process per write.  These tests pin the exact number of ``Process``
-and ``Event`` constructions of small real runs, so a change that brings
-per-I/O objects back shows up as a changed count rather than as noise in
-a wall-time benchmark.
+a process per write; host code advances the clock once per run of
+pure-CPU steps.  These tests pin the exact number of ``Process`` and
+``Event`` constructions and of engine dispatches of small real runs, so
+a change that brings per-I/O objects or per-step wakes back shows up as
+a changed count rather than as noise in a wall-time benchmark.  They
+also pin every CPU accounting cell, which sleeping per run instead of
+per step must leave untouched.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 
 import pytest
 
 from repro.api import JobConfig, Testbed
+from repro.sim import engine as sim_engine
 from repro.sim.events import Event
 
 IO_COUNT = 200
@@ -33,8 +38,70 @@ BUDGET = {
 }
 
 
-def constructions(completion, engine, iodepth, io_count=IO_COUNT):
-    """Count ``Process`` and other ``Event`` constructions of one run."""
+#: (completion, engine, iodepth) -> engine dispatches of the same runs.
+#: One sleep per host run: a psync interrupt I/O sleeps 4 times (fio
+#: prep through the doorbell; the switch-out; MSI + ISR; the wake-up
+#: with the syscall exit) where it slept once per step, 12 times, before
+#: (3751, 2950, 3748 and 1923 dispatches then).
+DISPATCHES = {
+    ("interrupt", "psync", 1): 2151,
+    ("poll", "psync", 1): 1750,
+    ("hybrid", "psync", 1): 2349,
+    ("interrupt", "libaio", 8): 1723,
+}
+
+#: (completion, engine, iodepth) -> every CPU accounting cell of the same
+#: runs as ``(mode, module, function, ns, loads, stores)``, in
+#: ``profiles()`` order: the values of the per-step sleeps, unchanged.
+CELLS = {
+    ("interrupt", "psync", 1): [
+        ("kernel", "sched", "context_switch", 230000, 43000, 34000),
+        ("user", "fio", "fio_rw", 140000, 38000, 24000),
+        ("kernel", "nvme-driver", "nvme_irq", 100000, 19000, 12000),
+        ("kernel", "vfs", "syscall", 60000, 9400, 6600),
+        ("kernel", "blk-mq", "blk_mq_make_request", 60000, 19000, 13000),
+        ("kernel", "blk-mq", "blk_mq_complete_request", 60000, 14000, 9000),
+        ("kernel", "vfs", "vfs_rw", 50000, 17000, 11000),
+        ("kernel", "nvme-driver", "nvme_queue_rq", 50000, 13000, 9000),
+        ("kernel", "nvme-driver", "doorbell_write", 20000, 400, 600),
+    ],
+    ("poll", "psync", 1): [
+        ("kernel", "blk-mq", "blk_mq_poll", 1523040, 266756, 104797),
+        ("kernel", "nvme-driver", "nvme_poll", 380757, 85743, 28581),
+        ("user", "fio", "fio_rw", 140000, 38000, 24000),
+        ("kernel", "vfs", "syscall", 60000, 9400, 6600),
+        ("kernel", "blk-mq", "blk_mq_make_request", 60000, 19000, 13000),
+        ("kernel", "blk-mq", "blk_mq_complete_request", 60000, 12000, 8000),
+        ("kernel", "vfs", "vfs_rw", 50000, 17000, 11000),
+        ("kernel", "nvme-driver", "nvme_queue_rq", 50000, 13000, 9000),
+        ("kernel", "nvme-driver", "doorbell_write", 20000, 400, 600),
+    ],
+    ("hybrid", "psync", 1): [
+        ("kernel", "sched", "timer_wakeup", 756200, 43780, 31840),
+        ("kernel", "blk-mq", "blk_mq_poll", 272560, 49744, 21248),
+        ("user", "fio", "fio_rw", 140000, 38000, 24000),
+        ("kernel", "vfs", "syscall", 60000, 9400, 6600),
+        ("kernel", "blk-mq", "blk_mq_make_request", 60000, 19000, 13000),
+        ("kernel", "blk-mq", "blk_mq_complete_request", 60000, 12000, 8000),
+        ("kernel", "vfs", "vfs_rw", 50000, 17000, 11000),
+        ("kernel", "nvme-driver", "nvme_queue_rq", 50000, 13000, 9000),
+        ("kernel", "blk-mq", "blk_mq_poll_hybrid_sleep", 50000, 8000, 6000),
+        ("kernel", "nvme-driver", "nvme_poll", 48235, 10872, 3624),
+        ("kernel", "nvme-driver", "doorbell_write", 20000, 400, 600),
+    ],
+    ("interrupt", "libaio", 8): [
+        ("kernel", "blk-mq", "aio_submit_path", 140000, 26000, 18000),
+        ("kernel", "nvme-driver", "nvme_irq", 100000, 19000, 12000),
+        ("user", "fio", "io_getevents", 70000, 12000, 7000),
+        ("user", "fio", "io_submit", 60000, 11000, 7000),
+    ],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def measure(completion, engine, iodepth, io_count=IO_COUNT):
+    """Run one job; returns its ``(Processes, Events)`` constructions,
+    its engine dispatches and its accounting cells."""
     counts = collections.Counter()
     init = Event.__init__
 
@@ -43,21 +110,37 @@ def constructions(completion, engine, iodepth, io_count=IO_COUNT):
         init(self, *args, **kwargs)
 
     Event.__init__ = counting
+    before = sim_engine.events_executed_total
     try:
-        Testbed(device="ull", completion=completion).run_job(
+        result = Testbed(device="ull", completion=completion).run_job(
             JobConfig(rw="randrw", engine=engine, iodepth=iodepth, io_count=io_count)
         )
     finally:
         Event.__init__ = init
-    return counts["Process"], counts["Event"]
+    dispatches = sim_engine.events_executed_total - before
+    cells = [
+        (p.mode.value, p.module, p.function, p.cycles_ns, p.loads, p.stores)
+        for p in result.accounting.profiles()
+    ]
+    return (counts["Process"], counts["Event"]), dispatches, cells
 
 
 @pytest.mark.parametrize("case", list(BUDGET), ids=lambda case: f"{case[1]}-{case[0]}")
 def test_exact_object_counts(case):
-    assert constructions(*case) == BUDGET[case]
+    assert measure(*case)[0] == BUDGET[case]
 
 
 @pytest.mark.parametrize("case", list(BUDGET), ids=lambda case: f"{case[1]}-{case[0]}")
 def test_no_process_per_device_request(case):
-    processes, _ = constructions(*case, io_count=IO_COUNT // 2)
+    (processes, _), _, _ = measure(*case, io_count=IO_COUNT // 2)
     assert processes == BUDGET[case][0]
+
+
+@pytest.mark.parametrize("case", list(BUDGET), ids=lambda case: f"{case[1]}-{case[0]}")
+def test_exact_dispatches(case):
+    assert measure(*case)[1] == DISPATCHES[case]
+
+
+@pytest.mark.parametrize("case", list(BUDGET), ids=lambda case: f"{case[1]}-{case[0]}")
+def test_accounting_cells_are_unchanged(case):
+    assert measure(*case)[2] == CELLS[case]

@@ -555,13 +555,13 @@ class TestMutation:
 
     def test_us_for_ns_mutation_is_caught(self, tmp_path):
         original = self.CALLER.read_text(encoding="utf-8")
-        target = "yield self.sim.sleep(costs.irq_delivery_ns)"
+        target = "yield self.sim.sleep(costs.irq_delivery_ns + isr_ns)"
         assert target in original, "mutation anchor moved; update the test"
         mutated = original.replace(
-            target, "yield self.sim.sleep(costs.irq_delivery_us)", 1
+            target, "yield self.sim.sleep(costs.irq_delivery_us + isr_ns)", 1
         )
         result = self.lint_pair(tmp_path, mutated)
         assert "SIM010" in codes_of(result)
         (diag,) = [d for d in result.diagnostics if d.code == "SIM010"]
         assert diag.path == "src/repro/kstack/completion.py"
-        assert "argument 'delay' of Simulator.sleep()" in diag.message
+        assert "time:us + time:ns" in diag.message
