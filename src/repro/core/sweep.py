@@ -34,6 +34,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import enum
+import functools
 import hashlib
 import os
 import pickle
@@ -249,10 +250,34 @@ def _cache_key(
 # ----------------------------------------------------------------------
 # Persistent cache
 # ----------------------------------------------------------------------
+def source_digest(package_root: Path) -> str:
+    """sha256 over every ``.py`` and ``.toml`` file under ``package_root``
+    (relative path and content): the identity of the model code and the
+    shipped device specs."""
+    digest = hashlib.sha256()
+    for path in sorted(package_root.rglob("*")):
+        if path.suffix in (".py", ".toml"):
+            data = path.read_bytes()
+            name = path.relative_to(package_root).as_posix()
+            digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+            digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _code_identity() -> str:
+    """:func:`source_digest` of the running ``repro`` package, hashed on
+    first use (only a disk cache needs it)."""
+    return source_digest(Path(__file__).resolve().parents[1])
+
+
 class SweepCache:
     """Pickle-per-measurement cache under a root directory.
 
-    Layout: ``<root>/<hash[:2]>/<hash>.pkl``.  Reads tolerate missing or
+    Layout: ``<root>/<code>/<hash[:2]>/<hash>.pkl``, where ``<code>`` is
+    the sha256 of the package sources (:func:`source_digest`): an edit
+    anywhere in the model code starts an empty namespace instead of
+    serving measurements the old code made.  Reads tolerate missing or
     corrupt files (a miss); writes are atomic (temp file + rename) so
     parallel runs never observe torn entries.
     """
@@ -261,7 +286,7 @@ class SweepCache:
         self.root = Path(root).expanduser()
 
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+        return self.root / _code_identity() / key[:2] / f"{key}.pkl"
 
     def get(self, key: str) -> Optional[Measurement]:
         try:

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Tuple, Union
+from typing import Any, Dict, List, Mapping, Tuple, Union, get_type_hints
 
 from repro.flash.timing import FlashTiming
 from repro.ssd.config import SsdConfig
@@ -86,85 +86,99 @@ _Field = Tuple[type, Any]
 _TOP_FIELDS: Dict[str, _Field] = {
     "schema": (int, SPEC_SCHEMA),
     "name": (str, None),
-    "label": (str, ""),  # SsdConfig.name; defaults to `name`
+    # SsdConfig.name; "" means the spec name.
+    "label": (get_type_hints(SsdConfig)["name"], ""),
     "description": (str, ""),
 }
 
-_SECTION_FIELDS: Dict[str, Dict[str, _Field]] = {
-    "timing": {
-        "name": (str, ""),
-        "read_ns": (int, None),
-        "program_ns": (int, 0),  # required unless program_step_ns given
-        "erase_ns": (int, None),
-        "bus_mbps": (int, None),
-        "suspend_ns": (int, 2_000),
-        "resume_ns": (int, 2_000),
-        "max_suspends_per_op": (int, 4),
-        "read_jitter": (float, 0.0),
-        "program_jitter": (float, 0.0),
-        "layers": (int, 0),
-        "die_capacity_gbit": (int, 0),
-        "page_size": (int, 0),
-        "program_step_ns": (list, []),
-    },
-    "geometry": {
-        "channels": (int, None),
-        "ways_per_channel": (int, None),
-        "dies": (int, 0),  # optional cross-check: channels * ways
-        "blocks_per_die": (int, None),
-        "pages_per_block": (int, None),
-        "physical_dies_per_die": (int, 1),
-        "units_per_program": (int, 1),
-        "super_channel": (bool, False),
-    },
-    "capabilities": {
-        "suspend_resume": (bool, False),
-    },
-    "fabric": {
-        "channel_mbps": (int, 800),
-    },
-    "firmware": {
-        "read_fw_ns": (int, 2_000),
-        "write_fw_ns": (int, 2_000),
-        "completion_fw_ns": (int, 500),
-    },
-    "buffers": {
-        "write_buffer_units": (int, 1024),
-        "flush_coalesce_ns": (int, 0),
-        "read_cache_units": (int, 0),
-        "prefetch_ahead": (int, 0),
-        "dram_hit_ns": (int, 1_500),
-    },
-    "link": {
-        "pcie_mbps": (int, 3200),
-        "pcie_latency_ns": (int, 700),
-    },
-    "ftl": {
-        "overprovision": (float, 0.125),
-        "gc_watermark_blocks": (int, 2),
-        "gc_policy": (str, "greedy"),
-        "factory_bad_rate": (float, 0.0),
-        "spare_blocks_per_die": (int, 0),
-    },
-    "map_cache": {
-        "segments": (int, 0),
-        "segment_units": (int, 1024),
-        "fetch_ns": (int, 0),
-    },
-    "stalls": {
-        "read_stall_prob": (float, 0.0),
-        "read_stall_ns": (int, 0),
-        "write_stall_prob": (float, 0.0),
-        "write_stall_ns": (int, 0),
-    },
-    "power": {
-        "idle_w": (float, 3.0),
-        "read_op_w": (float, 0.01),
-        "program_op_w": (float, 0.08),
-        "erase_op_w": (float, 0.10),
-        "transfer_w": (float, 0.02),
-    },
+#: Which spec section each SsdConfig field lives in, in spec order.  A
+#: field whose type is a dataclass (``timing``, ``power``) brings all
+#: of that dataclass's fields into its section.  Names, types and
+#: defaults come from the dataclasses themselves.
+_LAYOUT: Dict[str, Tuple[str, ...]] = {
+    "timing": ("timing",),
+    "geometry": (
+        "channels", "ways_per_channel", "blocks_per_die", "pages_per_block",
+        "physical_dies_per_die", "units_per_program", "super_channel",
+    ),
+    "capabilities": ("suspend_resume",),
+    "fabric": ("channel_mbps",),
+    "firmware": ("read_fw_ns", "write_fw_ns", "completion_fw_ns"),
+    "buffers": (
+        "write_buffer_units", "flush_coalesce_ns", "read_cache_units",
+        "prefetch_ahead", "dram_hit_ns",
+    ),
+    "link": ("pcie_mbps", "pcie_latency_ns"),
+    "ftl": (
+        "overprovision", "gc_watermark_blocks", "gc_policy",
+        "factory_bad_rate", "spare_blocks_per_die",
+    ),
+    "map_cache": ("map_cache_segments", "map_segment_units", "map_fetch_ns"),
+    "stalls": (
+        "read_stall_prob", "read_stall_ns", "write_stall_prob",
+        "write_stall_ns",
+    ),
+    "power": ("power",),
 }
+
+#: SsdConfig fields whose spec key differs from the field name (the
+#: top-level ``label`` is SsdConfig.name).
+_RENAMED = {
+    "map_cache_segments": "segments",
+    "map_segment_units": "segment_units",
+    "map_fetch_ns": "fetch_ns",
+}
+
+#: Spec defaults for two required FlashTiming fields: ``program_ns = 0``
+#: means "the program-step sum", ``name = ""`` means "the spec name".
+_SPEC_DEFAULTS = {("timing", "program_ns"): 0, ("timing", "name"): ""}
+
+#: Keys that exist only in specs: the ISPP step table, and ``dies``, an
+#: optional cross-check of channels * ways_per_channel.
+_SPEC_ONLY: Dict[str, Dict[str, _Field]] = {
+    "timing": {"program_step_ns": (list, [])},
+    "geometry": {"dies": (int, 0)},
+}
+
+
+def _derive_schema() -> Tuple[
+    Dict[str, Dict[str, _Field]], Dict[type, Tuple[Tuple[str, str, str], ...]]
+]:
+    """The per-section schema and, per dataclass, its ``(section, key,
+    field)`` bindings, read from the dataclasses through ``_LAYOUT``."""
+    schema: Dict[str, Dict[str, _Field]] = {}
+    bindings: Dict[type, List[Tuple[str, str, str]]] = {}
+    config_fields = {item.name: item for item in fields(SsdConfig)}
+    config_hints = get_type_hints(SsdConfig)
+    for section, names in _LAYOUT.items():
+        keys: Dict[str, _Field] = {}
+        for name in names:
+            owner = config_hints[name]
+            if is_dataclass(owner):
+                members, hints = fields(owner), get_type_hints(owner)
+            else:
+                owner, hints = SsdConfig, config_hints
+                members = (config_fields[name],)
+            for member in members:
+                key = _RENAMED.get(member.name, member.name)
+                default = None if member.default is MISSING else member.default
+                keys[key] = (
+                    hints[member.name],
+                    _SPEC_DEFAULTS.get((section, key), default),
+                )
+                bindings.setdefault(owner, []).append((section, key, member.name))
+        keys.update(_SPEC_ONLY.get(section, {}))
+        schema[section] = keys
+    listed = sorted(["name", *(n for names in _LAYOUT.values() for n in names)])
+    if listed != sorted(config_fields):
+        raise TypeError(
+            "spec layout must place every SsdConfig field exactly once "
+            f"(listed {listed}, fields {sorted(config_fields)})"
+        )
+    return schema, {owner: tuple(items) for owner, items in bindings.items()}
+
+
+_SECTION_FIELDS, _BINDINGS = _derive_schema()
 
 
 def _type_name(expected: type) -> str:
@@ -523,23 +537,19 @@ class DeviceSpec:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------
+    def _fields_of(self, owner: type) -> Dict[str, Any]:
+        """Keyword arguments for ``owner`` (SsdConfig or one of its
+        nested dataclasses) from the resolved sections."""
+        sections = {section: dict(items) for section, items in self.sections}
+        return {
+            name: sections[section][key]
+            for section, key, name in _BINDINGS[owner]
+        }
+
     def flash_timing(self) -> FlashTiming:
-        timing = self.section("timing")
-        return FlashTiming(
-            name=timing["name"] or self.name,
-            read_ns=timing["read_ns"],
-            program_ns=timing["program_ns"],
-            erase_ns=timing["erase_ns"],
-            bus_mbps=timing["bus_mbps"],
-            suspend_ns=timing["suspend_ns"],
-            resume_ns=timing["resume_ns"],
-            max_suspends_per_op=timing["max_suspends_per_op"],
-            read_jitter=timing["read_jitter"],
-            program_jitter=timing["program_jitter"],
-            layers=timing["layers"],
-            die_capacity_gbit=timing["die_capacity_gbit"],
-            page_size=timing["page_size"],
-        )
+        values = self._fields_of(FlashTiming)
+        values["name"] = values["name"] or self.name
+        return FlashTiming(**values)
 
     def to_ssd_config(self) -> SsdConfig:
         """The :class:`SsdConfig` this spec describes.
@@ -549,58 +559,12 @@ class DeviceSpec:
         residual error would be a schema bug and is re-raised as
         :class:`DeviceSpecError` anyway (never a bare traceback).
         """
-        geometry = self.section("geometry")
-        capabilities = self.section("capabilities")
-        fabric = self.section("fabric")
-        firmware = self.section("firmware")
-        buffers = self.section("buffers")
-        link = self.section("link")
-        ftl = self.section("ftl")
-        map_cache = self.section("map_cache")
-        stalls = self.section("stalls")
-        power = self.section("power")
         try:
             return SsdConfig(
                 name=self.label,
                 timing=self.flash_timing(),
-                channels=geometry["channels"],
-                ways_per_channel=geometry["ways_per_channel"],
-                blocks_per_die=geometry["blocks_per_die"],
-                pages_per_block=geometry["pages_per_block"],
-                physical_dies_per_die=geometry["physical_dies_per_die"],
-                units_per_program=geometry["units_per_program"],
-                super_channel=geometry["super_channel"],
-                suspend_resume=capabilities["suspend_resume"],
-                channel_mbps=fabric["channel_mbps"],
-                read_fw_ns=firmware["read_fw_ns"],
-                write_fw_ns=firmware["write_fw_ns"],
-                completion_fw_ns=firmware["completion_fw_ns"],
-                write_buffer_units=buffers["write_buffer_units"],
-                flush_coalesce_ns=buffers["flush_coalesce_ns"],
-                read_cache_units=buffers["read_cache_units"],
-                prefetch_ahead=buffers["prefetch_ahead"],
-                dram_hit_ns=buffers["dram_hit_ns"],
-                pcie_mbps=link["pcie_mbps"],
-                pcie_latency_ns=link["pcie_latency_ns"],
-                overprovision=ftl["overprovision"],
-                gc_watermark_blocks=ftl["gc_watermark_blocks"],
-                gc_policy=ftl["gc_policy"],
-                factory_bad_rate=ftl["factory_bad_rate"],
-                spare_blocks_per_die=ftl["spare_blocks_per_die"],
-                map_cache_segments=map_cache["segments"],
-                map_segment_units=map_cache["segment_units"],
-                map_fetch_ns=map_cache["fetch_ns"],
-                read_stall_prob=stalls["read_stall_prob"],
-                read_stall_ns=stalls["read_stall_ns"],
-                write_stall_prob=stalls["write_stall_prob"],
-                write_stall_ns=stalls["write_stall_ns"],
-                power=PowerParams(
-                    idle_w=power["idle_w"],
-                    read_op_w=power["read_op_w"],
-                    program_op_w=power["program_op_w"],
-                    erase_op_w=power["erase_op_w"],
-                    transfer_w=power["transfer_w"],
-                ),
+                power=PowerParams(**self._fields_of(PowerParams)),
+                **self._fields_of(SsdConfig),
             )
         except ValueError as exc:  # pragma: no cover - belt and braces
             raise DeviceSpecError(str(exc), source=self.source) from exc
@@ -657,78 +621,14 @@ def spec_from_config(
     name, and :func:`repro.ssd.registry.resolve_spec` to accept a raw
     config wherever a spec is expected.
     """
-    timing = config.timing
     mapping: Dict[str, Any] = {
         "schema": SPEC_SCHEMA,
         "name": name,
         "label": config.name,
         "description": description,
-        "timing": {
-            "name": timing.name,
-            "read_ns": timing.read_ns,
-            "program_ns": timing.program_ns,
-            "erase_ns": timing.erase_ns,
-            "bus_mbps": timing.bus_mbps,
-            "suspend_ns": timing.suspend_ns,
-            "resume_ns": timing.resume_ns,
-            "max_suspends_per_op": timing.max_suspends_per_op,
-            "read_jitter": timing.read_jitter,
-            "program_jitter": timing.program_jitter,
-            "layers": timing.layers,
-            "die_capacity_gbit": timing.die_capacity_gbit,
-            "page_size": timing.page_size,
-        },
-        "geometry": {
-            "channels": config.channels,
-            "ways_per_channel": config.ways_per_channel,
-            "blocks_per_die": config.blocks_per_die,
-            "pages_per_block": config.pages_per_block,
-            "physical_dies_per_die": config.physical_dies_per_die,
-            "units_per_program": config.units_per_program,
-            "super_channel": config.super_channel,
-        },
-        "capabilities": {"suspend_resume": config.suspend_resume},
-        "fabric": {"channel_mbps": config.channel_mbps},
-        "firmware": {
-            "read_fw_ns": config.read_fw_ns,
-            "write_fw_ns": config.write_fw_ns,
-            "completion_fw_ns": config.completion_fw_ns,
-        },
-        "buffers": {
-            "write_buffer_units": config.write_buffer_units,
-            "flush_coalesce_ns": config.flush_coalesce_ns,
-            "read_cache_units": config.read_cache_units,
-            "prefetch_ahead": config.prefetch_ahead,
-            "dram_hit_ns": config.dram_hit_ns,
-        },
-        "link": {
-            "pcie_mbps": config.pcie_mbps,
-            "pcie_latency_ns": config.pcie_latency_ns,
-        },
-        "ftl": {
-            "overprovision": config.overprovision,
-            "gc_watermark_blocks": config.gc_watermark_blocks,
-            "gc_policy": config.gc_policy,
-            "factory_bad_rate": config.factory_bad_rate,
-            "spare_blocks_per_die": config.spare_blocks_per_die,
-        },
-        "map_cache": {
-            "segments": config.map_cache_segments,
-            "segment_units": config.map_segment_units,
-            "fetch_ns": config.map_fetch_ns,
-        },
-        "stalls": {
-            "read_stall_prob": config.read_stall_prob,
-            "read_stall_ns": config.read_stall_ns,
-            "write_stall_prob": config.write_stall_prob,
-            "write_stall_ns": config.write_stall_ns,
-        },
-        "power": {
-            "idle_w": config.power.idle_w,
-            "read_op_w": config.power.read_op_w,
-            "program_op_w": config.power.program_op_w,
-            "erase_op_w": config.power.erase_op_w,
-            "transfer_w": config.power.transfer_w,
-        },
     }
+    objects = {SsdConfig: config, FlashTiming: config.timing, PowerParams: config.power}
+    for owner, bindings in _BINDINGS.items():
+        for section, key, field_name in bindings:
+            mapping.setdefault(section, {})[key] = getattr(objects[owner], field_name)
     return DeviceSpec.from_mapping(mapping, source=f"<config:{name}>")

@@ -105,10 +105,10 @@ def run_jobs(
         prepared.append((stack, job, metrics, engine))
     started = sim.now
     processes = [sim.process(engine.run()) for _, _, _, engine in prepared]
-    for process in processes:
+    for process, (_, job, _, _) in zip(processes, prepared):
         sim.run_until_event(process)
         if not process.triggered:
-            raise RuntimeError("concurrent job did not finish (deadlock?)")
+            raise RuntimeError(f"job {job.name!r} did not finish (deadlock?)")
     results: List[JobResult] = []
     for stack, job, metrics, _engine in prepared:
         device = stack.device
@@ -146,44 +146,4 @@ def run_job(
     ``submit_async`` / ``async_completion_ns`` / ``complete_async``
     (libaio jobs), plus ``device`` for capacity discovery.
     """
-    device = stack.device
-    region = job.region_bytes or (device.capacity_bytes - region_offset)
-    pattern = make_pattern(
-        job.rw,
-        job.block_size,
-        region,
-        write_fraction=job.write_fraction,
-        seed=job.seed,
-        region_offset=region_offset,
-    )
-    obs = sim.obs if getattr(sim.obs, "enabled", False) else None
-    metrics = MetricsCollector(
-        capture_timeseries=job.capture_timeseries,
-        capture_trace=job.capture_trace,
-        obs=obs,
-    )
-    if job.engine is IoEngineKind.LIBAIO:
-        engine = AsyncJobEngine(sim, stack, job, pattern, metrics)
-    else:
-        engine = SyncJobEngine(sim, stack, job, pattern, metrics)
-    started = sim.now
-    process = sim.process(engine.run())
-    sim.run_until_event(process)
-    if not process.triggered:
-        raise RuntimeError(f"job {job.name!r} did not finish (deadlock?)")
-    duration = sim.now - started
-    accounting = getattr(stack, "accounting", None)
-    power = getattr(device, "power", None)
-    return JobResult(
-        job=job,
-        latency=metrics.all.summary(),
-        read_latency=metrics.reads.summary(),
-        write_latency=metrics.writes.summary(),
-        duration_ns=duration,
-        bytes_done=metrics.bytes_done,
-        timeseries=metrics.series,
-        trace=metrics.trace,
-        accounting=accounting,
-        avg_power_w=power.average_watts(sim.now) if power is not None else None,
-        obs=obs,
-    )
+    return run_jobs(sim, [(stack, job)], region_offset=region_offset)[0]

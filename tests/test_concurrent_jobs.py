@@ -1,5 +1,6 @@
 """Tests for concurrent (numjobs-style) job execution on one device."""
 
+import pytest
 
 from repro.kstack import CompletionMethod, KernelStack
 from repro.sim import Simulator
@@ -17,7 +18,31 @@ def shared_device():
     return sim, device
 
 
+class StuckStack:
+    """A stack whose first I/O never completes."""
+
+    def __init__(self, sim, device):
+        self.sim = sim
+        self.device = device
+
+    def sync_io(self, op, offset, size):
+        yield self.sim.event()
+        return 0
+
+
 class TestRunJobs:
+    @pytest.mark.parametrize("via_run_jobs", [False, True])
+    def test_unfinished_job_is_named(self, via_run_jobs):
+        sim, device = shared_device()
+        stack, job = StuckStack(sim, device), FioJob(name="stuck", io_count=1)
+        with pytest.raises(
+            RuntimeError, match=r"^job 'stuck' did not finish \(deadlock\?\)$"
+        ):
+            if via_run_jobs:
+                run_jobs(sim, [(stack, job)])
+            else:
+                run_job(sim, stack, job)
+
     def test_two_readers_share_the_device(self):
         sim, device = shared_device()
         pairs = []

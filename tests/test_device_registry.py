@@ -138,19 +138,29 @@ class TestGoldenIdentity:
 
 
 class TestPaperDevices:
-    """The paper's two devices, pinned: an edit to either spec file
-    fails here (and re-keys every cached paper figure on purpose)."""
+    """Every zoo device, pinned: an edit to a spec file, or to how the
+    schema resolves one, fails here (and re-keys every cached figure of
+    that device on purpose)."""
 
-    ZSSD_HASH = (
-        "4711e9fba5bb385894a92931bf23bdb50fd95b931a7a63ebb04e1437d72b5aed"
-    )
-    INTEL750_HASH = (
-        "ac8662688f644e3607715ed92bfd9eade1457b725f633b7991e99b9cf44c5d5a"
-    )
+    SPEC_HASHES = {
+        "intel750":
+            "ac8662688f644e3607715ed92bfd9eade1457b725f633b7991e99b9cf44c5d5a",
+        "no-gc-pm":
+            "f55a848ebf682416d433ae3a8725449db43123c1ac09c34a7c5cf89d9af7271d",
+        "planar-mlc":
+            "7e59e2547f01ea43b12822013a782bebf9738ff1da31cae0229dd3bddb683a49",
+        "qlc":
+            "7400f0d1dfecdc45d0ddd719f65a5b593ec5e7ca7d1a47164a977375b60e05b7",
+        "tlc-multistep":
+            "88390d443e8dab740b76bd5e67bdf50e015682be582e9bde8805895962e0b86a",
+        "zssd":
+            "4711e9fba5bb385894a92931bf23bdb50fd95b931a7a63ebb04e1437d72b5aed",
+    }
 
     def test_spec_hashes_are_pinned(self):
-        assert get_spec("zssd").spec_hash() == self.ZSSD_HASH
-        assert get_spec("intel750").spec_hash() == self.INTEL750_HASH
+        assert tuple(self.SPEC_HASHES) == ZOO
+        for name, digest in self.SPEC_HASHES.items():
+            assert get_spec(name).spec_hash() == digest, name
 
     def test_zssd_timing_is_table_one_z_nand(self):
         assert resolve_config("zssd").timing == Z_NAND

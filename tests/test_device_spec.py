@@ -10,13 +10,16 @@ import json
 
 import pytest
 
+from repro.flash.timing import FlashTiming
 from repro.ssd.config import SsdConfig
+from repro.ssd.power import PowerParams
 from repro.ssd.registry import resolve_config, resolve_spec
 from repro.ssd.spec import (
     DeviceSpec,
     DeviceSpecError,
     spec_from_config,
 )
+from tests.test_device_registry import ZOO
 
 MINIMAL = {
     "schema": 1,
@@ -220,3 +223,30 @@ class TestPresetTwins:
         spec = spec_from_config(resolve_config("nvme"), name="intel750")
         assert spec.to_ssd_config() == resolve_config("intel750")
         assert spec.spec_hash() == resolve_spec("intel750").spec_hash()
+
+    def test_every_zoo_device_round_trips(self):
+        # A step table is spec-only data, so only specs without one
+        # come back with the same hash.
+        for name in ZOO:
+            spec = spec_from_config(resolve_config(name), name=name)
+            assert spec.to_ssd_config() == resolve_config(name), name
+            shipped = resolve_spec(name)
+            if not shipped.section("timing")["program_step_ns"]:
+                assert spec.spec_hash() == shipped.spec_hash(), name
+
+
+class TestDefaults:
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        # MINIMAL has no [power] table: its keys resolve to PowerParams().
+        config = DeviceSpec.from_mapping(MINIMAL, source="<test>").to_ssd_config()
+        assert config.power == PowerParams()
+        hand_built = SsdConfig(
+            name="dev",
+            timing=FlashTiming(
+                name="T", read_ns=3000, program_ns=100000,
+                erase_ns=1000000, bus_mbps=1200,
+            ),
+            channels=8, ways_per_channel=2, blocks_per_die=64,
+            pages_per_block=256,
+        )
+        assert config == hand_built

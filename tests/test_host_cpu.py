@@ -1,77 +1,7 @@
-"""Tests for the CPU core/topology model and the sparkline renderer."""
-
-import pytest
+"""Tests for the sparkline renderer of time-series figures."""
 
 from repro.core.metrics import FigureResult, Series
 from repro.core.report import render_sparkline, render_timeseries
-from repro.host import CpuSpec, CpuTopology, ExecMode
-from repro.sim import Simulator
-
-
-class TestCpuSpec:
-    def test_paper_testbed_defaults(self):
-        spec = CpuSpec()
-        assert spec.model == "i7-8700"
-        assert spec.cores == 6
-        assert spec.frequency_ghz == 4.6
-
-    def test_cycle_conversions_round_trip(self):
-        spec = CpuSpec(frequency_ghz=4.0)
-        assert spec.cycles_of(1000) == 4000
-        assert spec.ns_of(4000) == pytest.approx(1000)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CpuSpec(cores=0)
-        with pytest.raises(ValueError):
-            CpuSpec(frequency_ghz=0)
-
-
-class TestTopology:
-    def test_allocation_pins_lowest_free_core(self):
-        topology = CpuTopology(Simulator(), CpuSpec(cores=2))
-        first = topology.allocate("fio-0")
-        second = topology.allocate("fio-1")
-        assert (first.index, second.index) == (0, 1)
-        assert first.owner == "fio-0"
-
-    def test_oversubscription_rejected(self):
-        topology = CpuTopology(Simulator(), CpuSpec(cores=1))
-        topology.allocate("a")
-        with pytest.raises(RuntimeError):
-            topology.allocate("b")
-
-    def test_release_recycles_core(self):
-        topology = CpuTopology(Simulator(), CpuSpec(cores=1))
-        core = topology.allocate("a")
-        topology.release(core)
-        assert topology.allocate("b").index == 0
-
-    def test_double_pin_rejected(self):
-        topology = CpuTopology(Simulator(), CpuSpec(cores=1))
-        core = topology.allocate("a")
-        with pytest.raises(RuntimeError):
-            core.pin("b")
-
-    def test_busy_cycles_from_accounting(self):
-        topology = CpuTopology(Simulator(), CpuSpec(cores=1, frequency_ghz=2.0))
-        core = topology.allocate("a")
-        core.accounting.charge(500, ExecMode.KERNEL, "vfs", "syscall")
-        assert core.busy_cycles() == 1000
-        assert core.busy_cycles(ExecMode.USER) == 0
-
-    def test_total_utilization_averages_cores(self):
-        topology = CpuTopology(Simulator(), CpuSpec(cores=2))
-        busy = topology.allocate("busy")
-        topology.allocate("idle")
-        busy.accounting.charge(1000, ExecMode.USER, "fio", "x")
-        assert topology.total_utilization(1000) == pytest.approx(0.5)
-
-    def test_busiest_core(self):
-        topology = CpuTopology(Simulator(), CpuSpec(cores=3))
-        hot = topology.cores[2]
-        hot.accounting.charge(10, ExecMode.USER, "fio", "x")
-        assert topology.busiest_core() is hot
 
 
 class TestSparkline:

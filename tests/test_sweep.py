@@ -9,6 +9,8 @@ step-aside behavior under an installed observability bundle.
 from __future__ import annotations
 
 import dataclasses
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.core.sweep import (
     canonical,
     make_point,
     point_cache_key,
+    source_digest,
 )
 from repro.obs.blame import BlameConfig
 from repro.obs.core import Observability
@@ -222,6 +225,29 @@ class TestPersistentCache:
         fresh = _fresh_engine(cache=cache)
         fresh.run(_spec([point]))
         assert fresh.stats.executed == 1, "changed cost table must re-execute"
+        assert fresh.stats.disk_hits == 0
+
+    def test_source_edit_changes_the_code_namespace(self, tmp_path):
+        package = Path(sweep.__file__).resolve().parents[1]
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        assert source_digest(copy) == source_digest(package)
+        chip = copy / "flash" / "chip.py"
+        text = chip.read_text(encoding="utf-8")
+        edited = text.replace("factor = 1.0 +", "factor = 2.0 +")
+        assert edited != text
+        chip.write_text(edited, encoding="utf-8")
+        assert source_digest(copy) != source_digest(package)
+
+    def test_code_change_invalidates(self, tmp_path, monkeypatch):
+        point = sync_point("ull", "randread", io_count=40)
+        cache = SweepCache(tmp_path)
+        _fresh_engine(cache=cache).run(_spec([point]))
+
+        monkeypatch.setattr(sweep, "_code_identity", lambda: "edited-code")
+        fresh = _fresh_engine(cache=cache)
+        fresh.run(_spec([point]))
+        assert fresh.stats.executed == 1, "changed model code must re-execute"
         assert fresh.stats.disk_hits == 0
 
 
