@@ -178,9 +178,12 @@ class FileSystemOverNbd:
         from repro.ssd.device import IoOp
 
         costs = self.costs
-        yield self.sim.sleep(
-            self.accounting.charge_step(costs.user_io_prep, ExecMode.USER, "fio", "fio_rw")
+        sim = self.sim
+        run_ns = self.accounting.charge_step(
+            costs.user_io_prep, ExecMode.USER, "fio", "fio_rw"
         )
+        if not sim.advance_if_next(sim.now + run_ns):
+            yield sim.sleep(run_ns)
         if op is IoOp.READ:
             latency = yield from self.fs.read(offset, nbytes)
         else:

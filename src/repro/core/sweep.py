@@ -38,6 +38,8 @@ import functools
 import hashlib
 import os
 import pickle
+import re
+import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -264,6 +266,13 @@ def source_digest(package_root: Path) -> str:
     return digest.hexdigest()
 
 
+#: A namespace directory's name: one :func:`source_digest`.
+_NAMESPACE = re.compile(r"[0-9a-f]{64}")
+#: The file that marks a namespace as written by :class:`SweepCache`;
+#: pruning deletes no directory without it.
+_MARKER = ".repro-sweep"
+
+
 @functools.lru_cache(maxsize=None)
 def _code_identity() -> str:
     """:func:`source_digest` of the running ``repro`` package, hashed on
@@ -277,13 +286,36 @@ class SweepCache:
     Layout: ``<root>/<code>/<hash[:2]>/<hash>.pkl``, where ``<code>`` is
     the sha256 of the package sources (:func:`source_digest`): an edit
     anywhere in the model code starts an empty namespace instead of
-    serving measurements the old code made.  Reads tolerate missing or
-    corrupt files (a miss); writes are atomic (temp file + rename) so
-    parallel runs never observe torn entries.
+    serving measurements the old code made.  The first ``put`` marks its
+    namespace and deletes the marked namespaces of other digests, which
+    nothing reads again.  Reads
+    tolerate missing or corrupt files (a miss); writes are atomic (temp
+    file + rename) so parallel runs never observe torn entries.
     """
 
     def __init__(self, root) -> None:
         self.root = Path(root).expanduser()
+        self._pruned = False
+
+    def _prune(self) -> None:
+        """Once per cache: mark the current namespace, and delete sibling
+        namespaces of other source digests that carry the mark (errors
+        leave them in place)."""
+        if self._pruned:
+            return
+        self._pruned = True
+        current = _code_identity()
+        with contextlib.suppress(OSError):
+            namespace = self.root / current
+            namespace.mkdir(parents=True, exist_ok=True)
+            (namespace / _MARKER).touch()
+            for child in self.root.iterdir():
+                if (
+                    child.name != current
+                    and _NAMESPACE.fullmatch(child.name)
+                    and (child / _MARKER).is_file()
+                ):
+                    shutil.rmtree(child, ignore_errors=True)
 
     def _path(self, key: str) -> Path:
         return self.root / _code_identity() / key[:2] / f"{key}.pkl"
@@ -296,6 +328,7 @@ class SweepCache:
             return None
 
     def put(self, key: str, measurement: Measurement) -> None:
+        self._prune()
         path = self._path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -128,7 +128,8 @@ class _EngineBase:
                     "deferred_kernel_work", spun_until, spun_until + penalty
                 )
             run_ns += penalty
-        yield self.sim.sleep(run_ns)
+        if not self.sim.advance_if_next(self.sim.now + run_ns):
+            yield self.sim.sleep(run_ns)
 
     def _charge_spin(self, spun_ns: int) -> None:
         """Attribute spin time/instructions to blk_mq_poll + nvme_poll."""
@@ -179,9 +180,11 @@ class InterruptEngine(_EngineBase):
         charge = self.accounting.charge_step
         # Switch away; the core is free for other work while the device runs.
         self._m_ctx_switches.inc()
-        yield self.sim.sleep(
-            charge(costs.context_switch_out, ExecMode.KERNEL, "sched", "context_switch")
+        run_ns = charge(
+            costs.context_switch_out, ExecMode.KERNEL, "sched", "context_switch"
         )
+        if not self.sim.advance_if_next(self.sim.now + run_ns):
+            yield self.sim.sleep(run_ns)
         if record.cqe_ns is None:
             yield record.cqe_event
         if record.trace is not None:
@@ -190,7 +193,9 @@ class InterruptEngine(_EngineBase):
         # MSI flight, then the ISR completes the command.
         self._m_isr.inc()
         isr_ns = charge(costs.isr, ExecMode.KERNEL, "nvme-driver", "nvme_irq")
-        yield self.sim.sleep(costs.irq_delivery_ns + isr_ns)
+        run_ns = costs.irq_delivery_ns + isr_ns
+        if not self.sim.advance_if_next(self.sim.now + run_ns):
+            yield self.sim.sleep(run_ns)
         driver.complete_by_cid(record.cid)
         # The wake-up run; the caller's syscall exit joins it.
         run_ns = charge(costs.context_switch_in, ExecMode.KERNEL, "sched", "context_switch")
@@ -241,14 +246,14 @@ class HybridPollEngine(_EngineBase):
         costs = self.costs
         charge = self.accounting.charge_step
         wait_started = self.sim.now
-        yield self.sim.sleep(
-            charge(
-                costs.hybrid_timer_setup,
-                ExecMode.KERNEL,
-                "blk-mq",
-                "blk_mq_poll_hybrid_sleep",
-            )
+        run_ns = charge(
+            costs.hybrid_timer_setup,
+            ExecMode.KERNEL,
+            "blk-mq",
+            "blk_mq_poll_hybrid_sleep",
         )
+        if not self.sim.advance_if_next(self.sim.now + run_ns):
+            yield self.sim.sleep(run_ns)
         sleep_ns = (
             int(self._mean_wait_ns * self.sleep_fraction)
             if self._mean_wait_ns
@@ -267,7 +272,8 @@ class HybridPollEngine(_EngineBase):
             run_ns += charge(
                 costs.hybrid_cold_detect, ExecMode.KERNEL, "blk-mq", "blk_mq_poll"
             )
-            yield self.sim.sleep(run_ns)
+            if not self.sim.advance_if_next(self.sim.now + run_ns):
+                yield self.sim.sleep(run_ns)
         if record.cqe_ns is not None:
             # Overslept: the CQE beat us; pay one observing iteration.
             if record.trace is not None:
@@ -275,7 +281,8 @@ class HybridPollEngine(_EngineBase):
             detect = costs.kernel_poll_iter_ns
             self._charge_spin(detect)
             self._t_poll_burn.add_interval(self.sim.now, self.sim.now + detect)
-            yield self.sim.sleep(detect)
+            if not self.sim.advance_if_next(self.sim.now + detect):
+                yield self.sim.sleep(detect)
         else:
             yield from self._spin_until_cqe(record)
         self._update_mean(record, wait_started)

@@ -107,14 +107,18 @@ class Ext4Model:
         """Process: file read.  Returns application latency (ns)."""
         costs = self.costs
         started = self.sim.now
-        yield self.sim.sleep(self._charge(costs.inode_lookup, "ext4_file_read_iter"))
+        run_ns = self._charge(costs.inode_lookup, "ext4_file_read_iter")
+        if not self.sim.advance_if_next(self.sim.now + run_ns):
+            yield self.sim.sleep(run_ns)
         if self._rng.random() < costs.metadata_miss_prob:
             self.metadata_reads += 1
             yield from self.block_io(
                 IoOp.READ, self._meta_offset(offset), costs.metadata_block_bytes
             )
         yield from self.block_io(IoOp.READ, self.data_base + offset, nbytes)
-        yield self.sim.sleep(self._charge(costs.atime_update, "ext4_update_atime"))
+        run_ns = self._charge(costs.atime_update, "ext4_update_atime")
+        if not self.sim.advance_if_next(self.sim.now + run_ns):
+            yield self.sim.sleep(run_ns)
         return self.sim.now - started
 
     def write(self, offset: Bytes, nbytes: int) -> Generator[Wait, Any, int]:
@@ -125,7 +129,8 @@ class Ext4Model:
         run_ns = self._charge(costs.inode_lookup, "ext4_file_write_iter")
         run_ns += self._charge(costs.write_prepare, "ext4_map_blocks")
         run_ns += self._charge(costs.journal_memcpy, "jbd2_journal_dirty")
-        yield self.sim.sleep(run_ns)
+        if not self.sim.advance_if_next(self.sim.now + run_ns):
+            yield self.sim.sleep(run_ns)
         yield from self.block_io(IoOp.WRITE, self.data_base + offset, nbytes)
         self._writes_since_commit += 1
         self._writes_since_writeback += 1

@@ -127,7 +127,8 @@ class KernelStack:
         run_ns += self.accounting.charge_step(
             costs.syscall_exit, ExecMode.KERNEL, "vfs", "syscall"
         )
-        yield sim.sleep(run_ns)
+        if not sim.advance_if_next(sim.now + run_ns):
+            yield sim.sleep(run_ns)
         if self.stage_log is not None:
             assert record.cqe_ns is not None
             self.stage_log.append((started, submitted, record.cqe_ns, sim.now))
@@ -157,7 +158,8 @@ class KernelStack:
                 "nvme-driver",
                 "light_queue_issue",
             )
-            yield self.sim.sleep(run_ns)
+            if not self.sim.advance_if_next(self.sim.now + run_ns):
+                yield self.sim.sleep(run_ns)
             return
         if ctx is not None:
             ctx.phase("blkmq_queue", self.sim.now + run_ns)
@@ -165,7 +167,8 @@ class KernelStack:
             costs.blkmq_submit, ExecMode.KERNEL, "blk-mq", "blk_mq_make_request"
         )
         if self._requeue_faults is not None:
-            yield self.sim.sleep(run_ns)
+            if not self.sim.advance_if_next(self.sim.now + run_ns):
+                yield self.sim.sleep(run_ns)
             run_ns = 0
             yield from self._maybe_requeue(ctx)
         run_ns += charge(
@@ -174,7 +177,8 @@ class KernelStack:
         run_ns += charge(
             costs.doorbell_write, ExecMode.KERNEL, "nvme-driver", "doorbell_write"
         )
-        yield self.sim.sleep(run_ns)
+        if not self.sim.advance_if_next(self.sim.now + run_ns):
+            yield self.sim.sleep(run_ns)
 
     def _maybe_requeue(
         self, ctx: "Optional[IoTrace]" = None
@@ -239,7 +243,8 @@ class KernelStack:
         run_ns += charge(
             costs.async_submit_kernel, ExecMode.KERNEL, "blk-mq", "aio_submit_path"
         )
-        yield self.sim.sleep(run_ns)
+        if not self.sim.advance_if_next(self.sim.now + run_ns):
+            yield self.sim.sleep(run_ns)
         if self._requeue_faults is not None:
             yield from self._maybe_requeue(ctx)
         return self.driver.submit(0, op, offset, nbytes, trace=ctx)

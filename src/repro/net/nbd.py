@@ -134,7 +134,8 @@ class NbdSystem:
         run_ns += charge(
             costs.blkmq_submit, ExecMode.KERNEL, "blk-mq", "blk_mq_make_request"
         )
-        yield sim.sleep(run_ns)
+        if not sim.advance_if_next(sim.now + run_ns):
+            yield sim.sleep(run_ns)
         # Request (+ payload for writes) to the server.
         request_bytes = NBD_HEADER_BYTES + (nbytes if op is IoOp.WRITE else 0)
         send_at = sim.now
@@ -164,7 +165,8 @@ class NbdSystem:
         )
         run_ns += charge(costs.context_switch_in, ExecMode.KERNEL, "sched", "context_switch")
         run_ns += charge(costs.syscall_exit, ExecMode.KERNEL, "vfs", "syscall")
-        yield sim.sleep(run_ns)
+        if not sim.advance_if_next(sim.now + run_ns):
+            yield sim.sleep(run_ns)
         if ctx is not None:
             ctx.finish(sim.now)
         return sim.now - started
@@ -218,7 +220,8 @@ class NbdSystem:
         run_ns += charge(
             sc.kernel_syscall_path, ExecMode.KERNEL, "nbd-server", "storage_stack"
         )
-        yield self.sim.sleep(run_ns)
+        if not self.sim.advance_if_next(self.sim.now + run_ns):
+            yield self.sim.sleep(run_ns)
         done = self.device.submit(op, offset, nbytes, trace=ctx).done
         assert done is not None
         if not done.triggered:
@@ -233,7 +236,8 @@ class NbdSystem:
             run_ns += charge(sc.kernel_reply_send, ExecMode.KERNEL, "nbd-server", "tcp_send")
         else:
             run_ns = charge(sc.kernel_write_reply, ExecMode.KERNEL, "nbd-server", "tcp_send")
-        yield self.sim.sleep(run_ns)
+        if not self.sim.advance_if_next(self.sim.now + run_ns):
+            yield self.sim.sleep(run_ns)
 
     def _spdk_server(
         self, op: IoOp, offset: int, nbytes: int, ctx: "Optional[IoTrace]" = None
@@ -246,13 +250,14 @@ class NbdSystem:
                 sc.spdk_write_copy, ExecMode.USER, "spdk-nbd", "hugepage_memcpy"
             )
         run_ns += charge(sc.spdk_submit, ExecMode.USER, "spdk-nbd", "spdk_nvme_ns_cmd_rw")
-        yield self.sim.sleep(run_ns)
+        if not self.sim.advance_if_next(self.sim.now + run_ns):
+            yield self.sim.sleep(run_ns)
         done = self.device.submit(op, offset, nbytes, trace=ctx).done
         assert done is not None
         if not done.triggered:
             yield done
         if ctx is not None:
             ctx.phase("server", self.sim.now)
-        yield self.sim.sleep(
-            charge(sc.spdk_reply_send, ExecMode.USER, "spdk-nbd", "dpdk_send")
-        )
+        run_ns = charge(sc.spdk_reply_send, ExecMode.USER, "spdk-nbd", "dpdk_send")
+        if not self.sim.advance_if_next(self.sim.now + run_ns):
+            yield self.sim.sleep(run_ns)

@@ -260,8 +260,11 @@ class NvmeQueuePair:
         self._m_completed.inc()
         self._m_outstanding.add(-1, now)
         self._t_outstanding.record(now, len(self._pending))
-        record.land_cqe(now)
-        if self.interrupts_enabled:
+        # With no handler registered (the kernel stack models the MSI
+        # flight in its completion costs) there is no MSI to deliver.
+        msi = self.interrupts_enabled and bool(self._msi_handlers)
+        record.land_cqe(now, last=not msi)
+        if msi:
             self.sim.schedule(self.timings.msi_ns, self._raise_msi, record)
 
     def _raise_msi(self, record: IoRecord) -> None:

@@ -136,7 +136,8 @@ class LightQueuePair:
         self.completed += 1
         self._m_outstanding.add(-1, now)
         self._t_outstanding.record(now, len(self._pending))
-        record.land_cqe(now)
-        if self.interrupts_enabled:
+        msi = self.interrupts_enabled and bool(self._msi_handlers)
+        record.land_cqe(now, last=not msi)
+        if msi:
             for handler in self._msi_handlers:
                 handler(record)

@@ -14,9 +14,12 @@ spend its events and its host CPU?  Three views:
   synchronously resumes a waiting process — are attributed to the
   *generator's* code object, so the cost of a ``Process._wake`` (a
   ``sim.sleep()`` ending) lands on the FTL/NVMe/kstack coroutine it
-  actually drives, not on the sim kernel.  Event counts are exact
-  (counted on the sim clock); wall time is sampled with
-  ``time.perf_counter_ns`` around each dispatch when
+  actually drives, not on the sim kernel.  A sleep a process skips by
+  moving the clock inline (``Simulator.advance_if_next``) is booked the
+  same way, as an *inline resume* of the generator that made the move
+  (:meth:`Profiler.note_ahead`).  Event counts are exact (counted on
+  the sim clock); wall time is sampled with ``time.perf_counter_ns``
+  around each dispatch, and split at each inline move, when
   ``ProfilerConfig.wall`` is on.
 * **Event-queue introspection** — insert/dispatch/stale-wakeup counts,
   peak and time-resolved queue depth, a heap-sift cost proxy (sum of
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 import json
 import time
-from types import CodeType
+from types import CodeType, FrameType
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs.export import atomic_write_text
@@ -148,6 +151,18 @@ def _module_from_filename(filename: str) -> str:
     return tail.replace("/", ".")
 
 
+def _process_site(code: CodeType, frame: Optional[FrameType]) -> CallSite:
+    """The site of generator code ``code``, named by the module of its
+    live ``frame`` (or, once the frame is gone, its file)."""
+    module = ""
+    if frame is not None:
+        module = frame.f_globals.get("__name__", "") or ""
+    if not module:
+        module = _module_from_filename(code.co_filename)
+    name = getattr(code, "co_qualname", None) or code.co_name
+    return _module_to_site(module, name, "process")
+
+
 def _generator_of(callback: Callable[..., Any]) -> Optional[Any]:
     """The innermost generator a dispatched callback will synchronously
     resume.
@@ -228,6 +243,9 @@ class Profiler:
         # Queue introspection counters.
         self.inserts = 0
         self.dispatches = 0
+        #: Resumes a process made inline (``Simulator.advance_if_next``)
+        #: instead of through a dispatched wake; booked in ``events``.
+        self.ahead = 0
         self.stale_wakeups = 0
         self.trampoline_hops = 0
         self.peak_depth = 0
@@ -249,6 +267,12 @@ class Profiler:
         # Keyed by identity on objects that live for the whole run, so
         # the cache never aliases; dropped on pickle (not serializable).
         self._sites: Dict[Any, CallSite] = {}
+        # Wall split of the dispatch in flight: the inline run open since
+        # the last ``note_ahead`` (site, start) and the nanoseconds
+        # already charged to earlier inline runs of the same dispatch.
+        self._run_site: Optional[CallSite] = None
+        self._run_start = 0
+        self._run_ns = 0
         self._refresh_series()
 
     # ------------------------------------------------------------------
@@ -263,6 +287,7 @@ class Profiler:
                 "wall_ns",
                 "inserts",
                 "dispatches",
+                "ahead",
                 "stale_wakeups",
                 "trampoline_hops",
                 "peak_depth",
@@ -281,6 +306,9 @@ class Profiler:
             setattr(self, name, value)
         self._wall = self.config.wall
         self._sites = {}
+        self._run_site = None
+        self._run_start = 0
+        self._run_ns = 0
         self._refresh_series()
 
     # ------------------------------------------------------------------
@@ -349,13 +377,47 @@ class Profiler:
             self.trampoline_hops += 1
             self._hop_series.add(when_ns, 1.0)
         if self._wall:
+            self._run_site = None
+            self._run_ns = 0
             started = time.perf_counter_ns()
             callback(*args)
+            ended = time.perf_counter_ns()
+            if self._run_site is not None:
+                self._close_run(ended)
             self.wall_ns[site] = (
-                self.wall_ns.get(site, 0) + time.perf_counter_ns() - started
+                self.wall_ns.get(site, 0) + ended - started - self._run_ns
             )
         else:
             callback(*args)
+
+    def note_ahead(self, frame: FrameType) -> None:
+        """A process moved the clock inline instead of sleeping
+        (:meth:`~repro.sim.engine.Simulator.advance_if_next`), from the
+        generator ``frame``.  Book the resume the sleep's wake would
+        have been to that generator's site, and the wall time from here
+        to the next inline move (or the end of the dispatch) with it, so
+        host code that runs ahead inside a device callback is charged to
+        the layer whose code it is."""
+        code = frame.f_code
+        site = self._sites.get(code)
+        if site is None:
+            site = self._sites[code] = _process_site(code, frame)
+        self.ahead += 1
+        self.events[site] = self.events.get(site, 0) + 1
+        if self._wall:
+            now = time.perf_counter_ns()
+            if self._run_site is not None:
+                self._close_run(now)
+            self._run_site = site
+            self._run_start = now
+
+    def _close_run(self, now: int) -> None:
+        site = self._run_site
+        assert site is not None
+        spent = now - self._run_start
+        self.wall_ns[site] = self.wall_ns.get(site, 0) + spent
+        self._run_ns += spent
+        self._run_site = None
 
     # ------------------------------------------------------------------
     # Attribution
@@ -366,7 +428,7 @@ class Profiler:
             code = generator.gi_code
             site = self._sites.get(code)
             if site is None:
-                site = self._site_for_generator(generator, code)
+                site = _process_site(code, getattr(generator, "gi_frame", None))
                 self._sites[code] = site
             return site
         func = getattr(callback, "__func__", callback)
@@ -382,16 +444,6 @@ class Profiler:
             self._sites[key] = site
         return site
 
-    def _site_for_generator(self, generator: Any, code: CodeType) -> CallSite:
-        frame = getattr(generator, "gi_frame", None)
-        module = ""
-        if frame is not None:
-            module = frame.f_globals.get("__name__", "") or ""
-        if not module:
-            module = _module_from_filename(code.co_filename)
-        name = getattr(code, "co_qualname", None) or code.co_name
-        return _module_to_site(module, name, "process")
-
     # ------------------------------------------------------------------
     # Read side
     # ------------------------------------------------------------------
@@ -400,7 +452,8 @@ class Profiler:
         return sum(self.events.values())
 
     def attributed_share(self) -> float:
-        """Fraction of dispatched events attributed to a named layer."""
+        """Fraction of events (dispatches and inline resumes) attributed
+        to a named layer."""
         total = self.total_events
         if total == 0:
             return 0.0
@@ -457,6 +510,7 @@ class Profiler:
         return {
             "inserts": self.inserts,
             "dispatches": self.dispatches,
+            "ahead": self.ahead,
             "stale_wakeups": self.stale_wakeups,
             "trampoline_hops": self.trampoline_hops,
             "peak_depth": self.peak_depth,
@@ -481,6 +535,7 @@ class Profiler:
             self.wall_ns[site] = self.wall_ns.get(site, 0) + wall
         self.inserts += other.inserts
         self.dispatches += other.dispatches
+        self.ahead += other.ahead
         self.stale_wakeups += other.stale_wakeups
         self.trampoline_hops += other.trampoline_hops
         self.peak_depth = max(self.peak_depth, other.peak_depth)
@@ -562,7 +617,8 @@ def hotspot_table(profiler: Profiler, top: Optional[int] = None) -> str:
     lines.append(f"-- layers: {layers}")
     lines.append(
         f"-- attributed {profiler.attributed_share():.1%} of "
-        f"{total:,} dispatched events to a named layer"
+        f"{total:,} events to a named layer "
+        f"({profiler.ahead:,} of them inline resumes)"
     )
     return "\n".join(lines)
 
@@ -573,6 +629,7 @@ def queue_report(profiler: Profiler) -> str:
     lines = [
         f"queue inserts          {stats['inserts']:>12,}",
         f"queue dispatches       {stats['dispatches']:>12,}",
+        f"inline resumes         {stats['ahead']:>12,}",
         f"stale wakeups          {stats['stale_wakeups']:>12,}",
         f"trampoline hops        {stats['trampoline_hops']:>12,}",
         f"peak queue depth       {stats['peak_depth']:>12,}",

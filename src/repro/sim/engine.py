@@ -14,12 +14,16 @@ live batch — the microtask ring that lets zero-delay process trampolines
 resume without a heap round-trip.  The dispatch order is provably
 identical to the classic single-heap engine (see
 ``tests/test_sim_queue_fuzz.py`` for the differential harness and
-``docs/sim-engine.md`` for the invariants).
+``docs/sim-engine.md`` for the invariants).  ``run`` and
+``run_until_event`` share one batch-draining loop, inside which a
+process whose sleep would wake as the very next dispatch moves the clock
+inline instead (:meth:`Simulator.advance_if_next`).
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
 from typing import (
     TYPE_CHECKING,
@@ -52,6 +56,12 @@ if TYPE_CHECKING:
 #: appends — so the count is identical to what the pre-calendar single
 #: heap engine reported.
 events_executed_total = 0
+
+#: The horizon while no ``run``/``run_until_event`` loop dispatches:
+#: every :meth:`Simulator.advance_if_next` call fails against it.
+_IDLE = -1
+#: The horizon of a loop with no ``until``/``limit``.
+_FOREVER = 1 << 62
 
 #: One queued callback: ``(callback, args)``.  Timestamps live on the
 #: bucket, not the entry, and FIFO order within a bucket is list order —
@@ -88,6 +98,20 @@ class Simulator:
         self._live: Dict[Process, None] = {}
         #: FIFOs of parked callbacks handed out by :meth:`waitlist`.
         self._waitlists: List[Deque[_Entry]] = []
+        #: The active dispatch loop's last tick and its awaited event
+        #: (see :meth:`advance_if_next`); ``_IDLE`` outside a loop.
+        self._horizon: int = _IDLE
+        self._stop: Optional[Event] = None
+        #: True while the running generator belongs to a process the
+        #: loop dispatched directly, with no other code above it that
+        #: could still run at the old instant (set by ``Process``).
+        self._lead: bool = False
+        #: The event :meth:`hand_off` is triggering, while it does.
+        self._handoff: Optional[Event] = None
+        #: Under the sanitizer, ``(dispatch number, pending count)`` as
+        #: the last :meth:`hand_off` returned; :meth:`_drive` checks
+        #: that the dispatch queued nothing after it.
+        self._sealed: Optional[Tuple[int, int]] = None
         #: Sampled at construction so one test can run sanitized next to
         #: an unsanitized neighbour (see :mod:`repro.sim.sanitize`).
         self.sanitize: bool = sanitize.enabled()
@@ -206,27 +230,24 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _advance(self) -> bool:
-        """Load the earliest bucket as the current batch.  False if none."""
-        if not self._ticks:
-            self._batch = None
-            return False
-        when = heapq.heappop(self._ticks)
-        if self.sanitize:
-            sanitize.check_clock(self.now, when)
-        self.now = when
-        self._batch = self._buckets.pop(when)
-        self._batch_pos = 0
-        return True
-
     def step(self) -> bool:
-        """Run the next scheduled callback.  Returns False if none remain."""
+        """Run the next scheduled callback.  Returns False if none remain.
+
+        Kept for tests and tools: ``run`` and ``run_until_event``
+        dispatch through :meth:`_drive`.  A process never runs ahead
+        under a bare ``step``."""
         global events_executed_total
         batch = self._batch
         if batch is None or self._batch_pos >= len(batch):
-            if not self._advance():
+            if not self._ticks:
+                self._batch = None
                 return False
-            batch = self._batch
+            when = heapq.heappop(self._ticks)
+            if self.sanitize:
+                sanitize.check_clock(self.now, when)
+            self.now = when
+            batch = self._batch = self._buckets.pop(when)
+            self._batch_pos = 0
         pos = self._batch_pos
         self._batch_pos = pos + 1
         callback, args = batch[pos]  # type: ignore[index]
@@ -248,46 +269,138 @@ class Simulator:
         whose tick is ``<= until`` is always drained whole — same-tick
         callbacks never straddle the boundary.
         """
+        if until is None:
+            self._drive(_FOREVER, None)
+            return
+        until = int(until)
+        if until < self.now:
+            raise ValueError(f"cannot run backwards: {until} < {self.now}")
+        self._drive(until, None)
+        if until > self.now:
+            self.now = until
+
+    def run_until_event(self, event: Event, limit: Optional[int] = None) -> None:
+        """Run until ``event`` triggers (or the queue drains / limit hits).
+
+        Stops right after the callback that triggers ``event``, even in
+        the middle of a batch.  A tick past ``limit`` is not started; a
+        batch that started is drained (up to the trigger) whatever
+        ``limit`` says.
+        """
+        self._drive(_FOREVER if limit is None else int(limit), event)
+
+    def _drive(self, horizon: int, stop: Optional[Event]) -> None:
+        """The dispatch loop: drain the current batch, then each tick up
+        to ``horizon``, stopping after the callback that triggers
+        ``stop``.  While it runs, :meth:`advance_if_next` may move the
+        clock inside a dispatch."""
         global events_executed_total
-        if until is not None:
-            until = int(until)
-            if until < self.now:
-                raise ValueError(f"cannot run backwards: {until} < {self.now}")
+        if (stop is not None and stop._triggered) or self.now > horizon:  # noqa: SLF001
+            return
         prof = self._prof
+        checked = self.sanitize
         ticks = self._ticks
         buckets = self._buckets
-        while True:
-            batch = self._batch
-            if batch is not None:
-                # Drain the whole same-tick batch without touching the
-                # heap; the len() is re-read every lap because microtask
-                # appends grow the batch under our feet.
-                now = self.now
-                pos = self._batch_pos
-                while pos < len(batch):
-                    callback, args = batch[pos]
-                    pos += 1
-                    self._batch_pos = pos
-                    self._pending -= 1
-                    events_executed_total += 1
-                    if prof is None:
-                        callback(*args)
-                    else:
-                        prof.dispatch(now, callback, args, self._pending)
-                self._batch = None
-            if not ticks:
-                break
-            when = ticks[0]
-            if until is not None and when > until:
-                break
-            heapq.heappop(ticks)
-            if self.sanitize:
-                sanitize.check_clock(self.now, when)
-            self.now = when
-            self._batch = buckets.pop(when)
-            self._batch_pos = 0
-        if until is not None and until > self.now:
-            self.now = until
+        self._horizon = horizon
+        self._stop = stop
+        try:
+            while True:
+                batch = self._batch
+                if batch is not None:
+                    # Drain the whole same-tick batch without touching
+                    # the heap; the len() is re-read every lap because
+                    # microtask appends grow the batch under our feet.
+                    pos = self._batch_pos
+                    while pos < len(batch):
+                        callback, args = batch[pos]
+                        pos += 1
+                        self._batch_pos = pos
+                        self._pending -= 1
+                        events_executed_total += 1
+                        if prof is None:
+                            callback(*args)
+                        else:
+                            prof.dispatch(self.now, callback, args, self._pending)
+                        if checked and self._sealed is not None:
+                            self._check_sealed()
+                        if stop is not None and stop._triggered:  # noqa: SLF001
+                            return
+                    self._batch = None
+                if not ticks:
+                    return
+                when = ticks[0]
+                if when > horizon:
+                    return
+                heapq.heappop(ticks)
+                if self.sanitize:
+                    sanitize.check_clock(self.now, when)
+                self.now = when
+                self._batch = buckets.pop(when)
+                self._batch_pos = 0
+        finally:
+            self._horizon = _IDLE
+            self._stop = None
+
+    def advance_if_next(self, when: Ns) -> bool:
+        """Move the clock to ``when`` in place of a sleep, if the sleep's
+        wake would be the very next dispatch; True if it did.
+
+        Process code pauses with ``if not sim.advance_if_next(sim.now +
+        d): yield sim.sleep(d)``.  The clock moves only when an active
+        ``run``/``run_until_event`` loop dispatched the calling process
+        directly (nothing above it can still run at the old instant),
+        the current batch is drained, no queued tick is ``<= when``,
+        ``when`` lies within the loop's ``until``/``limit``, and the
+        loop's awaited event has not triggered.  Then the sleep's wake
+        would have run next, at ``when``, with nothing in between, so
+        every callback sees the same clock in the same order; only the
+        wake's dispatch is saved.  Only process generator code may call
+        it.
+        """
+        if not self._lead or not self.now <= when <= self._horizon:
+            return False
+        if self._batch_pos < len(self._batch):  # type: ignore[arg-type]
+            return False
+        ticks = self._ticks
+        if ticks and ticks[0] <= when:
+            return False
+        stop = self._stop
+        if stop is not None and stop._triggered:  # noqa: SLF001
+            return False
+        if self.sanitize:
+            sanitize.check_clock(self.now, when)
+        self.now = when
+        if self._prof is not None:
+            # Book the saved wake to the generator that called us.
+            self._prof.note_ahead(sys._getframe(1))  # noqa: SLF001
+        return True
+
+    def hand_off(self, event: Event) -> None:
+        """Trigger ``event`` as the last act of a callback the dispatch
+        loop ran directly.  A lone process waiting on it resumes as if
+        the loop had dispatched it, so it may run ahead
+        (:meth:`advance_if_next`).  Nothing may run after this call in
+        the callback: not in the caller, not in its callers."""
+        callbacks = event._callbacks  # noqa: SLF001
+        if callbacks is not None and len(callbacks) == 1:
+            self._handoff = event
+            try:
+                event.succeed()
+            finally:
+                self._handoff = None
+        else:
+            event.succeed()
+        if self.sanitize:
+            self._sealed = (events_executed_total, self._pending)
+
+    def _check_sealed(self) -> None:
+        """Under the sanitizer, after a dispatched callback that called
+        :meth:`hand_off`: nothing was queued after the hand-off, when the
+        woken process may already have moved the clock."""
+        dispatch, pending = self._sealed  # type: ignore[misc]
+        self._sealed = None
+        if dispatch == events_executed_total:
+            sanitize.check_hand_off(pending, self._pending, self.now)
 
     def close(self) -> None:
         """Tear down a simulator that will not run again.
@@ -316,16 +429,7 @@ class Simulator:
         self._batch = None
         self._batch_pos = 0
         self._pending = 0
-
-    def run_until_event(self, event: Event, limit: Optional[int] = None) -> None:
-        """Run until ``event`` triggers (or the queue drains / limit hits)."""
-        while not event.triggered:
-            if limit is not None:
-                when = self.peek()
-                if when is not None and when > limit:
-                    break
-            if not self.step():
-                break
+        self._sealed = None
 
     def peek(self) -> Optional[int]:
         """Timestamp of the next callback to run, or ``None`` if drained."""

@@ -66,7 +66,14 @@ class Process(Event):
         # (pure dispatch overhead the profiler counts).  A pending sleep
         # wake stays queued and arrives stale.
         self._detach()
-        self.sim.post(self._resume, None, Interrupted(cause))
+        self.sim.post(self._deliver, Interrupted(cause))
+
+    def _deliver(self, interrupt: Interrupted) -> None:
+        # Detach again: a process that interrupted itself (or was
+        # interrupted from code it woke) has parked on something new
+        # since, and must not be resumed from there a second time.
+        self._detach()
+        self._resume(None, interrupt)
 
     def _detach(self) -> None:
         """Forget the event or sleep the process is parked on."""
@@ -82,15 +89,24 @@ class Process(Event):
         if prof is not None:
             prof.note_stale()
 
-    def _on_event(self, event: Event) -> None:
+    def _on_event(self, event: Event, lead: bool = False) -> None:
+        """The event we wait on fired.  Called from its trigger, inside
+        whatever code triggered it (``lead`` False unless that code
+        handed the event off as its last act), or as a posted microtask
+        for an event that was ready when yielded (``lead`` True)."""
         if event is not self._waiting_on:
             self._note_stale()
             return
         self._waiting_on = None
+        sim = self.sim
+        outer = sim._lead  # noqa: SLF001
+        if sim._handoff is event:  # noqa: SLF001
+            lead = True
         if event.ok:
-            self._resume(event._value, None)  # noqa: SLF001
+            self._resume(event._value, None, lead)  # noqa: SLF001
         else:
-            self._resume(None, event._exception)  # noqa: SLF001
+            self._resume(None, event._exception, lead)  # noqa: SLF001
+        sim._lead = outer  # noqa: SLF001
 
     def _wake(self, token: Sleep) -> None:
         """A sleep elapsed: resume, unless an interrupt moved us on."""
@@ -100,10 +116,16 @@ class Process(Event):
         self._waiting_on = None
         self._resume(None, None)
 
-    def _resume(self, value: Any, exception: BaseException | None) -> None:
+    def _resume(
+        self, value: Any, exception: BaseException | None, lead: bool = True
+    ) -> None:
+        """Run the generator to its next yield.  ``lead``: the dispatch
+        loop called us directly, so the generator may run ahead
+        (:meth:`~repro.sim.engine.Simulator.advance_if_next`)."""
         if self._triggered:
             return
         sim = self.sim
+        sim._lead = lead  # noqa: SLF001
         try:
             if exception is not None:
                 target = self._generator.throw(exception)
@@ -143,6 +165,6 @@ class Process(Event):
             # Flatten recursion: a ready event resumes us as a same-tick
             # microtask instead of recursing synchronously — and, since
             # PR 7, without a heap round-trip.
-            sim.post(self._on_event, target)
+            sim.post(self._on_event, target, True)
         else:
             target.add_callback(self._on_event)

@@ -12,7 +12,11 @@ the source; this module catches the ones only visible at runtime.  Set
   created on one simulator is never waited on, raced (``AnyOf``), or
   scheduled through another.  Cross-engine waits "work" by accident in
   unsanitized runs (the callback fires on the other engine's clock) and
-  are a classic source of phantom latencies.
+  are a classic source of phantom latencies;
+* **hand-off is last** — a callback that wakes a process with
+  :meth:`~repro.sim.engine.Simulator.hand_off` queues nothing after it:
+  the woken process may have run ahead, so a later ``schedule`` would
+  be stamped from the moved clock.
 
 The checks raise :class:`SimSanitizeError` (an ``AssertionError``
 subclass) so a violation fails tests loudly instead of corrupting
@@ -60,4 +64,15 @@ def check_owner(sim: Any, obj: Any, action: str) -> None:
             f"cross-engine {action}: {obj!r} belongs to simulator "
             f"{id(owner):#x} but is used through simulator {id(sim):#x}; "
             "every event/resource must live and die on one engine"
+        )
+
+
+def check_hand_off(pending_then: int, pending_now: int, now: int) -> None:
+    """Assert a callback queued nothing after its ``hand_off``."""
+    if pending_now != pending_then:
+        raise SimSanitizeError(
+            f"callback queued {pending_now - pending_then:+d} callback(s) "
+            f"after Simulator.hand_off (clock at t={now}): the woken "
+            "process may have run ahead, so hand_off must be the "
+            "callback's last act"
         )

@@ -104,12 +104,14 @@ class SpdkStack:
             costs.spdk_check_enabled_iter, ExecMode.USER, "spdk", "nvme_qpair_check_enabled"
         )
         run_ns += charge(costs.spdk_submit, ExecMode.USER, "spdk", "spdk_nvme_ns_cmd_rw")
-        yield sim.sleep(run_ns)
+        if not sim.advance_if_next(sim.now + run_ns):
+            yield sim.sleep(run_ns)
         record = self.qpair.submit(op, offset, nbytes, trace=ctx)
         submitted = sim.now
         run_ns = yield from self._process_completions(record)
         run_ns += charge(costs.spdk_complete, ExecMode.USER, "spdk", "io_complete_cb")
-        yield sim.sleep(run_ns)
+        if not sim.advance_if_next(sim.now + run_ns):
+            yield sim.sleep(run_ns)
         if self.stage_log is not None:
             self.stage_log.append((started, submitted, record.cqe_ns, sim.now))
         if ctx is not None:

@@ -109,14 +109,20 @@ class IoRecord:
                 event.succeed()
         return event
 
-    def land_cqe(self, cqe_ns: int) -> None:
+    def land_cqe(self, cqe_ns: int, *, last: bool = False) -> None:
         """The queue pair's last step: stamp the CQE time, then wake
-        whoever waits on it (the CQE event, then ``on_cqe``)."""
+        whoever waits on it (the CQE event, then ``on_cqe``).  ``last``:
+        the caller, dispatched by the simulator loop, does nothing after
+        this call, so a host process woken last may run on from here
+        (:meth:`~repro.sim.engine.Simulator.hand_off`)."""
         self.cqe_ns = cqe_ns
         event = self._cqe_event
-        if event is not None:
-            event.succeed()
         on_cqe = self.on_cqe
+        if event is not None:
+            if last and on_cqe is None:
+                self.sim.hand_off(event)
+            else:
+                event.succeed()
         if on_cqe is not None:
             self.on_cqe = None
             on_cqe(self)
@@ -370,5 +376,6 @@ class SsdDevice:
             on_done(record)
 
     def _signal_done(self, record: IoRecord) -> None:
+        # The last act of _complete, which the simulator loop dispatches.
         assert record.done is not None
-        record.done.succeed()
+        self.sim.hand_off(record.done)

@@ -75,19 +75,25 @@ class WindowedAverage:
     def from_points(
         cls, times: ArrayLike, values: ArrayLike, window_ns: int
     ) -> "WindowedAverage":
+        """Bucket non-decreasing ``times`` into ``window_ns`` windows.
+
+        Each window's points are one contiguous slice, so its mean is
+        taken over a view: no per-point temporaries, whatever the series
+        length (a power series runs to millions of points).
+        """
         if window_ns <= 0:
             raise ValueError("window must be positive")
         times_arr = np.asarray(times, dtype=np.int64)
         values_arr = np.asarray(values, dtype=np.float64)
-        if len(times_arr) == 0:
-            return cls(window_ns=window_ns, starts_ns=(), means=())
-        buckets = times_arr // window_ns
         starts: List[int] = []
         means: List[float] = []
-        for bucket in np.unique(buckets):
-            mask = buckets == bucket
-            starts.append(int(bucket) * window_ns)
-            means.append(float(values_arr[mask].mean()))
+        lo, count = 0, len(times_arr)
+        while lo < count:
+            start = int(times_arr[lo]) // window_ns * window_ns
+            hi = int(np.searchsorted(times_arr, start + window_ns, side="left"))
+            starts.append(start)
+            means.append(float(values_arr[lo:hi].mean()))
+            lo = hi
         return cls(window_ns=window_ns, starts_ns=tuple(starts), means=tuple(means))
 
     def __len__(self) -> int:

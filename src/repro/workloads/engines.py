@@ -169,11 +169,13 @@ class AsyncJobEngine:
         )
         self._inflight -= 1
         self._completed += 1
+        # At most one of the two is pending, and waking it is the last
+        # act of this callback: the submission loop may run on from here.
         if self._slot_waiter is not None and not self._slot_waiter.triggered:
-            self._slot_waiter.succeed()
-        if (
+            self.sim.hand_off(self._slot_waiter)
+        elif (
             self._drained is not None
             and not self._drained.triggered
             and self._completed >= self.job.io_count
         ):
-            self._drained.succeed()
+            self.sim.hand_off(self._drained)

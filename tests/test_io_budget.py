@@ -3,12 +3,13 @@
 Each I/O travels as one slotted :class:`~repro.ssd.device.IoRecord`
 from blk-mq to flash; the device runs writes as callback stages, not as
 a process per write; host code advances the clock once per run of
-pure-CPU steps.  These tests pin the exact number of ``Process`` and
-``Event`` constructions and of engine dispatches of small real runs, so
-a change that brings per-I/O objects or per-step wakes back shows up as
-a changed count rather than as noise in a wall-time benchmark.  They
-also pin every CPU accounting cell, which sleeping per run instead of
-per step must leave untouched.
+pure-CPU steps, inline when nothing else is due first.  These tests
+pin the exact number of ``Process`` and ``Event`` constructions and of
+engine dispatches of small real runs, so a change that brings per-I/O
+objects or per-step wakes back shows up as a changed count rather than
+as noise in a wall-time benchmark.  They also pin every CPU accounting
+cell, which sleeping per run instead of per step, and running ahead,
+must leave untouched.
 """
 
 from __future__ import annotations
@@ -39,15 +40,18 @@ BUDGET = {
 
 
 #: (completion, engine, iodepth) -> engine dispatches of the same runs.
-#: One sleep per host run: a psync interrupt I/O sleeps 4 times (fio
-#: prep through the doorbell; the switch-out; MSI + ISR; the wake-up
-#: with the syscall exit) where it slept once per step, 12 times, before
-#: (3751, 2950, 3748 and 1923 dispatches then).
+#: A psync interrupt I/O has four host runs (fio prep through the
+#: doorbell; the switch-out; MSI + ISR; the wake-up with the syscall
+#: exit), and each runs ahead of the queue unless a device callback is
+#: due first: a read then costs three dispatches (command fetch, device
+#: completion, CQE post).  Sleeping per run instead of per step took
+#: 3751, 2950, 3748 and 1923 dispatches to 2151, 1750, 2349 and 1723;
+#: running ahead took them to these.
 DISPATCHES = {
-    ("interrupt", "psync", 1): 2151,
-    ("poll", "psync", 1): 1750,
-    ("hybrid", "psync", 1): 2349,
-    ("interrupt", "libaio", 8): 1723,
+    ("interrupt", "psync", 1): 1205,
+    ("poll", "psync", 1): 1162,
+    ("hybrid", "psync", 1): 1480,
+    ("interrupt", "libaio", 8): 1498,
 }
 
 #: (completion, engine, iodepth) -> every CPU accounting cell of the same

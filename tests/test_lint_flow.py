@@ -555,13 +555,26 @@ class TestMutation:
 
     def test_us_for_ns_mutation_is_caught(self, tmp_path):
         original = self.CALLER.read_text(encoding="utf-8")
-        target = "yield self.sim.sleep(costs.irq_delivery_ns + isr_ns)"
+        target = "run_ns = costs.irq_delivery_ns + isr_ns"
         assert target in original, "mutation anchor moved; update the test"
         mutated = original.replace(
-            target, "yield self.sim.sleep(costs.irq_delivery_us + isr_ns)", 1
+            target, "run_ns = costs.irq_delivery_us + isr_ns", 1
         )
         result = self.lint_pair(tmp_path, mutated)
         assert "SIM010" in codes_of(result)
         (diag,) = [d for d in result.diagnostics if d.code == "SIM010"]
         assert diag.path == "src/repro/kstack/completion.py"
         assert "time:us + time:ns" in diag.message
+
+    def test_us_deadline_for_run_ahead_is_caught(self, tmp_path):
+        # advance_if_next(when: Ns) is checked like sleep(delay: Ns).
+        original = self.CALLER.read_text(encoding="utf-8")
+        target = "self.sim.advance_if_next(self.sim.now + run_ns)"
+        assert target in original, "mutation anchor moved; update the test"
+        mutated = original.replace(
+            target, "self.sim.advance_if_next(costs.irq_delivery_us)", 1
+        )
+        result = self.lint_pair(tmp_path, mutated)
+        (diag,) = [d for d in result.diagnostics if d.code == "SIM010"]
+        assert diag.path == "src/repro/kstack/completion.py"
+        assert "advance_if_next" in diag.message

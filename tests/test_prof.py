@@ -116,6 +116,34 @@ class TestToySimulation:
         assert site.callsite.endswith("worker")
         assert not prof.wall_ns  # wall sampling was off
 
+    def test_inline_resumes_are_booked_to_the_running_generator(self):
+        """A sleep replaced by ``advance_if_next`` has no dispatch; it is
+        booked to the generator that moved the clock, as its wake was."""
+        obs = profiled_bundle(wall=True)
+        sim = Simulator(obs=obs)
+
+        def worker():
+            for _ in range(4):
+                if not sim.advance_if_next(sim.now + 10):
+                    yield sim.sleep(10)
+            yield sim.sleep(5)
+
+        sim.process(worker())
+        sim.run()
+        prof = obs.profiler
+        assert sim.now == 45
+        # 1 start + 1 wake dispatched; the 4 runs ahead are inline.
+        assert prof.dispatches == 2
+        assert prof.ahead == 4
+        assert prof.total_events == 6
+        (site,) = prof.events
+        assert site.kind == "process"
+        assert site.callsite.endswith("worker")
+        assert prof.events[site] == 6
+        assert set(prof.wall_ns) == {site}
+        assert "4 of them inline resumes" in hotspot_table(prof)
+        assert "inline resumes" in queue_report(prof)
+
     def test_delegated_dispatches_land_on_the_inner_generator(self):
         """A process parked inside ``yield from`` resumes its delegate, so
         the dispatch is charged to the delegate's module, not the
@@ -269,6 +297,24 @@ class TestRealStackAttribution:
         assert "layers:" in table
         report = queue_report(prof)
         assert "trampoline hops" in report
+
+    def test_run_ahead_host_path_keeps_its_events_and_wall_time(self):
+        """A read's host path runs ahead inside the nvme/ssd callbacks
+        that wake it; its inline resumes and their wall time are still
+        charged to kstack, not to the callback they run in."""
+        obs = profiled_bundle(wall=True)
+        with obs:
+            _, dispatched = run_small_job(io_count=150)
+        prof = obs.profiler
+        assert prof.ahead > 0
+        assert prof.dispatches == dispatched
+        assert prof.total_events == prof.dispatches + prof.ahead
+        kstack = [
+            site for site in prof.events
+            if site.kind == "process" and site.layer == "kstack"
+        ]
+        assert sum(prof.events[site] for site in kstack) >= prof.ahead * 0.9
+        assert all(prof.wall_ns.get(site, 0) > 0 for site in kstack)
 
 
 # ----------------------------------------------------------------------

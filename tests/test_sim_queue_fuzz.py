@@ -8,6 +8,10 @@ same-tick storms, zero-delay microtask chains — run through both the
 real simulator and :class:`ReferenceHeapEngine`, and the full
 ``(time, label)`` dispatch transcripts must match exactly.
 
+``run_until_event`` is checked against the reference's step-based loop,
+with the awaited event triggered by a callback in the middle of a
+same-tick batch, at the first or last callback, or never.
+
 The boundary tests pin ``run(until=)`` / ``run_until_event`` behavior at
 bucket edges: a bucket whose tick is ``<= until`` drains whole (same
 tick never straddles the boundary), and the clock lands exactly on
@@ -64,6 +68,29 @@ class ReferenceHeapEngine:
         if until is not None and until > self.now:
             self.now = until
 
+    def peek(self):
+        return self._queue[0][0] if self._queue else None
+
+    def run_until_event(self, event, limit=None):
+        # The step-based loop the calendar engine's shared dispatch loop
+        # replaced: checks the event before every callback.
+        while not event.triggered:
+            if limit is not None:
+                when = self.peek()
+                if when is not None and when > limit:
+                    break
+            if not self.step():
+                break
+
+
+class Flag:
+    """The reference engine's stand-in for an :class:`Event`."""
+
+    triggered = False
+
+    def succeed(self):
+        self.triggered = True
+
 
 class ScriptedWorkload:
     """A deterministic random workload driven by a per-run RNG.
@@ -77,12 +104,14 @@ class ScriptedWorkload:
 
     DELAYS = (0, 0, 0, 1, 1, 2, 3, 5, 7, 10, 50)
 
-    def __init__(self, engine, seed, budget=400):
+    def __init__(self, engine, seed, budget=400, target=None):
         self.engine = engine
         self.rng = random.Random(seed)
         self.budget = budget
         self.log = []
         self.counter = 0
+        #: ``(label, event)``: the callback with that label triggers it.
+        self.target = target
 
     def seed_initial(self, count=12):
         for _ in range(count):
@@ -98,6 +127,8 @@ class ScriptedWorkload:
 
     def callback(self, label):
         self.log.append((self.engine.now, label))
+        if self.target is not None and self.target[0] == label:
+            self.target[1].succeed()
         children = self.rng.randint(0, 3)
         for _ in range(children):
             if self.counter >= self.budget:
@@ -140,6 +171,61 @@ def test_fuzzed_step_interleaving_matches_run(seed):
         pass
     (run_log, _), _ = transcripts(seed)
     assert workload.log == run_log
+
+
+def until_event_transcripts(seed, label, limit=None):
+    """Run to the callback ``label`` with ``run_until_event``, then
+    drain; returns per engine the log, clock and next tick at the stop
+    and the log and clock at the end."""
+    runs = []
+    for engine in (Simulator(), ReferenceHeapEngine()):
+        event = engine.event() if isinstance(engine, Simulator) else Flag()
+        workload = ScriptedWorkload(engine, seed, target=(label, event))
+        workload.seed_initial()
+        engine.run_until_event(event, limit=limit)
+        stop = (list(workload.log), engine.now, engine.peek(), event.triggered)
+        engine.run()
+        runs.append((stop, (workload.log, engine.now)))
+    return runs
+
+
+def mid_batch_labels(seed):
+    """Labels of callbacks with a same-tick callback after them: a
+    trigger there stops the loop in the middle of a batch."""
+    (log, _), _ = transcripts(seed)
+    return [
+        label for (now, label), (later, _) in zip(log, log[1:]) if later == now
+    ]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fuzzed_run_until_event_matches_reference(seed):
+    (log, _), _ = transcripts(seed)
+    middle = mid_batch_labels(seed)
+    assert middle, "the workload has same-tick batches"
+    rng = random.Random(seed)
+    labels = [rng.choice(middle), log[0][1], log[-1][1], rng.choice(log)[1], -1]
+    ticks = sorted({now for now, _ in log})
+    for label in labels:
+        for limit in (None, rng.choice(ticks), ticks[0] - 1):
+            calendar, heap = until_event_transcripts(seed, label, limit)
+            assert calendar == heap, (label, limit)
+
+
+def test_run_until_event_stops_mid_batch():
+    sim = Simulator()
+    done = sim.event()
+    fired = []
+    sim.schedule(5, fired.append, "a")
+    sim.schedule(5, done.succeed)
+    sim.schedule(5, fired.append, "b")
+    sim.run_until_event(done)
+    assert fired == ["a"]
+    assert sim.now == 5
+    assert sim.peek() == 5
+    assert sim.pending_count == 1
+    sim.run()
+    assert fired == ["a", "b"]
 
 
 # ----------------------------------------------------------------------

@@ -132,6 +132,33 @@ class TestTimeSeries:
         )
         assert from_arrays == from_lists
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=50),
+                st.floats(min_value=-1e6, max_value=1e6),
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+        st.integers(min_value=1, max_value=200),
+    )
+    def test_property_slices_match_per_window_masks(self, steps, window):
+        # Each window's mean is taken over a contiguous slice; it must be
+        # bit-identical to the mean over a boolean mask of the window.
+        times = np.asarray(
+            list(itertools.accumulate(step for step, _ in steps)), dtype=np.int64
+        )
+        values = np.asarray([value for _, value in steps], dtype=np.float64)
+        buckets = times // window
+        starts, means = [], []
+        for bucket in np.unique(buckets):
+            starts.append(int(bucket) * window)
+            means.append(float(values[buckets == bucket].mean()))
+        windowed = WindowedAverage.from_points(times, values, window)
+        assert windowed.starts_ns == tuple(starts)
+        assert windowed.means == tuple(means)
+
     def test_array_backed_series(self):
         times = [t for t, _ in _LIST_BACKED_POINTS]
         values = [v for _, v in _LIST_BACKED_POINTS]

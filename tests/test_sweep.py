@@ -250,6 +250,33 @@ class TestPersistentCache:
         assert fresh.stats.executed == 1, "changed model code must re-execute"
         assert fresh.stats.disk_hits == 0
 
+    def test_first_put_prunes_stale_namespaces(self, tmp_path):
+        current = sweep._code_identity()
+        stale = tmp_path / ("0" * 64)
+        (stale / "ab").mkdir(parents=True)
+        (stale / "ab" / "old.pkl").write_bytes(b"old")
+        (stale / sweep._MARKER).touch()
+        # Unmarked digest-named directories are not the cache's own.
+        foreign = tmp_path / ("1" * 64)
+        (foreign / "ab").mkdir(parents=True)
+        keep = [tmp_path / "notes", tmp_path / ("z" * 64), foreign]
+        for path in keep:
+            path.mkdir(exist_ok=True)
+        cache = SweepCache(tmp_path)
+        point = sync_point("ull", "randread", io_count=40)
+        _fresh_engine(cache=cache).run(_spec([point]))
+        assert not stale.exists()
+        assert all(path.is_dir() for path in keep)
+        assert (foreign / "ab").is_dir()
+        assert (tmp_path / current / sweep._MARKER).is_file()
+        assert cache._path(point_cache_key(point)).is_file()
+        assert cache._path(point_cache_key(point)).parent.parent.name == current
+        # Once per cache: a marked namespace that appears later stays.
+        stale.mkdir()
+        (stale / sweep._MARKER).touch()
+        cache.put(point_cache_key(point), cache.get(point_cache_key(point)))
+        assert stale.is_dir()
+
 
 #: Bundles that each enable one recorder: telemetry and the profiler
 #: alone, blame beside the tracer it requires.
