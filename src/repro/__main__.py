@@ -237,7 +237,7 @@ def _emit_observability(obs, figure_id: str, args, multi: bool) -> None:
     if args.telemetry:
         print(telemetry_to_text(obs.telemetry))
         print()
-    blame = getattr(obs, "blame", None)
+    blame = obs.blame
     if blame is not None and (args.blame or args.slo):
         from repro.obs.blame import blame_table
 
@@ -245,14 +245,13 @@ def _emit_observability(obs, figure_id: str, args, multi: bool) -> None:
         print()
     if args.trace_out:
         path = _suffixed(args.trace_out, figure_id, multi)
-        telemetry = obs.telemetry if obs.telemetry.enabled else None
         if path.endswith(".jsonl"):
             from repro.obs.export import write_trace_jsonl
 
-            count = write_trace_jsonl(obs.tracer, path, telemetry=telemetry)
+            count = write_trace_jsonl(obs.tracer, path, telemetry=obs.telemetry)
             print(f"wrote {count} JSONL events to {path}", file=sys.stderr)
         else:
-            count = write_chrome_trace(obs.tracer, path, telemetry=telemetry)
+            count = write_chrome_trace(obs.tracer, path, telemetry=obs.telemetry)
             print(f"wrote {count} trace events to {path}", file=sys.stderr)
     if args.metrics_out:
         path = _suffixed(args.metrics_out, figure_id, multi)
@@ -800,6 +799,7 @@ def _cmd_perf(args) -> int:
                 )
                 with session.measure(figure_id), obs:
                     run_figure(figure_id, **kwargs)
+                assert obs.profiler is not None
                 session.records[figure_id].hotspots = tuple(
                     bench_hotspots(obs.profiler)
                 )
@@ -850,6 +850,7 @@ def _cmd_profile(args) -> int:
         run_figure(figure_id, **kwargs)
     elapsed = time.time() - started
     prof = obs.profiler
+    assert prof is not None
     print(f"== hotspots: {figure_id} ({elapsed:.1f}s wall) ==")
     print(hotspot_table(prof))
     print()

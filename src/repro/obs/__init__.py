@@ -49,9 +49,7 @@ from repro.obs.blame import (
 )
 from repro.obs.core import NULL_OBS, Observability, current_obs
 from repro.obs.prof import (
-    NULL_PROFILER,
     CallSite,
-    NullProfiler,
     Profiler,
     ProfilerConfig,
     bench_hotspots,
@@ -86,6 +84,7 @@ from repro.obs.html import (
     write_blame_html,
     write_telemetry_html,
 )
+from repro.obs.scope import RunScope
 from repro.obs.registry import (
     NULL_REGISTRY,
     Counter,
@@ -120,6 +119,7 @@ __all__ = [
     "Observability",
     "current_obs",
     "NULL_OBS",
+    "RunScope",
     "atomic_write_text",
     "chrome_trace_events",
     "telemetry_counter_events",
@@ -155,8 +155,6 @@ __all__ = [
     "CallSite",
     "Profiler",
     "ProfilerConfig",
-    "NullProfiler",
-    "NULL_PROFILER",
     "hotspot_table",
     "queue_report",
     "bench_hotspots",

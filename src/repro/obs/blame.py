@@ -41,17 +41,18 @@ list and raises if any record disagrees — the same style of
 to-the-nanosecond check :func:`repro.obs.anatomy.verify_conservation`
 applies to phase tiling.
 
-House rules (established by the telemetry/profiler PRs) all hold:
-recording never perturbs simulated time, ``absorb()`` merges worker
-bundles with pid rebasing so ``--jobs N`` sweeps are byte-identical to
-serial, and a blamed run never touches the sweep caches (the engine
-runs every point live under an enabled bundle).
+The observability house rules all hold: recording never perturbs
+simulated time, ``absorb()`` merges worker bundles at the pid and io-id
+offsets the bundle's scope hands it, so ``--jobs N`` sweeps are
+byte-identical to serial, and a blamed run never touches the sweep
+caches (the engine runs every point live under an enabled bundle).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from repro.obs.scope import Offsets, RunScope
 from repro.obs.telemetry import DEFAULT_PERIOD_NS, TailDigest, TimeSeries
 from repro.obs.tracer import WaitEdge
 
@@ -303,14 +304,15 @@ class BlameRecorder:
     :meth:`absorb`.
     """
 
-    enabled = True
-
-    def __init__(self, config: Optional[BlameConfig] = None) -> None:
+    def __init__(
+        self,
+        config: Optional[BlameConfig] = None,
+        scope: Optional[RunScope] = None,
+    ) -> None:
         self.config = config or BlameConfig()
-        self._pid = 0
+        #: Names the device each pid ran against (see :mod:`repro.obs.scope`).
+        self.scope = scope if scope is not None else RunScope()
         self.observed = 0
-        #: pid -> registry/spec name of the device that sim ran against.
-        self.device_labels: Dict[int, str] = {}
         #: (device, op) -> top-K outliers, slowest first.
         self._groups: Dict[Tuple[str, str], List[OutlierRecord]] = {}
         #: (device, op) -> latency digest over every I/O in the group.
@@ -321,20 +323,6 @@ class BlameRecorder:
         self._slo_miss: List[int] = [0] * len(self.config.slos)
         #: (pid, spec index, "checked"|"misses") -> burn-rate series.
         self._slo_series: Dict[Tuple[int, int, str], TimeSeries] = {}
-
-    # ------------------------------------------------------------------
-    def new_sim(self) -> None:
-        """A fresh simulator attached; its I/Os get the next pid."""
-        self._pid += 1
-
-    @property
-    def current_pid(self) -> int:
-        return max(1, self._pid)
-
-    def label_device(self, label: str) -> None:
-        """Record which device the current sim's I/Os run against."""
-        if label:
-            self.device_labels[self.current_pid] = label
 
     # ------------------------------------------------------------------
     def observe(self, trace: "IoTrace") -> None:
@@ -359,7 +347,7 @@ class BlameRecorder:
             )
         )
         wait_ns = union_ns(edges)
-        device = self.device_labels.get(trace.pid) or f"sim{trace.pid}"
+        device = self.scope.device_labels.get(trace.pid) or f"sim{trace.pid}"
         group_key = (device, trace.op)
         self.observed += 1
 
@@ -515,24 +503,20 @@ class BlameRecorder:
         ]
 
     # ------------------------------------------------------------------
-    def absorb(self, other: "BlameRecorder", io_base: int = 0) -> None:
-        """Merge a worker recorder, rebasing its pids past this one's.
+    def absorb(self, other: "BlameRecorder", base: Offsets) -> None:
+        """Merge a worker recorder, its pids and io ids moved up by
+        ``base`` (from :meth:`RunScope.absorb`).
 
-        Mirrors ``SpanTracer.absorb``/``Telemetry.absorb``: absorbing
-        worker bundles in point order reproduces the serial pid
-        assignment, and every aggregate here is exactly mergeable, so
-        parallel blame output is byte-identical to serial.  ``io_base``
-        is the absorbing tracer's io-id watermark from *before* its own
-        absorb ran (the recorder does not track io ids itself), so
-        captured records name the ids a serial run would have assigned.
+        Every aggregate here is exactly mergeable and every burn-rate
+        series key is new here, so parallel blame output is
+        byte-identical to serial.
         """
-        pid_base = self._pid
         top = self.config.top
         for key in sorted(other._groups):
             records = other._groups[key]
             for record in records:
-                record.pid += pid_base
-                record.io_id += io_base
+                record.pid += base.pid
+                record.io_id += base.io
             mine = self._groups.setdefault(key, [])
             mine.extend(records)
             mine.sort(key=_record_key)
@@ -553,18 +537,11 @@ class BlameRecorder:
         for index in range(min(len(self._slo_total), len(other._slo_total))):
             self._slo_total[index] += other._slo_total[index]
             self._slo_miss[index] += other._slo_miss[index]
-        for (pid, index, which) in sorted(other._slo_series):
-            series = other._slo_series[(pid, index, which)]
-            new_key = (pid + pid_base, index, which)
-            series.pid = pid + pid_base
-            mine_series = self._slo_series.get(new_key)
-            if mine_series is None:
-                self._slo_series[new_key] = series
-            else:
-                mine_series._merge_from(series)
-        for pid, label in sorted(other.device_labels.items()):
-            self.device_labels[pid + pid_base] = label
-        self._pid += other._pid
+        for (pid, index, which), series in other._slo_series.items():
+            series.pid = pid + base.pid
+            key = (series.pid, index, which)
+            assert key not in self._slo_series, f"burn series {key} absorbed twice"
+            self._slo_series[key] = series
         self.observed += other.observed
 
 

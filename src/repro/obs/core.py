@@ -19,18 +19,24 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.obs.blame import BlameConfig, BlameRecorder
-from repro.obs.prof import NULL_PROFILER, NullProfiler, Profiler, ProfilerConfig
+from repro.obs.prof import Profiler, ProfilerConfig
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, SpanTracer
+from repro.obs.scope import RunScope
 from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry, TelemetryConfig
+from repro.obs.tracer import NULL_TRACER, NullTracer, SpanTracer
 
 if TYPE_CHECKING:
     from repro.sim.engine import Simulator
 
 
 class Observability:
-    """A tracer plus a registry (plus, optionally, telemetry),
-    installable as the process default."""
+    """A tracer plus a registry (plus, optionally, telemetry, blame and
+    the self-profiler), installable as the process default.
+
+    The bundle owns the :class:`~repro.obs.scope.RunScope` its recorders
+    share: it numbers sims (pids) and I/Os and names each pid's device,
+    once for all of them.
+    """
 
     def __init__(
         self,
@@ -41,28 +47,34 @@ class Observability:
         profile: Union[bool, ProfilerConfig, None] = None,
         blame: Union[bool, BlameConfig, None] = None,
     ) -> None:
-        self.tracer = SpanTracer() if tracing else NULL_TRACER
+        self.scope = RunScope()
+        self.tracer: Union[SpanTracer, NullTracer] = (
+            SpanTracer(self.scope) if tracing else NULL_TRACER
+        )
         self.registry = MetricsRegistry() if metrics else NULL_REGISTRY
         # Telemetry, the self-profiler (repro.obs.prof) and blame
         # attribution (repro.obs.blame) are opt-in: pass True for
-        # defaults, or a config object to tune them.  Blame rides on the
-        # tracer: wait edges live on trace contexts.
+        # defaults, or a config object to tune them.  Layers call the
+        # tracer, registry and telemetry on hot paths, so those fall
+        # back to null objects; the profiler and blame are None when off.
+        # Blame rides on the tracer: wait edges live on trace contexts.
         self.telemetry: Union[Telemetry, NullTelemetry] = (
-            Telemetry(_config_or_none(telemetry)) if telemetry else NULL_TELEMETRY
+            Telemetry(_config_or_none(telemetry), self.scope)
+            if telemetry
+            else NULL_TELEMETRY
         )
-        self.profiler: Union[Profiler, NullProfiler] = (
-            Profiler(_config_or_none(profile)) if profile else NULL_PROFILER
+        self.profiler: Optional[Profiler] = (
+            Profiler(_config_or_none(profile), self.scope) if profile else None
         )
         self.blame: Optional[BlameRecorder] = (
-            BlameRecorder(_config_or_none(blame)) if blame else None
+            BlameRecorder(_config_or_none(blame), self.scope) if blame else None
         )
         if self.blame is not None:
-            if not self.tracer.enabled:
+            if not isinstance(self.tracer, SpanTracer):
                 raise ValueError(
                     "blame attribution requires tracing "
                     "(wait edges ride on trace contexts)"
                 )
-            assert isinstance(self.tracer, SpanTracer)
             self.tracer.blame = self.blame
 
     @property
@@ -77,7 +89,7 @@ class Observability:
             "tracing": self.tracer.enabled,
             "metrics": self.registry.enabled,
             "telemetry": self.telemetry.config,
-            "profile": self.profiler.config,
+            "profile": self.profiler.config if self.profiler is not None else None,
             "blame": self.blame.config if self.blame is not None else None,
         }
 
@@ -87,51 +99,49 @@ class Observability:
             self.tracer.enabled
             or self.registry.enabled
             or self.telemetry.enabled
-            or self.profiler.enabled
+            or self.profiler is not None
             or self.blame is not None
         )
 
     # ------------------------------------------------------------------
     def attach(self, sim: "Simulator") -> None:
         """Called by each :class:`Simulator` binding itself to this bundle."""
-        self.tracer.new_sim()
-        self.telemetry.new_sim()
-        self.profiler.new_sim()
-        if self.blame is not None:
-            self.blame.new_sim()
+        self.scope.new_sim()
+        if self.profiler is not None:
+            self.profiler.start_sim()
 
     def label_device(self, label: str) -> None:
-        """Stamp the current sim's spans/series with a device name.
+        """Name the device the current sim runs against.
 
         Called by :class:`~repro.ssd.device.SsdDevice` construction with
-        the registry/spec label its config resolved from, so traces and
-        telemetry say *which* device a pid measured.
+        the registry/spec label its config resolved from, so traces,
+        telemetry and blame say *which* device a pid measured.
         """
-        self.tracer.label_device(label)
-        self.telemetry.label_device(label)
-        if self.blame is not None:
-            self.blame.label_device(label)
+        self.scope.label_device(label)
 
     def absorb(self, other: "Observability") -> None:
-        """Merge a worker bundle (spans, metrics, telemetry) into this one.
+        """Merge a worker bundle (spans, metrics, telemetry, blame, profile).
 
         The sweep engine ships per-point bundles back from worker
-        processes and absorbs them in point order, so parallel traced
-        runs produce the same pids/io ids a serial run would.
+        processes and absorbs them in point order.  The scope offsets
+        the worker's pids and io ids past this bundle's and merges its
+        device labels; each recorder then appends the worker's records
+        at those offsets, so parallel traced runs produce the pids and
+        io ids a serial run would.
         """
-        io_base = getattr(self.tracer, "_next_io_id", 0)
-        if self.tracer.enabled and getattr(other.tracer, "enabled", False):
-            self.tracer.absorb(other.tracer)
-        if self.registry.enabled and getattr(other.registry, "enabled", False):
+        base = self.scope.absorb(other.scope)
+        if isinstance(self.tracer, SpanTracer) and isinstance(other.tracer, SpanTracer):
+            self.tracer.absorb(other.tracer, base)
+        if isinstance(self.registry, MetricsRegistry) and isinstance(
+            other.registry, MetricsRegistry
+        ):
             self.registry.absorb(other.registry)
-        if self.telemetry.enabled and getattr(other.telemetry, "enabled", False):
-            self.telemetry.absorb(other.telemetry)
-        if self.profiler.enabled and getattr(other.profiler, "enabled", False):
-            assert isinstance(self.profiler, Profiler)
-            self.profiler.absorb(other.profiler)
-        if self.blame is not None and getattr(other, "blame", None) is not None:
-            assert other.blame is not None
-            self.blame.absorb(other.blame, io_base=io_base)
+        if isinstance(self.telemetry, Telemetry) and isinstance(other.telemetry, Telemetry):
+            self.telemetry.absorb(other.telemetry, base)
+        if self.profiler is not None and other.profiler is not None:
+            self.profiler.absorb(other.profiler, base)
+        if self.blame is not None and other.blame is not None:
+            self.blame.absorb(other.blame, base)
 
     # ------------------------------------------------------------------
     def install(self) -> "Observability":
@@ -155,7 +165,7 @@ class _NullObservability:
     tracer = NULL_TRACER
     registry = NULL_REGISTRY
     telemetry = NULL_TELEMETRY
-    profiler = NULL_PROFILER
+    profiler: Optional[Profiler] = None
     blame: Optional[BlameRecorder] = None
     enabled = False
 

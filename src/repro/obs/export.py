@@ -28,9 +28,8 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 if TYPE_CHECKING:
     from repro.obs.registry import MetricsRegistry, NullRegistry
     from repro.obs.telemetry import NullTelemetry, Telemetry
-    from repro.obs.tracer import IoTrace, NullTracer, SpanTracer
+    from repro.obs.tracer import IoTrace, SpanTracer
 
-    AnyTracer = Union[SpanTracer, NullTracer]
     AnyTelemetry = Union[Telemetry, NullTelemetry]
     AnyRegistry = Union[MetricsRegistry, NullRegistry]
 
@@ -95,7 +94,7 @@ def telemetry_counter_events(telemetry: "Optional[AnyTelemetry]") -> List[dict]:
     ramps and GC onset line up visually with the spans that caused them.
     """
     events: List[dict] = []
-    if telemetry is None or not getattr(telemetry, "enabled", False):
+    if telemetry is None:
         return events
     for series in telemetry:
         for t_ns, value in series.samples():
@@ -114,7 +113,7 @@ def telemetry_counter_events(telemetry: "Optional[AnyTelemetry]") -> List[dict]:
 
 
 def chrome_trace_events(
-    tracer: "AnyTracer", telemetry: "Optional[AnyTelemetry]" = None
+    tracer: "SpanTracer", telemetry: "Optional[AnyTelemetry]" = None
 ) -> List[dict]:
     """The ``traceEvents`` list for ``tracer``'s finished spans.
 
@@ -175,7 +174,7 @@ def chrome_trace_events(
             }
         )
     metadata: List[dict] = []
-    device_labels = getattr(tracer, "device_labels", {})
+    device_labels = tracer.scope.device_labels
     for pid in sorted(pids):
         label = device_labels.get(pid)
         metadata.append(
@@ -213,7 +212,7 @@ def chrome_trace_events(
 
 
 def to_chrome_trace(
-    tracer: "AnyTracer", telemetry: "Optional[AnyTelemetry]" = None
+    tracer: "SpanTracer", telemetry: "Optional[AnyTelemetry]" = None
 ) -> dict:
     """The full JSON-object-format document."""
     return {
@@ -224,7 +223,7 @@ def to_chrome_trace(
 
 
 def write_chrome_trace(
-    tracer: "AnyTracer", path: str, telemetry: "Optional[AnyTelemetry]" = None
+    tracer: "SpanTracer", path: str, telemetry: "Optional[AnyTelemetry]" = None
 ) -> int:
     """Serialize to ``path``; returns the number of events written."""
     document = to_chrome_trace(tracer, telemetry)
@@ -244,7 +243,7 @@ def _jsonl(obj: dict) -> str:
 
 
 def trace_jsonl_lines(
-    tracer: "AnyTracer", telemetry: "Optional[AnyTelemetry]" = None
+    tracer: "SpanTracer", telemetry: "Optional[AnyTelemetry]" = None
 ) -> List[str]:
     """One JSON object per line: header, then per-I/O span/wait events.
 
@@ -258,7 +257,7 @@ def trace_jsonl_lines(
     ``sample``.
     """
     lines: List[str] = []
-    device_labels = getattr(tracer, "device_labels", {})
+    device_labels = tracer.scope.device_labels
     lines.append(
         _jsonl(
             {
@@ -335,7 +334,7 @@ def trace_jsonl_lines(
         if args:
             event["args"] = args
         lines.append(_jsonl(event))
-    if telemetry is not None and getattr(telemetry, "enabled", False):
+    if telemetry is not None:
         for series in telemetry:
             for t_ns, value in series.samples():
                 lines.append(
@@ -355,13 +354,13 @@ def trace_jsonl_lines(
 
 
 def trace_to_jsonl(
-    tracer: "AnyTracer", telemetry: "Optional[AnyTelemetry]" = None
+    tracer: "SpanTracer", telemetry: "Optional[AnyTelemetry]" = None
 ) -> str:
     return "\n".join(trace_jsonl_lines(tracer, telemetry)) + "\n"
 
 
 def write_trace_jsonl(
-    tracer: "AnyTracer", path: str, telemetry: "Optional[AnyTelemetry]" = None
+    tracer: "SpanTracer", path: str, telemetry: "Optional[AnyTelemetry]" = None
 ) -> int:
     """Serialize to ``path``; returns the number of lines written."""
     lines = trace_jsonl_lines(tracer, telemetry)
@@ -466,7 +465,7 @@ def write_telemetry_csv(telemetry: "AnyTelemetry", path: str) -> None:
     atomic_write_text(path, telemetry_to_csv(telemetry))
 
 
-def telemetry_to_text(telemetry: "AnyTelemetry") -> str:
+def telemetry_to_text(telemetry: "Telemetry") -> str:
     """Aligned digest summary, one series per line (all samples ever
     taken, including those evicted from the ring)."""
     rows: List[tuple] = []
@@ -491,7 +490,7 @@ def telemetry_to_text(telemetry: "AnyTelemetry") -> str:
         return "(no telemetry series recorded)"
     name_width = max(len(row[0]) for row in rows)
     lines = []
-    device_labels = getattr(telemetry, "device_labels", {})
+    device_labels = telemetry.scope.device_labels
     if device_labels:
         distinct = sorted(set(device_labels.values()))
         if len(distinct) == 1:

@@ -51,18 +51,16 @@ from __future__ import annotations
 import json
 import time
 from types import CodeType, FrameType
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs.export import atomic_write_text
+from repro.obs.scope import Offsets, RunScope
 from repro.obs.telemetry import (
     DEFAULT_PERIOD_NS,
     TailDigest,
     Telemetry,
     TelemetryConfig,
 )
-
-if TYPE_CHECKING:
-    from repro.sim.engine import Simulator
 
 #: How deep to follow an event's callback chain looking for the process
 #: it will synchronously resume (Timeout -> AnyOf -> Process is depth 2).
@@ -226,15 +224,17 @@ class Profiler:
     """Event-attribution + queue-introspection recorder.
 
     One instance profiles every simulator attached to its
-    :class:`~repro.obs.core.Observability` bundle; per-sim scoping
-    mirrors telemetry (each fresh simulator gets the next pid in the
-    private recorder).  All counts are exact and deterministic; wall
+    :class:`~repro.obs.core.Observability` bundle; its private telemetry
+    recorder shares the bundle's ``scope``, so each simulator's series
+    carry that sim's pid.  All counts are exact and deterministic; wall
     nanoseconds are host measurements and vary run to run.
     """
 
-    enabled = True
-
-    def __init__(self, config: Optional[ProfilerConfig] = None) -> None:
+    def __init__(
+        self,
+        config: Optional[ProfilerConfig] = None,
+        scope: Optional[RunScope] = None,
+    ) -> None:
         self.config = config or ProfilerConfig()
         #: site -> exact dispatched-event count.
         self.events: Dict[CallSite, int] = {}
@@ -257,7 +257,7 @@ class Profiler:
         # Time-resolved introspection series (rendered by the existing
         # telemetry HTML/CSV exporters unchanged).
         self.telemetry = Telemetry(
-            TelemetryConfig(period_ns=self.config.period_ns)
+            TelemetryConfig(period_ns=self.config.period_ns), scope
         )
         self._wall = self.config.wall
         # Per-sim dispatch state.
@@ -273,7 +273,6 @@ class Profiler:
         self._run_site: Optional[CallSite] = None
         self._run_start = 0
         self._run_ns = 0
-        self._refresh_series()
 
     # ------------------------------------------------------------------
     # Pickling: worker bundles ship whole profilers back to the parent.
@@ -309,12 +308,15 @@ class Profiler:
         self._run_site = None
         self._run_start = 0
         self._run_ns = 0
-        self._refresh_series()
 
     # ------------------------------------------------------------------
     # Sim lifecycle
     # ------------------------------------------------------------------
-    def _refresh_series(self) -> None:
+    def start_sim(self) -> None:
+        """A fresh simulator attached (the scope already holds its pid):
+        seal batch state and open the sim's series."""
+        self._flush_batch()
+        self._tick = -1
         self._depth_series = self.telemetry.series(
             "prof.queue.depth", "level", "callbacks"
         )
@@ -324,13 +326,6 @@ class Profiler:
         self._hop_series = self.telemetry.series(
             "prof.trampoline.hops", "rate", "resumes"
         )
-
-    def new_sim(self) -> None:
-        """A fresh simulator attached: seal batch state, advance the pid."""
-        self._flush_batch()
-        self._tick = -1
-        self.telemetry.new_sim()
-        self._refresh_series()
 
     def _flush_batch(self) -> None:
         if self._batch_n:
@@ -524,9 +519,10 @@ class Profiler:
     # ------------------------------------------------------------------
     # Merging (sweep worker-bundle path)
     # ------------------------------------------------------------------
-    def absorb(self, other: "Profiler") -> None:
-        """Merge a worker profiler; absorbed in point order by the sweep
-        engine, so merged counts equal what a serial run produces."""
+    def absorb(self, other: "Profiler", base: Offsets) -> None:
+        """Merge a worker profiler, its series' pids moved up by
+        ``base.pid``; absorbed in point order by the sweep engine, so
+        merged counts equal what a serial run produces."""
         other._flush_batch()
         self._flush_batch()
         for site, count in other.events.items():
@@ -542,41 +538,7 @@ class Profiler:
         self.sift_cost += other.sift_cost
         self.batches += other.batches
         self.batch_sizes.merge(other.batch_sizes)
-        self.telemetry.absorb(other.telemetry)
-        self._refresh_series()
-
-
-class NullProfiler:
-    """The zero-cost default: the simulator stores ``None`` instead of
-    this on its hot-path slot, so these methods exist only for API
-    completeness (export helpers accept either)."""
-
-    enabled = False
-    config: Optional[ProfilerConfig] = None
-    events: Dict[CallSite, int] = {}
-    wall_ns: Dict[CallSite, int] = {}
-
-    def new_sim(self) -> None:
-        pass
-
-    def note_insert(self, now_ns: int, when_ns: int, depth: int) -> None:
-        pass
-
-    def note_stale(self) -> None:
-        pass
-
-    def hotspots(self, top: Optional[int] = None) -> List[Dict[str, Any]]:
-        return []
-
-    def attributed_share(self) -> float:
-        return 0.0
-
-    @property
-    def total_events(self) -> int:
-        return 0
-
-
-NULL_PROFILER = NullProfiler()
+        self.telemetry.absorb(other.telemetry, base)
 
 
 # ----------------------------------------------------------------------

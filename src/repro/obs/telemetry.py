@@ -33,14 +33,17 @@ Determinism contract: series content is a pure function of the update
 stream, which is a pure function of the simulation — so serial and
 parallel sweep runs produce byte-identical telemetry once worker
 recorders are absorbed in point order (see
-:meth:`Telemetry.absorb`).  Like the tracer, each fresh simulator gets
-its own ``pid`` so back-to-back measurement runs (each restarting the
-clock at zero) never alias on the time axis.
+:meth:`Telemetry.absorb`).  Like the tracer's spans, each fresh
+simulator's series get its own ``pid`` (from the bundle's
+:class:`~repro.obs.scope.RunScope`) so back-to-back measurement runs
+(each restarting the clock at zero) never alias on the time axis.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple, Union
+
+from repro.obs.scope import Offsets, RunScope
 
 #: Default sampling period: 10 us resolves queue ramps and GC cycles on
 #: runs whose interesting dynamics play out over milliseconds.
@@ -383,27 +386,6 @@ class TimeSeries:
         """
         return self._onset_ns
 
-    # ------------------------------------------------------------------
-    def _merge_from(self, other: "TimeSeries") -> None:
-        """Absorb a same-name worker series recorded on the same pid.
-
-        Bucket accumulators and digests are additive; the merge is only
-        sound when at most one side held a nonzero level (worker shards
-        never interleave on one pid in practice — each pid is one sim).
-        """
-        for bucket, accum in other._buckets.items():
-            self._buckets[bucket] = self._buckets.get(bucket, 0.0) + accum
-        self._digest.merge(other._digest)
-        self.dropped += other.dropped
-        if other._max_bucket > self._max_bucket:
-            self._max_bucket = other._max_bucket
-        if other._last_t > self._last_t:
-            self._last_t = other._last_t
-            self._level = other._level
-        if other._onset_ns is not None:
-            self._mark_onset(other._onset_ns)
-        self._seal_excess()
-
 
 class TelemetryConfig:
     """What to sample and how finely.
@@ -444,26 +426,15 @@ class Telemetry:
 
     enabled = True
 
-    def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
+    def __init__(
+        self,
+        config: Optional[TelemetryConfig] = None,
+        scope: Optional[RunScope] = None,
+    ) -> None:
         self.config = config or TelemetryConfig()
+        #: Whose pid new series get (see :mod:`repro.obs.scope`).
+        self.scope = scope if scope is not None else RunScope()
         self._series: "Dict[Tuple[int, str], TimeSeries]" = {}
-        self._pid = 0
-        #: pid -> registry/spec name of the device that sim ran against.
-        self.device_labels: Dict[int, str] = {}
-
-    # ------------------------------------------------------------------
-    def new_sim(self) -> None:
-        """A fresh simulator attached; its series get the next pid."""
-        self._pid += 1
-
-    @property
-    def current_pid(self) -> int:
-        return max(1, self._pid)
-
-    def label_device(self, label: str) -> None:
-        """Record which device the current sim's series measure."""
-        if label:
-            self.device_labels[self.current_pid] = label
 
     # ------------------------------------------------------------------
     def series(
@@ -472,7 +443,8 @@ class Telemetry:
         """Get-or-create the series ``name`` for the current sim."""
         if not self.config.wants(name):
             return NULL_SERIES
-        key = (self.current_pid, name)
+        pid = self.scope.pid
+        key = (pid, name)
         existing = self._series.get(key)
         if existing is not None:
             if existing.kind != kind:
@@ -484,7 +456,7 @@ class Telemetry:
             name,
             kind,
             unit,
-            pid=self.current_pid,
+            pid=pid,
             period_ns=self.config.period_ns,
             capacity=self.config.capacity,
             scale=scale,
@@ -528,27 +500,18 @@ class Telemetry:
         return merged
 
     # ------------------------------------------------------------------
-    def absorb(self, other: "Telemetry") -> None:
-        """Merge a worker recorder, rebasing its pids past this one's.
+    def absorb(self, other: "Telemetry", base: Offsets) -> None:
+        """Add a worker recorder's series, their pids moved up by
+        ``base.pid`` (from :meth:`RunScope.absorb`).
 
-        Mirrors :meth:`SpanTracer.absorb`: absorbing worker recorders in
-        point (spec) order reproduces the pid assignment a serial run
-        would have made, so parallel telemetry is byte-identical to
-        serial by construction.
+        A worker's pids are all new here, so no key can collide: serial
+        and parallel telemetry are byte-identical by construction.
         """
-        pid_base = self._pid
-        for (pid, name), series in sorted(other._series.items()):
-            new_pid = pid + pid_base
-            series.pid = new_pid
-            key = (new_pid, name)
-            mine = self._series.get(key)
-            if mine is None:
-                self._series[key] = series
-            else:
-                mine._merge_from(series)
-        for pid, label in sorted(other.device_labels.items()):
-            self.device_labels[pid + pid_base] = label
-        self._pid += other._pid
+        for (pid, name), series in other._series.items():
+            series.pid = pid + base.pid
+            key = (series.pid, name)
+            assert key not in self._series, f"telemetry series {key} absorbed twice"
+            self._series[key] = series
 
 
 class _NullSeries:
@@ -592,13 +555,6 @@ class NullTelemetry:
 
     enabled = False
     config: Optional[TelemetryConfig] = None
-    device_labels: Dict[int, str] = {}
-
-    def new_sim(self) -> None:
-        pass
-
-    def label_device(self, label: str) -> None:
-        pass
 
     def series(
         self, name: str, kind: str = "level", unit: str = "", *, scale: int = 1

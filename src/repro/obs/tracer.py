@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
+from repro.obs.scope import Offsets, RunScope
+
 if TYPE_CHECKING:
     from repro.obs.blame import BlameRecorder
 
@@ -235,55 +237,31 @@ class IoTrace:
 
 
 class SpanTracer:
-    """Collects per-I/O contexts and background track spans."""
+    """Collects per-I/O contexts and background track spans.
+
+    Pids and io ids come from ``scope`` (see :mod:`repro.obs.scope`):
+    each simulator's spans land in their own Chrome-trace process, so
+    back-to-back runs (each with its own clock starting at zero) do not
+    overlap in the viewer.
+    """
 
     enabled = True
 
-    def __init__(self) -> None:
-        self._next_io_id = 0
-        self._pid = 0
+    def __init__(self, scope: Optional[RunScope] = None) -> None:
+        self.scope = scope if scope is not None else RunScope()
         self.finished_ios: List[IoTrace] = []
         self.track_spans: List[Span] = []
-        #: pid -> registry/spec name of the device that sim ran against
-        #: (fed by device construction; names the Chrome-trace process).
-        self.device_labels: Dict[int, str] = {}
         #: Optional blame consumer, fed each finished trace (see
         #: :mod:`repro.obs.blame`); wired by the Observability bundle.
         self.blame: Optional["BlameRecorder"] = None
 
     # ------------------------------------------------------------------
-    def new_sim(self) -> None:
-        """Called when a fresh :class:`Simulator` attaches.
-
-        Each simulator's spans land in their own Chrome-trace process so
-        back-to-back measurement runs (each with its own clock starting
-        at zero) do not overlap in the viewer.
-        """
-        self._pid += 1
-
-    @property
-    def current_pid(self) -> int:
-        return max(1, self._pid)
-
-    def label_device(self, label: str) -> None:
-        """Record which device the current sim's spans run against."""
-        if label:
-            self.device_labels[self.current_pid] = label
-
-    # ------------------------------------------------------------------
     def begin_io(self, op: object, offset: int, nbytes: int, at: int) -> IoTrace:
         """Open a trace context for one I/O starting at ``at``."""
-        trace = IoTrace(
-            self,
-            self._next_io_id,
-            op,
-            offset,
-            nbytes,
-            at,
-            pid=self.current_pid,
-        )
-        self._next_io_id += 1
-        return trace
+        scope = self.scope
+        io_id = scope.next_io_id
+        scope.next_io_id = io_id + 1
+        return IoTrace(self, io_id, op, offset, nbytes, at, pid=scope.pid)
 
     def span(
         self, track: str, name: str, start_ns: int, end_ns: int, **args: object
@@ -297,7 +275,7 @@ class SpanTracer:
                 track=track,
                 io_id=None,
                 depth=0,
-                args=tuple(sorted(args.items())) + (("pid", self.current_pid),),
+                args=tuple(sorted(args.items())) + (("pid", self.scope.pid),),
             )
         )
 
@@ -307,19 +285,13 @@ class SpanTracer:
             self.blame.observe(trace)
 
     # ------------------------------------------------------------------
-    def absorb(self, other: "SpanTracer") -> None:
-        """Merge another tracer's spans into this one (worker hand-back).
-
-        The other tracer's pids and io ids are rebased past this one's
-        counters, so absorbing worker bundles in submission order yields
-        the same ids a serial run would have assigned.
-        """
-        pid_base = self._pid
-        io_base = self._next_io_id
+    def absorb(self, other: "SpanTracer", base: Offsets) -> None:
+        """Append a worker tracer's spans, its pids and io ids moved up
+        by ``base`` (from :meth:`RunScope.absorb`)."""
         for trace in other.finished_ios:
             trace.tracer = self
-            trace.io_id += io_base
-            trace.pid += pid_base
+            trace.io_id += base.io
+            trace.pid += base.pid
             if trace._nested:
                 trace._nested = [
                     Span(
@@ -336,7 +308,7 @@ class SpanTracer:
             self.finished_ios.append(trace)
         for span in other.track_spans:
             args = tuple(
-                ("pid", value + pid_base) if name == "pid" else (name, value)
+                ("pid", value + base.pid) if name == "pid" else (name, value)
                 for name, value in span.args
             )
             self.track_spans.append(
@@ -350,10 +322,6 @@ class SpanTracer:
                     args=args,
                 )
             )
-        for pid, label in sorted(other.device_labels.items()):
-            self.device_labels[pid + pid_base] = label
-        self._pid += other._pid
-        self._next_io_id += other._next_io_id
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -380,13 +348,6 @@ class NullTracer:
     """
 
     enabled = False
-    device_labels: Dict[int, str] = {}
-
-    def new_sim(self) -> None:
-        pass
-
-    def label_device(self, label: str) -> None:
-        pass
 
     def begin_io(
         self, op: object, offset: int, nbytes: int, at: int

@@ -119,12 +119,9 @@ class Simulator:
         self.obs.attach(self)
         #: The self-profiler (``repro.obs.prof``), sampled at
         #: construction like ``sanitize``: ``None`` unless the attached
-        #: bundle carries an enabled profiler, so the unprofiled hot
-        #: path pays exactly one ``is not None`` check per hook.
-        profiler = getattr(self.obs, "profiler", None)
-        self._prof: "Optional[Profiler]" = (
-            profiler if profiler is not None and profiler.enabled else None
-        )
+        #: bundle profiles, so the unprofiled hot path pays exactly one
+        #: ``is not None`` check per hook.
+        self._prof: "Optional[Profiler]" = self.obs.profiler
 
     # ------------------------------------------------------------------
     # Scheduling primitives

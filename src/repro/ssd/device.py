@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from repro.obs.core import current_obs
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.ssd.config import UNIT_SIZE, SsdConfig
@@ -157,11 +156,10 @@ class SsdDevice:
         self.completed_reads = 0
         self.completed_writes = 0
         self.completed_trims = 0
-        obs = current_obs()
-        if obs.enabled:
+        if sim.obs.enabled:
             from repro.ssd.registry import spec_label
 
-            obs.label_device(spec_label(config))
+            sim.obs.label_device(spec_label(config))
 
     # ------------------------------------------------------------------
     @property

@@ -214,17 +214,18 @@ class TestReservoir:
 
     def test_absorb_rebases_pid_and_io_id(self):
         parent = BlameRecorder(BlameConfig(top=4))
-        parent.new_sim()
-        parent.label_device("ull")
+        parent.scope.new_sim()
+        parent.scope.label_device("ull")
+        parent.scope.next_io_id = 7
         _trace_stub(parent, 0, 50)
         worker = BlameRecorder(BlameConfig(top=4))
-        worker.new_sim()
-        worker.label_device("ull")
+        worker.scope.new_sim()
+        worker.scope.label_device("ull")
         _trace_stub(worker, 0, 80)
-        parent.absorb(worker, io_base=7)
+        parent.absorb(worker, parent.scope.absorb(worker.scope))
         [(_key, records)] = parent.groups()
         assert [(r.pid, r.io_id) for r in records] == [(2, 7), (1, 0)]
-        assert parent.device_labels == {1: "ull", 2: "ull"}
+        assert parent.scope.device_labels == {1: "ull", 2: "ull"}
         assert parent.observed == 2
 
 
@@ -235,7 +236,7 @@ class TestSloMonitor:
     def test_attainment_and_burn(self):
         spec = SloSpec.parse("read:60ns@0.9")
         recorder = BlameRecorder(BlameConfig(slos=(spec,), period_ns=100))
-        recorder.new_sim()
+        recorder.scope.new_sim()
         for io_id, latency in enumerate((10, 20, 70, 90)):
             _trace_stub(recorder, io_id, latency)
         [row] = recorder.slo_rows()
@@ -250,7 +251,7 @@ class TestSloMonitor:
     def test_op_filter(self):
         spec = SloSpec.parse("write:60ns")
         recorder = BlameRecorder(BlameConfig(slos=(spec,)))
-        recorder.new_sim()
+        recorder.scope.new_sim()
         _trace_stub(recorder, 0, 500, op="read")
         [row] = recorder.slo_rows()
         assert row["checked"] == 0 and row["met"]
@@ -258,12 +259,12 @@ class TestSloMonitor:
     def test_burn_series_merge_across_absorb(self):
         spec = SloSpec.parse("read:60ns")
         parent = BlameRecorder(BlameConfig(slos=(spec,), period_ns=100))
-        parent.new_sim()
+        parent.scope.new_sim()
         _trace_stub(parent, 0, 70)
         worker = BlameRecorder(BlameConfig(slos=(spec,), period_ns=100))
-        worker.new_sim()
+        worker.scope.new_sim()
         _trace_stub(worker, 0, 90)
-        parent.absorb(worker)
+        parent.absorb(worker, parent.scope.absorb(worker.scope))
         [row] = parent.slo_rows()
         assert row["checked"] == 2 and row["misses"] == 2
         series = parent.burn_series(0)
@@ -503,8 +504,8 @@ class TestBlameTable:
     def test_table_lists_resources_and_slos(self):
         spec = SloSpec.parse("read:60ns@0.9")
         recorder = BlameRecorder(BlameConfig(slos=(spec,)))
-        recorder.new_sim()
-        recorder.label_device("ull")
+        recorder.scope.new_sim()
+        recorder.scope.label_device("ull")
         _trace_stub(recorder, 0, 100, waits=[_edge(0, 40, "die0", "gc")])
         _trace_stub(recorder, 1, 50)
         table = blame_table(recorder)
@@ -514,7 +515,7 @@ class TestBlameTable:
 
     def test_pickle_round_trip(self):
         recorder = BlameRecorder(BlameConfig(slos=(SloSpec.parse("read:60ns"),)))
-        recorder.new_sim()
+        recorder.scope.new_sim()
         _trace_stub(recorder, 0, 100, waits=[_edge(0, 40, "die0", "gc")])
         clone = pickle.loads(pickle.dumps(recorder))
         assert blame_table(clone) == blame_table(recorder)

@@ -17,7 +17,7 @@ from repro.ssd.device import IoOp
 
 def make_tracer():
     tracer = SpanTracer()
-    tracer.new_sim()
+    tracer.scope.new_sim()
     first = tracer.begin_io(IoOp.READ, 0, 4096, 1000)
     first.phase("submit", 1000)
     first.phase("ctrl", 1500)
@@ -38,7 +38,7 @@ class TestLaneAssignment:
 
     def test_overlapping_ios_get_distinct_lanes(self):
         tracer = SpanTracer()
-        tracer.new_sim()
+        tracer.scope.new_sim()
         a = tracer.begin_io(IoOp.READ, 0, 4096, 0)
         b = tracer.begin_io(IoOp.READ, 4096, 4096, 100)
         a.finish(1000)

@@ -34,14 +34,14 @@ def _document_checks(html):
 class TestTelemetryEdgeCases:
     def test_series_with_no_samples_renders(self):
         telemetry = Telemetry()
-        telemetry.new_sim()
+        telemetry.scope.new_sim()
         telemetry.series("q.depth", "level", "ios")  # created, never fed
         html = telemetry_report_html(telemetry)
         _document_checks(html)
 
     def test_single_sample_series_renders(self):
         telemetry = Telemetry()
-        telemetry.new_sim()
+        telemetry.scope.new_sim()
         series = telemetry.series("q.depth", "rate", "ios")
         series.add(5_000, 1)
         html = telemetry_report_html(telemetry)
@@ -61,7 +61,7 @@ class TestTelemetryEdgeCases:
 
     def test_constant_zero_series_renders(self):
         telemetry = Telemetry()
-        telemetry.new_sim()
+        telemetry.scope.new_sim()
         series = telemetry.series("flat.zero", "level", "ios")
         series.record(0, 0.0)
         series.record(100_000, 0.0)
@@ -101,8 +101,8 @@ class TestBlameSectionEdgeCases:
         from repro.obs import WaitEdge
 
         recorder = BlameRecorder()
-        recorder.new_sim()
-        recorder.label_device("ull")
+        recorder.scope.new_sim()
+        recorder.scope.label_device("ull")
 
         class Stub:
             io_id = 0

@@ -182,38 +182,47 @@ class TestRingTruncation:
 class TestTelemetryRecorder:
     def test_series_scoped_per_sim(self):
         telemetry = Telemetry()
-        telemetry.new_sim()
+        telemetry.scope.new_sim()
         first = telemetry.series("q", "level")
-        telemetry.new_sim()
+        telemetry.scope.new_sim()
         second = telemetry.series("q", "level")
         assert first is not second
         assert (first.pid, second.pid) == (1, 2)
 
     def test_kind_conflict_raises(self):
         telemetry = Telemetry()
-        telemetry.new_sim()
+        telemetry.scope.new_sim()
         telemetry.series("q", "level")
         with pytest.raises(TypeError):
             telemetry.series("q", "rate")
 
     def test_config_prefix_filter(self):
         telemetry = Telemetry(TelemetryConfig(series=("ssd.",)))
-        telemetry.new_sim()
+        telemetry.scope.new_sim()
         assert telemetry.series("ssd.dies.busy", "busy") is not NULL_SERIES
         assert telemetry.series("nvme.q0.sq", "level") is NULL_SERIES
 
     def test_absorb_rebases_pids(self):
         parent = Telemetry()
-        parent.new_sim()
+        parent.scope.new_sim()
         parent.series("q", "level").record(0, 1.0)
         worker = Telemetry()
-        worker.new_sim()
+        worker.scope.new_sim()
         worker.series("q", "level").record(0, 2.0)
-        worker.new_sim()
+        worker.scope.new_sim()
         worker.series("q", "level").record(0, 3.0)
-        parent.absorb(worker)
+        parent.absorb(worker, parent.scope.absorb(worker.scope))
         assert sorted(series.pid for series in parent) == [1, 2, 3]
-        assert parent.current_pid == 3
+        assert parent.scope.pid == 3
+
+    def test_absorb_refuses_a_colliding_series(self):
+        parent = Telemetry()
+        workers = [Telemetry(), Telemetry()]
+        for worker in workers:  # no sim attached: both record at pid 1
+            worker.series("q", "level").record(0, 1.0)
+        parent.absorb(workers[0], parent.scope.absorb(workers[0].scope))
+        with pytest.raises(AssertionError, match="absorbed twice"):
+            parent.absorb(workers[1], parent.scope.absorb(workers[1].scope))
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +230,7 @@ class TestTelemetryRecorder:
 # ----------------------------------------------------------------------
 def toy_telemetry():
     telemetry = Telemetry(TelemetryConfig(period_ns=100))
-    telemetry.new_sim()
+    telemetry.scope.new_sim()
     queue = telemetry.series("q.depth", "level", unit="reqs")
     queue.record(0, 2.0)
     queue.record(150, 4.0)
@@ -255,7 +264,7 @@ class TestExporters:
         from repro.obs import SpanTracer
 
         tracer = SpanTracer()
-        tracer.new_sim()
+        tracer.scope.new_sim()
         telemetry = toy_telemetry()
         events = chrome_trace_events(tracer, telemetry)
         counters = [event for event in events if event["ph"] == "C"]

@@ -9,7 +9,6 @@ import pytest
 from repro.api import JobConfig, Testbed
 from repro.core.sweep import ExperimentSpec, SweepEngine
 from repro.obs import (
-    NULL_PROFILER,
     Observability,
     Profiler,
     ProfilerConfig,
@@ -258,7 +257,7 @@ class TestByteIdentity:
         sim = Simulator()  # NULL_OBS: no profiler sampled
         assert sim._prof is None
         obs = Observability(tracing=False, metrics=False)
-        assert obs.profiler is NULL_PROFILER
+        assert obs.profiler is None
         assert not obs.enabled
         assert Simulator(obs=obs)._prof is None
 
