@@ -1,91 +1,18 @@
-"""Resources: contention points shared by processes.
+"""Resources: contention points shared by simulated hardware.
 
-Three flavors cover everything the device and host models need:
-
-* :class:`Resource` — classic counted resource with a FIFO wait queue
-  (channels viewed as mutexes, CPU cores, NBD server worker slots).
-* :class:`Store` — an unbounded FIFO of items with blocking ``get``
-  (producer/consumer pipelines such as the write-buffer flusher).
-* :class:`TimelineResource` — a *timestamp* resource: acquiring it
-  reserves the earliest available interval of a given duration.  This is
-  the cheap analytic model used for flash channels and dies, where we only
-  need each unit's busy timeline, not a process per operation.
+:class:`TimelineResource` is a *timestamp* resource: acquiring it
+reserves the earliest available interval of a given duration.  This is
+the cheap analytic model used for flash channels and dies, where we only
+need each unit's busy timeline, not a process per operation.  Queues of
+parked work that wait on a unit freeing up are :meth:`Simulator.waitlist
+<repro.sim.engine.Simulator.waitlist>` deques.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Tuple
+from typing import Tuple
 
-from repro.sim.events import Event
-from repro.units import Count, Ns
-
-
-class Resource:
-    """A counted resource with FIFO granting."""
-
-    def __init__(self, sim: "Simulator", capacity: Count = 1) -> None:  # noqa: F821
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    def request(self) -> Event:
-        """Return an event that fires when a unit is granted."""
-        event = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed(self)
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        """Return one unit; hands it to the oldest waiter if any."""
-        if self._in_use <= 0:
-            raise RuntimeError("release() without a matching request()")
-        if self._waiters:
-            self._waiters.popleft().succeed(self)
-        else:
-            self._in_use -= 1
-
-
-class Store:
-    """An unbounded FIFO with blocking ``get``."""
-
-    def __init__(self, sim: "Simulator") -> None:  # noqa: F821
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        """Deposit an item, waking the oldest blocked getter."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item."""
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
+from repro.units import Ns
 
 
 class TimelineResource:

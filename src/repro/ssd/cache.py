@@ -14,12 +14,10 @@ the paper's explanation for the 82.9 µs random-read latency.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional
+from collections import OrderedDict, deque
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
-from repro.sim.resources import Store
 from repro.units import Count
 
 
@@ -35,7 +33,11 @@ class WriteBuffer:
         #: Blocked reservations, oldest first, as ``(callback, args)``.
         self._waiters = sim.waitlist()
         self._resident: Dict[int, int] = {}  # lpn -> copies buffered
-        self._dirty = Store(sim)
+        #: Units waiting to be flushed, oldest first, and the one flush
+        #: take parked until a unit arrives: a waitlist, which close()
+        #: empties, so a parked taker never ties itself to the buffer.
+        self._dirty: Deque[int] = deque()
+        self._taker = sim.waitlist()
         # Statistics.
         self.stall_count = 0
         self.inserted = 0
@@ -73,12 +75,29 @@ class WriteBuffer:
     def insert(self, lpn: int) -> None:
         """Deposit ``lpn`` into a previously reserved slot."""
         self._resident[lpn] = self._resident.get(lpn, 0) + 1
-        self._dirty.put(lpn)
+        self._queue_dirty(lpn)
         self.inserted += 1
 
-    def next_dirty(self) -> Event:
-        """Blocking take of the next unit to flush (fires with the LPN)."""
-        return self._dirty.get()
+    def take_dirty(self, callback: Callable[[int], Any]) -> None:
+        """Take the next unit to flush, then run ``callback(lpn)``.
+
+        With a unit queued it is taken now and the callback posted, as a
+        process yielding an already-fired event would resume.  Otherwise
+        the take parks, and the next :meth:`insert` or :meth:`requeue`
+        calls it inline, as a waiting process was resumed from inside
+        the put that woke it.
+        """
+        if self._dirty:
+            self.sim.post(callback, self._dirty.popleft())
+        else:
+            self._taker.append((callback, ()))
+
+    def take_ready(self, batch: List[int], limit: int) -> None:
+        """Move queued units onto ``batch``, oldest first, until it
+        holds ``limit`` units or the queue is empty."""
+        dirty = self._dirty
+        while len(batch) < limit and dirty:
+            batch.append(dirty.popleft())
 
     def requeue(self, lpn: int) -> None:
         """Put a taken unit back on the flush queue (placement failed).
@@ -86,7 +105,14 @@ class WriteBuffer:
         The slot and residency are untouched — the unit is still
         buffered, it just could not be placed yet.
         """
-        self._dirty.put(lpn)
+        self._queue_dirty(lpn)
+
+    def _queue_dirty(self, lpn: int) -> None:
+        if self._taker:
+            callback, _ = self._taker.popleft()
+            callback(lpn)
+        else:
+            self._dirty.append(lpn)
 
     def flushed(self, lpn: int) -> None:
         """Mark ``lpn``'s flush complete; frees the slot."""

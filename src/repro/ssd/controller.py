@@ -6,8 +6,8 @@ Responsibilities (paper Section II-A):
   read on the owning die (with Z-NAND suspend/resume), channel transfer,
   sequential prefetch staging.
 * **Write path** — DRAM write-buffer admission (host sees buffered
-  latency); per-die flush workers drain the buffer, batching units into
-  physical program operations.
+  latency); a batcher and per-die flush workers drain the buffer,
+  batching units into physical program operations.
 * **Garbage collection** — flush workers reclaim blocks on their die when
   the erased pool drops below the watermark: migrate valid pages
   (on-die copyback), erase, release.  GC operations are booked one at a
@@ -21,15 +21,15 @@ contention is modeled — flash and buses are the scarce resources).
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Tuple
 
 from repro.flash.chip import FlashDie
 from repro.ftl.allocator import OutOfSpace
 from repro.ftl.core import GcPlan, PageMappedFtl
 from repro.sim.engine import Simulator
-from repro.sim.resources import Store, TimelineResource
+from repro.sim.resources import TimelineResource
 from repro.sim.rng import UniformStream
 from repro.ssd.cache import ReadCache, WriteBuffer
 from repro.ssd.channels import ChannelArray
@@ -39,7 +39,6 @@ from repro.ssd.power import PowerMeter
 if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
     from repro.obs.tracer import IoTrace
-    from repro.sim.events import Wait
 
 
 @dataclass
@@ -148,7 +147,11 @@ class SsdController:
         # Stall rolls are this stream's only draw kind: block-drawn.
         self._rng = UniformStream(seed)
         self._map_cache: "OrderedDict[int, None]" = OrderedDict()
-        self._batches = Store(sim)
+        #: The batcher's hand-off to the flush workers: batches no die
+        #: has taken yet, and the dies waiting for one, longest idle
+        #: first (plain data, so a parked die holds no reference).
+        self._batches: Deque[List[int]] = deque()
+        self._idle_dies: Deque[int] = deque()
         #: Dies currently inside a GC cycle — write stalls that happen
         #: while this is non-zero are attributed to GC, not buffer churn.
         self.gc_active = 0
@@ -211,9 +214,11 @@ class SsdController:
                 "faults.nand.blocks_retired",
                 help="blocks retired to the bad-block list",
             )
-        sim.process(self._batcher())
+        # Each stage waits for its first item from the slot where a
+        # process started here would: the batcher, then die 0..n-1.
+        sim.post(self._batch_take)
         for die_index in range(config.dies):
-            sim.process(self._flush_worker(die_index))
+            sim.post(self._flush_take, die_index)
 
     # ------------------------------------------------------------------
     # Read datapath (analytic: books timeline reservations, returns the
@@ -439,205 +444,253 @@ class SsdController:
         self._t_buffer_occ.record(now, buffer.occupancy)
 
     # ------------------------------------------------------------------
-    # Background flush workers (one per die)
+    # Write back end: the batcher, one flush worker per die, and GC, as
+    # callback stages with no process.  Each stage runs at the tick and
+    # in the FIFO slot where a generator process doing the same work
+    # would resume (see docs/sim-engine.md): a take that finds its item
+    # ready is posted; a put to a parked taker calls it inline; a pause
+    # of ``d`` ns is scheduled at now + d; a step that had nothing to
+    # wait for runs on inline.
     # ------------------------------------------------------------------
-    def _batcher(self) -> "Generator[Wait, Any, None]":
-        """Process: gather buffered units into program-sized batches.
+    def _batch_take(self) -> None:
+        """Batcher: wait for the first unit of the next batch."""
+        self.write_buffer.take_dirty(self._batch_gather)
+
+    def _batch_gather(self, first: int) -> None:
+        """Batcher: gather buffered units into a program-sized batch.
 
         One shared stage between the buffer and the die workers, so
         trickle traffic (e.g. sync QD1 writes) coalesces into full page
         sets instead of each worker burning a whole tPROG per 4 KB unit.
         """
         config = self.config
-        buffer = self.write_buffer
-        while True:
-            first = yield buffer.next_dirty()
-            batch = [first]
-            while (
-                len(batch) < config.units_per_program and buffer.pending_flush > 0
-            ):
-                ready = buffer.next_dirty()
-                assert ready.triggered
-                batch.append(ready.value)
-            if (
-                config.flush_coalesce_ns > 0
-                and len(batch) < config.units_per_program
-            ):
-                # Trickle traffic: wait briefly for more units so a
-                # program op commits a fuller page set.
-                yield self.sim.sleep(config.flush_coalesce_ns)
-                while (
-                    len(batch) < config.units_per_program
-                    and buffer.pending_flush > 0
-                ):
-                    ready = buffer.next_dirty()
-                    assert ready.triggered
-                    batch.append(ready.value)
-            self._batches.put(batch)
+        batch = [first]
+        self.write_buffer.take_ready(batch, config.units_per_program)
+        if config.flush_coalesce_ns > 0 and len(batch) < config.units_per_program:
+            # Trickle traffic: wait briefly for more units so a
+            # program op commits a fuller page set.
+            self.sim.schedule_at(
+                self.sim.now + config.flush_coalesce_ns, self._batch_top_up, batch
+            )
+            return
+        self._batch_emit(batch)
 
-    def _flush_worker(self, die_index: int) -> "Generator[Wait, Any, None]":
-        config = self.config
-        buffer = self.write_buffer
-        while True:
-            batch = yield self._batches.get()
-            # Reclaim space first if this die is running dry.
-            while (
-                self.ftl.allocator.free_blocks(die_index)
-                < config.gc_watermark_blocks
-            ):
-                reclaimed = yield from self._collect_one_block(die_index)
-                if not reclaimed:
-                    break
-            # Place every unit, never consuming this die's GC reserve:
-            # units that no longer fit here are steered to whichever die
-            # still accepts host data (the striping engine's job).
-            local: List[int] = []
-            overflow: List[int] = []
-            for lpn in batch:
-                if self.ftl.allocator.can_host_write(die_index):
-                    self.ftl.write_to_die(lpn, die_index)
-                    local.append(lpn)
-                else:
-                    overflow.append(lpn)
-            tracer = self.sim.obs.tracer
-            finish_at = self.sim.now
-            if local:
-                channel = self.channels.channel_of_die(die_index)
-                _, staged = self.channels.transfer(
-                    channel, len(local) * UNIT_SIZE, not_before=self.sim.now
-                )
-                prog_start, programmed = self._program_page(
-                    die_index, not_before=staged
-                )
-                if tracer.enabled:
-                    tracer.span(
-                        f"die{die_index}",
-                        "flash_prog",
-                        prog_start,
-                        programmed,
-                        units=len(local),
-                    )
-                finish_at = max(finish_at, programmed)
-            placed = list(local)
-            for lpn in overflow:
-                try:
-                    die, stream = self.ftl.host_write_point()
-                    self.ftl.write_to_die(lpn, die, stream)
-                except OutOfSpace:
-                    # Every die is down to its GC reserve: give the unit
-                    # back to the queue and let GC elsewhere catch up.
-                    buffer.requeue(lpn)
-                    continue
-                placed.append(lpn)
-                channel = self.channels.channel_of_die(die)
-                _, staged = self.channels.transfer(
-                    channel, UNIT_SIZE, not_before=self.sim.now
-                )
-                prog_start, programmed = self._program_page(
-                    die, not_before=staged
-                )
-                if tracer.enabled:
-                    tracer.span(
-                        f"die{die}",
-                        "flash_prog",
-                        prog_start,
-                        programmed,
-                        units=1,
-                    )
-                finish_at = max(finish_at, programmed)
-            self.stats.flush_batches += 1
-            self._m_flush_batches.inc()
-            if finish_at > self.sim.now:
-                yield self.sim.sleep(finish_at - self.sim.now)
-            for lpn in placed:
-                buffer.flushed(lpn)
-            self._m_buffer_occ.set(buffer.occupancy, self.sim.now)
-            self._t_buffer_occ.record(self.sim.now, buffer.occupancy)
+    def _batch_top_up(self, batch: List[int]) -> None:
+        """Batcher: the coalescing wait is over; add what arrived."""
+        self.write_buffer.take_ready(batch, self.config.units_per_program)
+        self._batch_emit(batch)
 
-    def _collect_one_block(
-        self, die_index: int
-    ) -> "Generator[Wait, Any, bool]":
-        """Process: one GC cycle on ``die_index``.  Returns True if a
-        block was reclaimed."""
-        plan: Optional[GcPlan] = self.ftl.plan_gc(die_index)
-        if plan is None:
-            return False
-        die = self.dies[die_index]
-        gc_start = self.sim.now
-        migrated = 0
-        config = self.config
-        pending: List[int] = []
+    def _batch_emit(self, batch: List[int]) -> None:
+        """Batcher: hand the batch to the longest-idle die, which starts
+        on it inline, or queue it; then wait for the next one."""
+        if self._idle_dies:
+            self._flush_reclaim(self._idle_dies.popleft(), batch)
+        else:
+            self._batches.append(batch)
+        self._batch_take()
+
+    def _flush_take(self, die_index: int) -> None:
+        """Flush worker: take the oldest queued batch, or go idle."""
+        if self._batches:
+            self.sim.post(self._flush_reclaim, die_index, self._batches.popleft())
+        else:
+            self._idle_dies.append(die_index)
+
+    def _flush_reclaim(self, die_index: int, batch: List[int]) -> None:
+        """Flush worker: run GC cycles while the die is below its
+        watermark (each cycle comes back here), then place the batch."""
+        if self.ftl.allocator.free_blocks(die_index) < self.config.gc_watermark_blocks:
+            plan = self.ftl.plan_gc(die_index)
+            if plan is not None:
+                self._gc_start(_GcCycle(die_index, plan, batch, self.sim.now))
+                return
+        self._flush_place(die_index, batch)
+
+    def _flush_place(self, die_index: int, batch: List[int]) -> None:
+        """Flush worker: program the batch, then free its slots once
+        the last program completes."""
+        # Place every unit, never consuming this die's GC reserve:
+        # units that no longer fit here are steered to whichever die
+        # still accepts host data (the striping engine's job).
+        ftl = self.ftl
+        now = self.sim.now
+        local: List[int] = []
+        overflow: List[int] = []
+        for lpn in batch:
+            if ftl.allocator.can_host_write(die_index):
+                ftl.write_to_die(lpn, die_index)
+                local.append(lpn)
+            else:
+                overflow.append(lpn)
+        tracer = self.sim.obs.tracer
+        finish_at = now
+        if local:
+            channel = self.channels.channel_of_die(die_index)
+            _, staged = self.channels.transfer(
+                channel, len(local) * UNIT_SIZE, not_before=now
+            )
+            prog_start, programmed = self._program_page(die_index, not_before=staged)
+            if tracer.enabled:
+                tracer.span(
+                    f"die{die_index}",
+                    "flash_prog",
+                    prog_start,
+                    programmed,
+                    units=len(local),
+                )
+            finish_at = max(finish_at, programmed)
+        placed = local
+        for lpn in overflow:
+            try:
+                die, stream = ftl.host_write_point()
+                ftl.write_to_die(lpn, die, stream)
+            except OutOfSpace:
+                # Every die is down to its GC reserve: give the unit
+                # back to the queue and let GC elsewhere catch up.
+                self.write_buffer.requeue(lpn)
+                continue
+            placed.append(lpn)
+            channel = self.channels.channel_of_die(die)
+            _, staged = self.channels.transfer(channel, UNIT_SIZE, not_before=now)
+            prog_start, programmed = self._program_page(die, not_before=staged)
+            if tracer.enabled:
+                tracer.span(f"die{die}", "flash_prog", prog_start, programmed, units=1)
+            finish_at = max(finish_at, programmed)
+        self.stats.flush_batches += 1
+        self._m_flush_batches.inc()
+        if finish_at > now:
+            self.sim.schedule_at(finish_at, self._flush_done, die_index, placed)
+        else:
+            self._flush_done(die_index, placed)
+
+    def _flush_done(self, die_index: int, placed: List[int]) -> None:
+        """Flush worker: the batch is on flash; free its buffer slots
+        (each may admit a stalled writer inline) and take the next."""
+        buffer = self.write_buffer
+        for lpn in placed:
+            buffer.flushed(lpn)
+        self._m_buffer_occ.set(buffer.occupancy, self.sim.now)
+        self._t_buffer_occ.record(self.sim.now, buffer.occupancy)
+        self._flush_take(die_index)
+
+    def _gc_start(self, cycle: "_GcCycle") -> None:
+        """GC: one block reclamation begins on the cycle's die."""
         self.gc_active += 1
-        self._t_gc_active.record(gc_start, self.gc_active)
-        try:
-            for lpn in plan.victim_lpns:
-                # The host may have overwritten the page since planning.
-                if not self.ftl.still_in_block(lpn, plan.victim_block):
-                    continue
-                _, read_done = die.read(not_before=self.sim.now)
-                if read_done > self.sim.now:
-                    yield self.sim.sleep(read_done - self.sim.now)
-                pending.append(lpn)
-                if len(pending) >= config.units_per_program:
-                    migrated += yield from self._program_migration(
-                        die_index, pending, plan.victim_block
-                    )
-                    pending = []
-            if pending:
-                migrated += yield from self._program_migration(
-                    die_index, pending, plan.victim_block
-                )
-            _, erased = die.erase(not_before=self.sim.now)
-            if erased > self.sim.now:
-                yield self.sim.sleep(erased - self.sim.now)
-        finally:
-            # NOTE: nothing here may touch observability state.  A GC
-            # cycle still running when the run ends is closed by
-            # Simulator.close(), after the measurement is taken; a
-            # recorder update from there would land outside the run.
-            self.gc_active -= 1
-        self._t_gc_active.record(self.sim.now, self.gc_active)
-        self._t_gc_moved.add(self.sim.now, migrated)
-        self.ftl.finish_gc(plan)
+        self._t_gc_active.record(cycle.start_ns, self.gc_active)
+        self._gc_scan(cycle)
+
+    def _gc_scan(self, cycle: "_GcCycle") -> None:
+        """GC: read the victim's next valid page; once past the last,
+        program the partial chunk and erase."""
+        plan = cycle.plan
+        lpns = plan.victim_lpns
+        die = self.dies[cycle.die]
+        while cycle.scanned < len(lpns):
+            lpn = lpns[cycle.scanned]
+            cycle.scanned += 1
+            # The host may have overwritten the page since planning.
+            if not self.ftl.still_in_block(lpn, plan.victim_block):
+                continue
+            _, read_done = die.read(not_before=self.sim.now)
+            cycle.pending.append(lpn)
+            if read_done > self.sim.now:
+                self.sim.schedule_at(read_done, self._gc_page_read, cycle)
+                return
+            if self._gc_chunk_paused(cycle):
+                return
+        if cycle.pending and self._gc_program(cycle, self._gc_erase):
+            return
+        self._gc_erase(cycle)
+
+    def _gc_page_read(self, cycle: "_GcCycle") -> None:
+        """GC: a page read finished; scan on unless a full chunk's
+        program pauses the cycle first."""
+        if not self._gc_chunk_paused(cycle):
+            self._gc_scan(cycle)
+
+    def _gc_chunk_paused(self, cycle: "_GcCycle") -> bool:
+        """Program the pending pages once they fill a page set; True if
+        the cycle paused for the program (the scan resumes after it)."""
+        if len(cycle.pending) < self.config.units_per_program:
+            return False
+        return self._gc_program(cycle, self._gc_scan)
+
+    def _gc_program(self, cycle: "_GcCycle", then: Callable[["_GcCycle"], None]) -> bool:
+        """GC: one copyback program of the pending pages.  True if it
+        paused the cycle: ``then(cycle)`` runs when the program is done.
+
+        Pages the host overwrote between the GC read and this program are
+        dropped — relocating them would resurrect stale data; with none
+        left there is no program and no pause.
+        """
+        lpns, cycle.pending = cycle.pending, []
+        victim = cycle.plan.victim_block
+        survivors = [lpn for lpn in lpns if self.ftl.still_in_block(lpn, victim)]
+        if not survivors:
+            return False
+        for lpn in survivors:
+            self.ftl.relocate(lpn, cycle.die)
+        cycle.migrated += len(survivors)
+        _, programmed = self._program_page(cycle.die, not_before=self.sim.now)
+        if programmed > self.sim.now:
+            self.sim.schedule_at(programmed, then, cycle)
+            return True
+        return False
+
+    def _gc_erase(self, cycle: "_GcCycle") -> None:
+        """GC: every survivor moved; erase the victim."""
+        _, erased = self.dies[cycle.die].erase(not_before=self.sim.now)
+        if erased > self.sim.now:
+            self.sim.schedule_at(erased, self._gc_end, cycle)
+        else:
+            self._gc_end(cycle)
+
+    def _gc_end(self, cycle: "_GcCycle") -> None:
+        """GC: the victim is erased; release it, record the cycle, and
+        go back to the flush worker's watermark check."""
+        now = self.sim.now
+        migrated = cycle.migrated
+        self.gc_active -= 1
+        self._t_gc_active.record(now, self.gc_active)
+        self._t_gc_moved.add(now, migrated)
+        self.ftl.finish_gc(cycle.plan)
         self.stats.gc_events.append(
             GcEvent(
-                die=die_index,
-                start_ns=gc_start,
-                end_ns=self.sim.now,
+                die=cycle.die,
+                start_ns=cycle.start_ns,
+                end_ns=now,
                 migrated_pages=migrated,
             )
         )
         self._m_gc_invocations.inc()
         self._m_gc_migrated.inc(migrated)
-        self._m_gc_duration.observe(self.sim.now - gc_start)
+        self._m_gc_duration.observe(now - cycle.start_ns)
         tracer = self.sim.obs.tracer
         if tracer.enabled:
             tracer.span(
-                f"die{die_index}",
+                f"die{cycle.die}",
                 "gc",
-                gc_start,
-                self.sim.now,
+                cycle.start_ns,
+                now,
                 migrated_pages=migrated,
-                victim_block=plan.victim_block,
+                victim_block=cycle.plan.victim_block,
             )
-        return True
+        self._flush_reclaim(cycle.die, cycle.batch)
 
-    def _program_migration(
-        self, die_index: int, lpns: List[int], victim_block: int
-    ) -> "Generator[Wait, Any, int]":
-        """Process: one copyback program for a chunk of migrating pages.
 
-        Pages the host overwrote between the GC read and this program are
-        dropped — relocating them would resurrect stale data.
-        """
-        survivors = [
-            lpn for lpn in lpns if self.ftl.still_in_block(lpn, victim_block)
-        ]
-        if not survivors:
-            return 0
-        for lpn in survivors:
-            self.ftl.relocate(lpn, die_index)
-        _, programmed = self._program_page(die_index, not_before=self.sim.now)
-        if programmed > self.sim.now:
-            yield self.sim.sleep(programmed - self.sim.now)
-        return len(survivors)
+class _GcCycle:
+    """One GC cycle in flight: its victim, its progress, and the flush
+    batch its die places once the reclaiming is done.  Plain data (no
+    reference back to the controller), carried through the queue."""
+
+    __slots__ = ("die", "plan", "batch", "start_ns", "scanned", "pending", "migrated")
+
+    def __init__(self, die: int, plan: GcPlan, batch: List[int], start_ns: int) -> None:
+        self.die = die
+        self.plan = plan
+        self.batch = batch
+        self.start_ns = start_ns
+        #: Victim LPNs looked at so far, and the read ones not yet programmed.
+        self.scanned = 0
+        self.pending: List[int] = []
+        self.migrated = 0

@@ -1,13 +1,14 @@
 """The per-I/O object and dispatch budget of the simulated I/O path.
 
 Each I/O travels as one slotted :class:`~repro.ssd.device.IoRecord`
-from blk-mq to flash; the device runs writes as callback stages, not as
-a process per write; host code advances the clock once per run of
-pure-CPU steps, inline when nothing else is due first.  These tests
-pin the exact number of ``Process`` and ``Event`` constructions and of
-engine dispatches of small real runs, so a change that brings per-I/O
-objects or per-step wakes back shows up as a changed count rather than
-as noise in a wall-time benchmark.  They also pin every CPU accounting
+from blk-mq to flash; the device runs as callback stages with no process
+at all (its write path, write batcher, flush workers and GC); host code
+advances the clock once per run of pure-CPU steps, inline when nothing
+else is due first.  These tests pin the exact number of ``Process`` and
+``Event`` constructions and of engine dispatches of small real runs, so
+a change that brings per-I/O objects, device processes or per-step
+wakes back shows up as a changed count rather than as noise in a
+wall-time benchmark.  They also pin every CPU accounting
 cell, which sleeping per run instead of per step, and running ahead,
 must leave untouched.
 """
@@ -15,27 +16,34 @@ must leave untouched.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 
 import pytest
 
 from repro.api import JobConfig, Testbed
 from repro.sim import engine as sim_engine
+from repro.sim.engine import Simulator
 from repro.sim.events import Event
+from repro.ssd.config import UNIT_SIZE
+from repro.ssd.device import SsdDevice
+from repro.ssd.registry import resolve_config
 
 IO_COUNT = 200
 
 #: (completion, engine, iodepth) -> (Processes, Events) for IO_COUNT
-#: randrw I/Os on ull.  Processes: the job loop, the write batcher and
-#: one flush worker per die, none per I/O.  Events: one CQE event per
-#: synchronous I/O whose host code blocks on the CQE (hybrid polling
-#: often oversleeps it, libaio reaps through a callback), plus the
-#: flush pipeline's store hand-offs and libaio's slot waits.
+#: randrw I/Os on ull.  Processes: the job loop only; the device has
+#: none (its write path, batcher, flush workers and GC are callback
+#: stages).  Events: one CQE event per synchronous I/O whose host code
+#: blocks on the CQE (hybrid polling often oversleeps it, libaio reaps
+#: through a callback), plus libaio's slot waits.  With the flush
+#: pipeline as processes these were 34 Processes and 391, 390, 286 and
+#: 323 Events.
 BUDGET = {
-    ("interrupt", "psync", 1): (34, 391),
-    ("poll", "psync", 1): (34, 390),
-    ("hybrid", "psync", 1): (34, 286),
-    ("interrupt", "libaio", 8): (34, 323),
+    ("interrupt", "psync", 1): (1, 200),
+    ("poll", "psync", 1): (1, 200),
+    ("hybrid", "psync", 1): (1, 95),
+    ("interrupt", "libaio", 8): (1, 158),
 }
 
 
@@ -102,10 +110,9 @@ CELLS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def measure(completion, engine, iodepth, io_count=IO_COUNT):
-    """Run one job; returns its ``(Processes, Events)`` constructions,
-    its engine dispatches and its accounting cells."""
+@contextlib.contextmanager
+def constructions():
+    """Count ``Process`` and ``Event`` constructions inside the block."""
     counts = collections.Counter()
     init = Event.__init__
 
@@ -114,13 +121,21 @@ def measure(completion, engine, iodepth, io_count=IO_COUNT):
         init(self, *args, **kwargs)
 
     Event.__init__ = counting
-    before = sim_engine.events_executed_total
     try:
+        yield counts
+    finally:
+        Event.__init__ = init
+
+
+@functools.lru_cache(maxsize=None)
+def measure(completion, engine, iodepth, io_count=IO_COUNT):
+    """Run one job; returns its ``(Processes, Events)`` constructions,
+    its engine dispatches and its accounting cells."""
+    before = sim_engine.events_executed_total
+    with constructions() as counts:
         result = Testbed(device="ull", completion=completion).run_job(
             JobConfig(rw="randrw", engine=engine, iodepth=iodepth, io_count=io_count)
         )
-    finally:
-        Event.__init__ = init
     dispatches = sim_engine.events_executed_total - before
     cells = [
         (p.mode.value, p.module, p.function, p.cycles_ns, p.loads, p.stores)
@@ -148,3 +163,25 @@ def test_exact_dispatches(case):
 @pytest.mark.parametrize("case", list(BUDGET), ids=lambda case: f"{case[1]}-{case[0]}")
 def test_accounting_cells_are_unchanged(case):
     assert measure(*case)[2] == CELLS[case]
+
+
+def test_device_alone_constructs_no_process():
+    """Writes submitted straight to a device, enough to run GC, build no
+    ``Process``: the only events are the records' ``done`` events."""
+    sim = Simulator()
+    config = resolve_config(
+        "zssd",
+        (("channels", 2), ("ways_per_channel", 2), ("blocks_per_die", 12),
+         ("pages_per_block", 16), ("write_buffer_units", 2)),
+    )
+    with constructions() as counts:
+        device = SsdDevice(sim, config)
+        device.precondition(1.0)
+        pages = device.logical_pages
+        records = [
+            device.write((37 * i) % pages * UNIT_SIZE, UNIT_SIZE) for i in range(300)
+        ]
+        sim.run()
+    assert all(record.device_done_ns is not None for record in records)
+    assert device.stats.gc_events and device.controller.write_buffer.stall_count
+    assert counts == {"Event": len(records)}

@@ -1,99 +1,9 @@
-"""Tests for simulation resources (Resource, Store, TimelineResource)."""
+"""Tests for the timeline resource."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Resource, Simulator, Store, TimelineResource
-
-
-class TestResource:
-    def test_grants_up_to_capacity_immediately(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=2)
-        first = resource.request()
-        second = resource.request()
-        third = resource.request()
-        assert first.triggered and second.triggered
-        assert not third.triggered
-        assert resource.in_use == 2
-        assert resource.queue_length == 1
-
-    def test_release_hands_to_oldest_waiter(self):
-        sim = Simulator()
-        resource = Resource(sim)
-        resource.request()
-        waiter_a = resource.request()
-        waiter_b = resource.request()
-        resource.release()
-        assert waiter_a.triggered and not waiter_b.triggered
-
-    def test_release_without_request_raises(self):
-        with pytest.raises(RuntimeError):
-            Resource(Simulator()).release()
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            Resource(Simulator(), capacity=0)
-
-    def test_mutual_exclusion_in_processes(self):
-        sim = Simulator()
-        lock = Resource(sim)
-        active = []
-        overlaps = []
-
-        def worker(name):
-            grant = lock.request()
-            if not grant.triggered:
-                yield grant
-            active.append(name)
-            if len(active) > 1:
-                overlaps.append(tuple(active))
-            yield sim.timeout(10)
-            active.remove(name)
-            lock.release()
-
-        for name in "abc":
-            sim.process(worker(name))
-        sim.run()
-        assert overlaps == []
-        assert sim.now == 30
-
-
-class TestStore:
-    def test_fifo_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert store.get().value == 1
-        assert store.get().value == 2
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        pending = store.get()
-        assert not pending.triggered
-        store.put("x")
-        assert pending.value == "x"
-
-    def test_blocked_getters_served_in_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        first = store.get()
-        second = store.get()
-        store.put("a")
-        store.put("b")
-        assert first.value == "a"
-        assert second.value == "b"
-
-    def test_len_counts_only_items(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.get()
-        assert len(store) == 0
-        store.put(1)
-        store.put(2)
-        assert len(store) == 1  # first put satisfied the blocked getter
+from repro.sim import Simulator, TimelineResource
 
 
 class TestTimelineResource:

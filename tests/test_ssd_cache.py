@@ -31,7 +31,7 @@ class TestWriteBuffer:
         granted = []
         buffer.reserve(granted.append, "first")
         buffer.reserve(granted.append, "second")
-        buffer.next_dirty()  # flusher picks it up
+        buffer.take_dirty(lambda lpn: None)  # flusher picks it up
         buffer.flushed(7)
         assert granted == ["first"]  # handed over at once, not posted
         assert buffer.occupancy == 1
@@ -62,9 +62,36 @@ class TestWriteBuffer:
         for lpn in (5, 6, 7):
             take_slot(buffer)
             buffer.insert(lpn)
-        assert buffer.next_dirty().value == 5
-        assert buffer.next_dirty().value == 6
+        taken = []
+        buffer.take_dirty(taken.append)
+        buffer.take_dirty(taken.append)
         assert buffer.pending_flush == 1
+        sim.run()  # a ready take's callback is posted
+        assert taken == [5, 6]
+
+    def test_parked_take_is_called_inline(self):
+        sim = Simulator()
+        buffer = WriteBuffer(sim, capacity_units=4)
+        taken = []
+        buffer.take_dirty(taken.append)
+        take_slot(buffer)
+        buffer.insert(4)
+        assert taken == [4]  # handed over inside the insert
+        buffer.take_dirty(taken.append)
+        buffer.requeue(4)
+        assert taken == [4, 4] and buffer.pending_flush == 0
+
+    def test_take_ready_stops_at_limit(self):
+        sim = Simulator()
+        buffer = WriteBuffer(sim, capacity_units=4)
+        for lpn in (1, 2, 3):
+            take_slot(buffer)
+            buffer.insert(lpn)
+        batch = [0]
+        buffer.take_ready(batch, limit=3)
+        assert batch == [0, 1, 2] and buffer.pending_flush == 1
+        buffer.take_ready(batch, limit=8)
+        assert batch == [0, 1, 2, 3] and buffer.pending_flush == 0
 
     def test_flushed_without_insert_rejected(self):
         sim = Simulator()
@@ -81,9 +108,10 @@ class TestWriteBuffer:
         buffer = WriteBuffer(sim, capacity_units=1)
         take_slot(buffer)
         buffer.reserve(lambda: None)
-        assert len(buffer._waiters) == 1
+        buffer.take_dirty(lambda lpn: None)
+        assert len(buffer._waiters) == len(buffer._taker) == 1
         sim.close()
-        assert len(buffer._waiters) == 0
+        assert len(buffer._waiters) == len(buffer._taker) == 0
 
 
 class TestReadCache:
