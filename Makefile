@@ -9,7 +9,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint typecheck test test-sanitize perf perf-compare profile help
+.PHONY: check lint typecheck test test-sanitize profile help
 
 help:
 	@echo "make check          - aggregate gate: simlint + ruff + mypy"
@@ -17,9 +17,6 @@ help:
 	@echo "make typecheck      - strict mypy profile from pyproject.toml"
 	@echo "make test           - tier-1 test suite"
 	@echo "make test-sanitize  - tier-1 suite with REPRO_SIM_SANITIZE=1"
-	@echo "make perf           - refresh benchmarks/perf_baseline.json"
-	@echo "make perf-compare   - profile the perf figures and print the"
-	@echo "                      hotspot-delta table vs the baseline"
 	@echo "make profile        - self-profile a small figure (hotspots + flamegraph)"
 
 check:
@@ -36,18 +33,6 @@ test:
 
 test-sanitize:
 	REPRO_SIM_SANITIZE=1 $(PYTHON) -m pytest -x -q
-
-perf:
-	$(PYTHON) -m repro perf ext-anatomy ext-lightqueue --scale 0.1 \
-		--no-cache --out benchmarks/perf_baseline.json
-
-# Informational (never fails): per-figure wall/sim-events/s deltas plus
-# the top-hotspot shift against the checked-in baseline.  The hard gate
-# lives in CI's perf-smoke job.
-perf-compare:
-	$(PYTHON) -m repro perf ext-anatomy ext-lightqueue --scale 0.1 \
-		--no-cache --profile --out /tmp/BENCH_compare.json \
-		--compare benchmarks/perf_baseline.json --warn-only
 
 profile:
 	$(PYTHON) -m repro profile fig14b --scale 0.1 \

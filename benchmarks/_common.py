@@ -1,10 +1,11 @@
-"""Shared benchmark plumbing.
+"""Shared plumbing of the paper-shape benchmarks (``bench_*.py``).
 
 Every benchmark regenerates one paper table/figure, saves the rendered
 rows under ``benchmarks/results/<figure_id>.txt`` plus a
-machine-readable ``<figure_id>.json`` (so shape/perf trajectories can
-be diffed across PRs), prints them (visible with ``pytest -s``), and
-asserts the figure's headline shape.
+machine-readable ``<figure_id>.json`` (so figure shapes can be diffed
+across revisions), prints them (visible with ``pytest -s``), and asserts the
+figure's headline shape.  Timing lives in ``benchmarks/suite``, whose
+``run.py --json`` document ``python -m repro perf --compare`` diffs.
 
 The sweep engine the figures run on is configurable via environment
 variables: ``REPRO_JOBS`` fans measurements out across worker
@@ -14,7 +15,6 @@ runs.
 
 from __future__ import annotations
 
-import atexit
 import json
 import os
 import pathlib
@@ -22,10 +22,8 @@ import pathlib
 from repro.core import sweep
 from repro.core.metrics import FigureResult
 from repro.core.report import render_figure
-from repro.perf import PerfSession, bench_filename, write_bench
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 if os.environ.get("REPRO_JOBS") or os.environ.get("REPRO_CACHE_DIR"):
     sweep.configure(
@@ -33,27 +31,9 @@ if os.environ.get("REPRO_JOBS") or os.environ.get("REPRO_CACHE_DIR"):
         cache_dir=os.environ.get("REPRO_CACHE_DIR") or None,
     )
 
-# Self-profiling: every window between emit() calls is booked to the
-# figure just emitted, and the aggregate lands in a top-level
-# BENCH_<date>.json when the benchmark process exits — the perf
-# trajectory rides along with the per-figure result files.
-_PERF = PerfSession()
-_PERF_MARK = _PERF.mark()
-
-
-@atexit.register
-def _write_bench_aggregate() -> None:
-    if not _PERF.records:
-        return
-    path = write_bench(_PERF.to_doc(source="benchmarks"),
-                       REPO_ROOT / bench_filename())
-    print(f"\nwrote benchmark timings to {path}")
-
 
 def emit(result: FigureResult) -> FigureResult:
     """Persist and print a figure reproduction; returns it unchanged."""
-    global _PERF_MARK
-    _PERF_MARK = _PERF.lap(result.figure_id, _PERF_MARK)
     RESULTS_DIR.mkdir(exist_ok=True)
     text = render_figure(result)
     (RESULTS_DIR / f"{result.figure_id}.txt").write_text(text + "\n")

@@ -13,7 +13,7 @@ Two quality-gate subcommands stand alone (see ``docs/lint.md``):
   when installed (skipped with a notice otherwise; ``--strict-tools``
   turns a skip into a failure).
 
-Six subcommands share one flag vocabulary:
+Five subcommands share one flag vocabulary:
 
 * ``figures`` — run figure reproductions and print their tables
   (``python -m repro figures fig10 --scale 0.2``).
@@ -29,12 +29,6 @@ Six subcommands share one flag vocabulary:
   ``conservation: OK`` line), then the tail-latency blame table —
   which resource held the slowest requests, per (device, op) group —
   plus SLO attainment for each ``--slo`` objective.
-* ``perf`` — time figures (wall seconds, sim-events/sec, cache state),
-  write a top-level ``BENCH_<date>.json``, and optionally gate against
-  a previous document with ``--compare OLD.json`` (``--threshold``
-  sets the slowdown gate, ``--warn-only`` reports without failing).
-  ``--profile`` runs each figure under the self-profiler and folds the
-  per-figure hotspot table into the bench document.
 * ``profile`` — run ONE figure under the self-profiler
   (:mod:`repro.obs.prof`): print the hotspot-attribution table and
   event-queue introspection, and optionally export flamegraphs
@@ -43,6 +37,11 @@ Six subcommands share one flag vocabulary:
 
 ``devices`` inspects the device registry (``devices list``,
 ``devices show NAME [--format toml|json]``).
+
+``perf --compare OLD.json --against NEW.json`` diffs two bench documents
+(``benchmarks/suite/run.py --json``) figure by figure: wall seconds,
+sim-events/sec and cache state (``--threshold`` sets the slowdown gate,
+``--warn-only`` reports without failing).
 
 Use ``--scale`` to grow or shrink I/O counts (0.1 = 10 % of the default
 samples, 2.0 = double), ``figures --list`` to enumerate figure ids.
@@ -120,7 +119,7 @@ from repro.obs.blame import SloSpec
 
 _POSITIVE_INT = number(int, minimum=1)
 _SEED = number(int, minimum=0)
-# Read while parsing, so a bad document fails before anything is timed.
+# Read while parsing, so a bad document fails with one usage-error line.
 _BENCH_DOC = checked(perf_harness.load_bench)
 
 
@@ -474,48 +473,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     perf = command(
         "perf", _cmd_perf,
-        "time benchmark figures; write/compare BENCH_<date>.json",
-        many, run,
-    )
-    perf.add_argument(
-        "--out",
-        metavar="FILE",
-        default=None,
-        help="bench document path (default ./BENCH_<date>.json)",
+        "diff two bench documents (benchmarks/suite/run.py --json) "
+        "figure by figure",
     )
     perf.add_argument(
         "--compare",
         type=_BENCH_DOC,
         metavar="OLD.json",
-        default=None,
-        help="compare this run (or --against FILE) to a previous document",
+        required=True,
+        help="the earlier bench document",
     )
     perf.add_argument(
         "--against",
         type=_BENCH_DOC,
         metavar="NEW.json",
-        default=None,
-        help="with --compare: diff two existing documents, run nothing",
+        required=True,
+        help="the later bench document",
     )
     perf.add_argument(
         "--threshold",
         type=number(float, above=0),
-        default=None,
+        default=perf_harness.DEFAULT_THRESHOLD,
         help="slowdown gate as a fraction (default 0.30 = fail past +30%%)",
     )
     perf.add_argument(
         "--warn-only",
         action="store_true",
         help="report regressions but exit zero",
-    )
-    perf.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "run each figure under the self-profiler and record its "
-            "hotspot table in the bench document (adds overhead: "
-            "profiled wall times are not comparable to unprofiled ones)"
-        ),
     )
 
     profile = command(
@@ -754,73 +738,11 @@ def _cmd_blame(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    baseline, against = args.compare, args.against
-    if against is not None and baseline is None:
-        args.error("--against requires --compare OLD.json")
-    threshold = (
-        args.threshold
-        if args.threshold is not None
-        else perf_harness.DEFAULT_THRESHOLD
+    comparison = perf_harness.compare_docs(
+        args.compare, args.against, threshold=args.threshold
     )
-    if against is not None:
-        comparison = perf_harness.compare_docs(
-            baseline, against, threshold=threshold
-        )
-        print(comparison.render())
-        return 0 if (comparison.ok or args.warn_only) else 1
-
-    targets = sorted(FIGURES) if args.all else args.figures
-    if not targets:
-        args.error(
-            "name figures to time (or --all), or give "
-            "--compare OLD --against NEW"
-        )
-    # Honest timing by default: skip the persistent cache unless the
-    # caller explicitly pointed at one (cache state is recorded either
-    # way, and comparisons refuse to gate across mismatched states).
-    if not args.cache_dir:
-        args.no_cache = True
-    engine = _configure_engine(args)
-    session = perf_harness.PerfSession(engine)
-    with _device_context(args):
-        for figure_id in targets:
-            kwargs = _scaled_kwargs(figure_id, args.scale, seed=args.seed)
-            if args.profile:
-                from repro.obs.core import Observability
-                from repro.obs.prof import ProfilerConfig, bench_hotspots
-
-                # Wall sampling off: the bench already times the whole
-                # run, and exact event counts keep the hotspot rows
-                # deterministic.
-                obs = Observability(
-                    tracing=False,
-                    metrics=False,
-                    profile=ProfilerConfig(wall=False),
-                )
-                with session.measure(figure_id), obs:
-                    run_figure(figure_id, **kwargs)
-                assert obs.profiler is not None
-                session.records[figure_id].hotspots = tuple(
-                    bench_hotspots(obs.profiler)
-                )
-            else:
-                with session.measure(figure_id):
-                    run_figure(figure_id, **kwargs)
-            record = session.records[figure_id]
-            print(
-                f"{figure_id}: {record.wall_s:.2f}s wall, "
-                f"{record.sim_events:,} sim events "
-                f"({record.events_per_s:,.0f}/s), cache={record.cache}",
-                file=sys.stderr,
-            )
-    doc = session.to_doc(scale=args.scale)
-    path = perf_harness.write_bench(doc, args.out)
-    print(f"wrote bench document to {path}", file=sys.stderr)
-    if baseline is not None:
-        comparison = perf_harness.compare_docs(baseline, doc, threshold=threshold)
-        print(comparison.render())
-        return 0 if (comparison.ok or args.warn_only) else 1
-    return 0
+    print(comparison.render())
+    return 0 if (comparison.ok or args.warn_only) else 1
 
 
 def _cmd_profile(args) -> int:

@@ -24,8 +24,9 @@ actually been (or could be) broken:
 * ``SIM009`` — ad-hoc wall-time measurement: ``time.perf_counter`` /
   ``time.monotonic`` (and their ``_ns`` forms) anywhere outside the two
   sanctioned homes — the perf harness (:mod:`repro.perf`) and the
-  self-profiler (:mod:`repro.obs.prof`).  Scattered timing drifts out of
-  the regression gate; centralized timing stays comparable across runs.
+  self-profiler (:mod:`repro.obs.prof`).  Scattered timing reaches no
+  suite document or profile; centralized timing stays comparable across
+  runs.
   (Inside sim layers every wall-clock read is already SIM001.)
 
 Engine-level codes (emitted by :mod:`repro.lint.engine`, not rules here):
@@ -701,9 +702,9 @@ class AdHocTimingRule(Rule):
                     node,
                     self.code,
                     f"{resolved}() outside repro.perf / repro.obs.prof: "
-                    "route wall-time measurement through the perf harness "
-                    "(PerfSession) or the self-profiler so timing stays "
-                    "in the regression gate",
+                    "route wall-time measurement through "
+                    "repro.perf.PerfSession or the self-profiler so it "
+                    "is reported with every other timing",
                 )
 
 

@@ -52,7 +52,6 @@ from repro.obs.prof import (
     CallSite,
     Profiler,
     ProfilerConfig,
-    bench_hotspots,
     hotspot_table,
     queue_report,
     to_collapsed,
@@ -157,7 +156,6 @@ __all__ = [
     "ProfilerConfig",
     "hotspot_table",
     "queue_report",
-    "bench_hotspots",
     "to_collapsed",
     "write_collapsed",
     "to_speedscope",

@@ -698,15 +698,3 @@ def write_speedscope(
     profiler: Profiler, path: str, name: str = "repro sim profile"
 ) -> None:
     atomic_write_text(path, json.dumps(to_speedscope(profiler, name)))
-
-
-def bench_hotspots(profiler: Profiler, top: int = 10) -> List[Dict[str, Any]]:
-    """Compact per-figure hotspot rows for ``BENCH_<date>.json`` documents."""
-    return [
-        {
-            "site": f"{row['component']}:{row['callsite']}",
-            "events": row["events"],
-            "share": round(row["share"], 4),
-        }
-        for row in profiler.hotspots(top)
-    ]

@@ -1,15 +1,15 @@
-"""repro.perf — wall-clock self-profiling and perf-regression gating.
+"""repro.perf — per-figure timing records and their figure-by-figure diff.
 
-Times benchmark figures (wall seconds, simulated events per second,
-sweep-cache state), aggregates them into top-level ``BENCH_<date>.json``
-documents, and compares documents across revisions with a configurable
-slowdown threshold::
+``benchmarks/suite`` meters every figure it regenerates through
+:class:`PerfSession` (wall seconds, simulated events per second,
+sweep-cache state); its ``--json OUT`` document is what
+``python -m repro perf`` compares::
 
-    python -m repro perf fig04a fig05a          # run + write BENCH json
-    python -m repro perf --compare BENCH_old.json --against BENCH_new.json
+    python3 benchmarks/suite/run.py --json A.json     # before
+    python3 benchmarks/suite/run.py --json B.json     # after
+    python -m repro perf --compare A.json --against B.json
 
-See ``docs/observability.md`` for the record schema and the CI
-``perf-smoke`` wiring.
+See ``docs/observability.md`` for the record schema.
 """
 
 from repro.perf.harness import (
@@ -19,7 +19,6 @@ from repro.perf.harness import (
     Comparison,
     CompareRow,
     PerfSession,
-    bench_filename,
     compare_docs,
     load_bench,
     write_bench,
@@ -30,7 +29,6 @@ __all__ = [
     "CompareRow",
     "Comparison",
     "PerfSession",
-    "bench_filename",
     "compare_docs",
     "load_bench",
     "write_bench",

@@ -1,13 +1,14 @@
-"""Wall-clock self-profiling and the perf-regression harness.
+"""Per-figure timing records and the figure-by-figure document diff.
 
 The simulator is the product here, so its *throughput* — simulated
 events executed per wall-clock second — is a first-class output next to
-the figures themselves.  :class:`PerfSession` times each benchmark
-figure (wall seconds, sim events, sweep-engine cache state) and
-aggregates the records into a ``BENCH_<date>.json`` document; `compare
-<compare_docs>` diffs two documents and flags figures whose wall time
-regressed past a configurable threshold, which is what the CI
-``perf-smoke`` job and ``python -m repro perf --compare`` gate on.
+the figures themselves.  :class:`PerfSession` times each figure the
+benchmark suite (``benchmarks/suite``) regenerates (wall seconds, sim
+events, sweep-engine cache state) and aggregates the records into a
+bench document; `compare <compare_docs>` diffs two documents and flags
+figures whose wall time regressed past a configurable threshold, which
+is what ``python -m repro perf --compare A.json --against B.json``
+prints.
 
 Cache state matters when comparing: a warm-cache run executes zero
 simulations and its wall time says nothing about simulator throughput,
@@ -16,12 +17,14 @@ so comparisons only gate figures whose cache states match.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, ContextManager, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.obs.export import atomic_write_text
 
@@ -46,9 +49,6 @@ class BenchRecord:
     executed: int = 0
     memo_hits: int = 0
     disk_hits: int = 0
-    #: Optional per-figure hotspot rows from the self-profiler
-    #: (``repro.obs.prof.bench_hotspots``): ({"site", "events", "share"}, ...).
-    hotspots: Tuple[dict, ...] = ()
 
     @property
     def events_per_s(self) -> float:
@@ -66,7 +66,7 @@ class BenchRecord:
         return "mixed"
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "figure_id": self.figure_id,
             "wall_s": round(self.wall_s, 4),
             "sim_events": self.sim_events,
@@ -77,9 +77,6 @@ class BenchRecord:
             "disk_hits": self.disk_hits,
             "cache": self.cache,
         }
-        if self.hotspots:
-            doc["hotspots"] = [dict(row) for row in self.hotspots]
-        return doc
 
     @classmethod
     def from_dict(cls, row: dict) -> "BenchRecord":
@@ -91,7 +88,6 @@ class BenchRecord:
             executed=int(row.get("executed", 0)),
             memo_hits=int(row.get("memo_hits", 0)),
             disk_hits=int(row.get("disk_hits", 0)),
-            hotspots=tuple(row.get("hotspots", ())),
         )
 
 
@@ -99,13 +95,8 @@ class BenchRecord:
 # Session
 # ----------------------------------------------------------------------
 class PerfSession:
-    """Collects per-figure timing over a run of benchmark figures.
-
-    Use either the :meth:`measure` context manager around each figure,
-    or the lower-level :meth:`mark`/:meth:`lap` pair when the figure
-    call happens elsewhere (the pytest benchmarks).  Repeated laps for
-    the same figure accumulate.
-    """
+    """Collects per-figure timing over a run of figures, one
+    :meth:`measure` block per figure."""
 
     def __init__(self, engine: Any = None) -> None:
         if engine is None:
@@ -115,62 +106,32 @@ class PerfSession:
         self.engine = engine
         self.records: Dict[str, BenchRecord] = {}
 
-    # -- low-level marks ------------------------------------------------
-    def mark(self) -> Tuple[float, int, dict]:
+    @contextlib.contextmanager
+    def measure(self, figure_id: str) -> Iterator["PerfSession"]:
+        """Time the block and book it to ``figure_id``; a block that
+        raises books nothing."""
         from repro.sim import engine as sim_engine
 
-        return (
-            time.perf_counter(),
-            sim_engine.events_executed_total,
-            self.engine.stats.snapshot(),
+        stats = self.engine.stats.snapshot()
+        events = sim_engine.events_executed_total
+        started = time.perf_counter()
+        yield self
+        wall_s = time.perf_counter() - started
+        events = sim_engine.events_executed_total - events
+        delta = {
+            key: value - stats[key]
+            for key, value in self.engine.stats.snapshot().items()
+        }
+        self.records[figure_id] = BenchRecord(
+            figure_id=figure_id,
+            wall_s=wall_s,
+            sim_events=events,
+            points=delta["points"],
+            executed=delta["executed"],
+            memo_hits=delta["memo_hits"],
+            disk_hits=delta["disk_hits"],
         )
 
-    def lap(
-        self, figure_id: str, mark: Tuple[float, int, dict]
-    ) -> Tuple[float, int, dict]:
-        """Close the window opened by ``mark`` and book it to ``figure_id``;
-        returns a fresh mark for the next window."""
-        now = self.mark()
-        wall_s = now[0] - mark[0]
-        sim_events = now[1] - mark[1]
-        stats = {key: now[2][key] - mark[2][key] for key in now[2]}
-        record = self.records.get(figure_id)
-        if record is None:
-            self.records[figure_id] = BenchRecord(
-                figure_id=figure_id,
-                wall_s=wall_s,
-                sim_events=sim_events,
-                points=stats.get("points", 0),
-                executed=stats.get("executed", 0),
-                memo_hits=stats.get("memo_hits", 0),
-                disk_hits=stats.get("disk_hits", 0),
-            )
-        else:
-            record.wall_s += wall_s
-            record.sim_events += sim_events
-            record.points += stats.get("points", 0)
-            record.executed += stats.get("executed", 0)
-            record.memo_hits += stats.get("memo_hits", 0)
-            record.disk_hits += stats.get("disk_hits", 0)
-        return now
-
-    # -- context-manager form -------------------------------------------
-    def measure(self, figure_id: str) -> "ContextManager[PerfSession]":
-        session = self
-
-        class _Measure:
-            def __enter__(self) -> "PerfSession":
-                self._mark = session.mark()
-                return session
-
-            def __exit__(self, *exc: object) -> bool:
-                if exc[0] is None:
-                    session.lap(figure_id, self._mark)
-                return False
-
-        return _Measure()
-
-    # -- aggregation ----------------------------------------------------
     def to_doc(self, date: Optional[str] = None, **meta: Any) -> dict:
         return {
             "schema": SCHEMA,
@@ -186,30 +147,62 @@ class PerfSession:
         }
 
 
-def bench_filename(date: Optional[str] = None) -> str:
-    return f"BENCH_{date or time.strftime('%Y%m%d')}.json"
-
-
-def write_bench(doc: dict, path: Union[str, Path, None] = None) -> Path:
-    """Write a bench document atomically; defaults to ``BENCH_<date>.json``
-    in the current directory.  Returns the path written."""
-    target = Path(path) if path is not None else Path(bench_filename())
+def write_bench(doc: dict, path: Union[str, Path]) -> Path:
+    """Write a bench document atomically; returns the path written."""
+    target = Path(path)
     atomic_write_text(target, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return target
 
 
+#: The numbers :func:`compare_docs` reads from a figure row; a row must
+#: carry the first two, and may leave out the counts (read as 0).
+_ROW_NUMBERS = ("wall_s", "sim_events")
+_ROW_COUNTS = ("points", "executed", "memo_hits", "disk_hits")
+
+
+def _row_fault(figure_id: str, row: Any) -> Optional[str]:
+    """Why ``row`` cannot be compared as ``figure_id``'s, or ``None``."""
+    if not isinstance(row, dict):
+        return "is not a mapping"
+    if row.get("figure_id") != figure_id:
+        return f"is labelled {row.get('figure_id')!r}"
+    for key in _ROW_NUMBERS + _ROW_COUNTS:
+        if key in _ROW_COUNTS and key not in row:
+            continue
+        value = row.get(key)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+        ):
+            return f"has no numeric {key}"
+    return None
+
+
 def load_bench(path: Union[str, Path]) -> dict:
-    """Read a bench document.  A file that is not JSON, or not a bench
-    document of this schema, raises ``ValueError`` naming ``path``; a
-    missing or unreadable file raises ``OSError``."""
-    with open(path) as handle:
+    """Read a bench document and check the rows :func:`compare_docs`
+    reads.  A file that is not UTF-8 JSON, or not a bench document of
+    this schema, raises ``ValueError`` naming ``path``; a missing or
+    unreadable file raises ``OSError``."""
+    with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+            ) from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not a JSON document ({exc})") from None
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA:
         raise ValueError(f"{path}: unsupported bench schema {schema!r}")
+    figures = doc.get("figures")
+    if not isinstance(figures, dict):
+        raise ValueError(f"{path}: 'figures' is not a mapping")
+    for figure_id, row in figures.items():
+        fault = _row_fault(figure_id, row)
+        if fault is not None:
+            raise ValueError(f"{path}: figure {figure_id!r} {fault}")
     return doc
 
 
@@ -225,12 +218,6 @@ class CompareRow:
     old_events_per_s: Optional[float] = None
     new_events_per_s: Optional[float] = None
     note: str = ""
-    #: ``component:callsite (share)`` of the new document's heaviest
-    #: self-profiler site, when the bench was run with ``perf --profile``.
-    top_hotspot: str = ""
-    #: Same for the old document — lets the render show a hotspot
-    #: *shift* when both benches were profiled.
-    old_top_hotspot: str = ""
 
     @property
     def ratio(self) -> Optional[float]:
@@ -292,28 +279,7 @@ class Comparison:
             f"-- {slower} regression(s) past the "
             f"{self.threshold:.0%} slowdown threshold"
         )
-        for row in self.rows:
-            if not (row.top_hotspot or row.old_top_hotspot):
-                continue
-            if row.old_top_hotspot and row.old_top_hotspot != row.top_hotspot:
-                lines.append(
-                    f"-- {row.figure_id}: top hotspot "
-                    f"{row.old_top_hotspot} -> {row.top_hotspot or '(none)'}"
-                )
-            else:
-                lines.append(
-                    f"-- {row.figure_id}: top hotspot {row.top_hotspot}"
-                )
         return "\n".join(lines)
-
-
-def _top_hotspot(row: Optional[dict]) -> str:
-    """Render the heaviest profiler site of a bench row, or ``""``."""
-    hotspots = (row or {}).get("hotspots") or ()
-    if not hotspots:
-        return ""
-    top = hotspots[0]
-    return f"{top.get('site', '?')} ({float(top.get('share', 0.0)):.0%} of events)"
 
 
 def compare_docs(
@@ -340,7 +306,6 @@ def compare_docs(
                     "added",
                     new_wall_s=record.wall_s,
                     new_events_per_s=record.events_per_s,
-                    top_hotspot=_top_hotspot(new_row),
                 )
             )
             continue
@@ -364,8 +329,6 @@ def compare_docs(
             new_wall_s=new_rec.wall_s,
             old_events_per_s=old_rec.events_per_s,
             new_events_per_s=new_rec.events_per_s,
-            top_hotspot=_top_hotspot(new_row),
-            old_top_hotspot=_top_hotspot(old_row),
         )
         if old_rec.cache != new_rec.cache:
             row.status = "incomparable"

@@ -434,7 +434,7 @@ class TestCliValidation:
             ["trace", "fig04a", "--telemetry-period", "-5"],
             ["profile", "fig04a", "--top", "0"],
             ["profile", "fig04a", "--period", "-1"],
-            ["perf", "fig04a", "--threshold", "0"],
+            ["perf", "--warn-only", "--threshold", "0"],
             ["figures", "fig04a", "--fault-seed", "-1"],
             ["blame", "fig04a", "--top", "0"],
             ["blame", "fig04a", "--slo", "read150us"],

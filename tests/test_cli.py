@@ -25,6 +25,18 @@ def _usage_error(argv, capsys):
     return err
 
 
+#: Bench documents ``perf --compare`` must refuse: no schema, not JSON,
+#: not a mapping, a row without wall_s, a list of figures, not UTF-8.
+_MALFORMED_DOCS = (
+    b'{"figures": {}}',
+    b"not json",
+    b"[1, 2]",
+    b'{"schema": 1, "figures": {"f": {"figure_id": "f", "sim_events": 1}}}',
+    b'{"schema": 1, "figures": []}',
+    b"\xff\xfe{}",
+)
+
+
 class TestCli:
     def test_list(self, capsys):
         assert main(["figures", "--list"]) == 0
@@ -148,7 +160,7 @@ class TestSubcommands:
         _usage_error(["trace"], capsys)
 
     def test_unknown_figure_in_subcommand(self, capsys):
-        for command in ("sweep", "trace", "blame", "perf", "profile"):
+        for command in ("sweep", "trace", "blame", "profile"):
             assert "unknown figure 'fig99'" in _usage_error(
                 [command, "fig99"], capsys
             )
@@ -289,30 +301,6 @@ class TestProfileSubcommand:
     def test_profile_rejects_unknown_figure(self, capsys):
         _usage_error(["profile", "fig99"], capsys)
 
-    def test_perf_profile_folds_hotspots_into_doc(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "bench.json"
-        assert (
-            main(
-                [
-                    "perf",
-                    "fig14b",
-                    "--scale",
-                    "0.1",
-                    "--profile",
-                    "--out",
-                    str(out_path),
-                ]
-            )
-            == 0
-        )
-        doc = json.loads(out_path.read_text())
-        rows = doc["figures"]["fig14b"]["hotspots"]
-        assert rows
-        assert rows[0]["events"] > 0
-        assert 0.0 < rows[0]["share"] <= 1.0
-
 
 class TestCleanErrors:
     """Bad input fails with exit 2 and one stderr line, no traceback."""
@@ -325,7 +313,7 @@ class TestCleanErrors:
             ["sweep", "fig10", "--scale", "0"],
             ["trace", "fig10", "--scale", "0"],
             ["blame", "fig10", "--scale", "0"],
-            ["perf", "fig10", "--scale", "0"],
+            ["profile", "fig10", "--jobs", "0"],
             ["profile", "fig10", "--scale", "0"],
             ["figures", "fig10", "--jobs", "0"],
             ["figures", "fig10", "--jobs", "-2"],
@@ -338,7 +326,7 @@ class TestCleanErrors:
         "argv",
         [
             ["figures", "ext-anatomy", "--seed", "-1"],
-            ["perf", "fig10", "--seed", "-1"],
+            ["profile", "fig10", "--seed", "-1"],
         ],
     )
     def test_negative_seed(self, argv, capsys):
@@ -364,13 +352,14 @@ class TestCleanErrors:
         assert missing in err
 
     def test_compare_missing_file_fails_before_timing(self, tmp_path, capsys):
+        # The unreadable document is named before the missing --against.
         missing = str(tmp_path / "missing.json")
-        _usage_error(["perf", "fig10", "--compare", missing], capsys)
+        assert missing in _usage_error(["perf", "--compare", missing], capsys)
 
-    @pytest.mark.parametrize("text", ['{"figures": {}}', "not json", "[1, 2]"])
+    @pytest.mark.parametrize("text", _MALFORMED_DOCS)
     def test_compare_malformed_document(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"
-        path.write_text(text)
+        path.write_bytes(text)
         err = _usage_error(
             ["perf", "--compare", str(path), "--against", str(path)], capsys
         )
@@ -380,7 +369,7 @@ class TestCleanErrors:
 # ----------------------------------------------------------------------
 # The error contract, as a property over every checked flag
 # ----------------------------------------------------------------------
-_FIGURE_COMMANDS = ("figures", "sweep", "trace", "blame", "perf", "profile")
+_FIGURE_COMMANDS = ("figures", "sweep", "trace", "blame", "profile")
 _FAULT_COMMANDS = ("figures", "sweep", "trace", "blame", "profile")
 _OBS_COMMANDS = ("figures", "sweep", "trace", "blame")
 _BAD_DEVICES = ("warp-drive", "missing/spec.toml", "spec.yaml")
@@ -399,7 +388,11 @@ _BAD_FAULTS = (
 def _bad_input_table(docs):
     """(entry point, argv before the bad value, bad values): every typed
     flag of every subcommand, plus figure ids and the other CLIs."""
-    missing, malformed = str(docs / "missing.json"), str(docs / "bad.json")
+    missing, good = str(docs / "missing.json"), str(docs / "good.json")
+    malformed = tuple(
+        str(docs / f"bad{index}.json") for index in range(len(_MALFORMED_DOCS))
+    )
+    both = ["perf", "--compare", good, "--against", good]
     rows = []
     for command in _FIGURE_COMMANDS:
         figure = [command, "table1"]
@@ -426,11 +419,12 @@ def _bad_input_table(docs):
         (main, ["blame", "table1", "--top"], ("0", "x")),
         (main, ["profile", "table1", "--top"], ("0", "x")),
         (main, ["profile", "table1", "--period"], ("0", "-1")),
-        (main, ["perf", "table1", "--threshold"], ("0", "-0.1", "x")),
-        (main, ["perf", "table1", "--compare"], (missing, malformed)),
-        (main, ["perf", "--compare", malformed, "--against"], (missing,)),
+        (main, both + ["--threshold"], ("0", "-0.1", "x")),
+        (main, ["perf", "--compare"], (missing,) + malformed),
+        (main, ["perf", "--compare", good, "--against"], (missing,) + malformed),
+        (main, ["perf", "--compare"], (good,)),  # no --against
         # Flags a subcommand does not take.
-        (main, ["perf", "table1"], ("--faults", "--anatomy")),
+        (main, both, ("table1", "--all", "--scale", "--profile", "--out")),
         (main, ["profile", "table1"], ("--anatomy", "--slo")),
         (main, ["figures", "table1"], ("--clear-cache", "--top")),
         (main, ["devices"], ("bogus",)),
@@ -452,7 +446,9 @@ def _bad_input_table(docs):
 @pytest.fixture(scope="module")
 def bench_docs(tmp_path_factory):
     docs = tmp_path_factory.mktemp("bench-docs")
-    (docs / "bad.json").write_text("not json")
+    (docs / "good.json").write_text('{"schema": 1, "figures": {}}')
+    for index, text in enumerate(_MALFORMED_DOCS):
+        (docs / f"bad{index}.json").write_bytes(text)
     return docs
 
 

@@ -1,16 +1,16 @@
-"""Tests for the wall-clock self-profiling and perf-regression harness."""
+"""Tests for the per-figure timing records and the bench-document diff."""
 
 import json
 
 import pytest
 
 from repro.__main__ import main
-from repro.core.sweep import SweepEngine
+from repro.core.figures import run_figure
+from repro.core.sweep import SweepEngine, default_engine
 from repro.perf import (
     SCHEMA,
     BenchRecord,
     PerfSession,
-    bench_filename,
     compare_docs,
     load_bench,
     write_bench,
@@ -59,15 +59,6 @@ class TestBenchRecord:
                              memo_hits=1, disk_hits=2)
         clone = BenchRecord.from_dict(record.to_dict())
         assert clone.to_dict() == record.to_dict()
-        assert "hotspots" not in record.to_dict()  # only when recorded
-
-    def test_hotspots_round_trip(self):
-        rows = ({"site": "ssd.device:_write_flow", "events": 9, "share": 0.6},)
-        record = BenchRecord("fig04a", 1.5, 3000, hotspots=rows)
-        doc = record.to_dict()
-        assert doc["hotspots"] == [dict(rows[0])]
-        clone = BenchRecord.from_dict(doc)
-        assert clone.hotspots == rows
 
 
 # ----------------------------------------------------------------------
@@ -85,18 +76,10 @@ class TestPerfSession:
         assert record.sim_events >= 25
         assert record.wall_s > 0
 
-    def test_laps_accumulate(self):
-        session = PerfSession(engine=SweepEngine(jobs=1))
-        mark = session.mark()
-        mark = session.lap("f", mark)
-        first = session.records["f"].wall_s
-        session.lap("f", mark)
-        assert session.records["f"].wall_s >= first
-
     def test_doc_shape(self):
         session = PerfSession(engine=SweepEngine(jobs=1))
-        mark = session.mark()
-        session.lap("figX", mark)
+        with session.measure("figX"):
+            pass
         doc = session.to_doc(date="2026-01-01", source="test")
         assert doc["schema"] == SCHEMA
         assert doc["date"] == "2026-01-01"
@@ -114,10 +97,6 @@ class TestBenchIo:
         written = write_bench(doc, target)
         assert written == target
         assert load_bench(target)["figures"]["fig04a"]["sim_events"] == 1000
-
-    def test_default_filename_pattern(self):
-        name = bench_filename("20260101")
-        assert name == "BENCH_20260101.json"
 
     def test_load_rejects_unknown_schema(self, tmp_path):
         target = tmp_path / "bad.json"
@@ -186,40 +165,6 @@ class TestCompare:
         (row,) = compare_docs(old, new).rows
         assert row.events_delta is None
 
-    def test_hotspots_surface_in_render(self):
-        old = make_doc({"f": (10.0, 100, 1, 1)})
-        new = make_doc({"f": (10.0, 100, 1, 1)})
-        new["figures"]["f"]["hotspots"] = [
-            {"site": "ssd.device:_write_flow", "events": 60, "share": 0.6},
-            {"site": "nvme.controller:_post_cqe", "events": 40, "share": 0.4},
-        ]
-        text = compare_docs(old, new).render()
-        assert "top hotspot ssd.device:_write_flow (60% of events)" in text
-
-    def test_hotspot_shift_renders_both_sides(self):
-        old = make_doc({"f": (10.0, 100, 1, 1)})
-        new = make_doc({"f": (10.0, 100, 1, 1)})
-        old["figures"]["f"]["hotspots"] = [
-            {"site": "ftl.mapping:bind", "events": 90, "share": 0.9},
-        ]
-        new["figures"]["f"]["hotspots"] = [
-            {"site": "sim.engine:run", "events": 50, "share": 0.5},
-        ]
-        text = compare_docs(old, new).render()
-        assert (
-            "top hotspot ftl.mapping:bind (90% of events) -> "
-            "sim.engine:run (50% of events)" in text
-        )
-
-    def test_unchanged_hotspot_renders_once(self):
-        old = make_doc({"f": (10.0, 100, 1, 1)})
-        new = make_doc({"f": (10.0, 100, 1, 1)})
-        spot = [{"site": "sim.engine:run", "events": 50, "share": 0.5}]
-        old["figures"]["f"]["hotspots"] = spot
-        new["figures"]["f"]["hotspots"] = spot
-        text = compare_docs(old, new).render()
-        assert text.count("sim.engine:run") == 1
-
 
 # ----------------------------------------------------------------------
 # CLI gating
@@ -252,9 +197,58 @@ class TestCliGate:
         with pytest.raises(SystemExit) as excinfo:
             main(["perf", "--against", str(new)])
         assert excinfo.value.code == 2
-        assert "--against requires --compare" in capsys.readouterr().err
+        assert "required: --compare" in capsys.readouterr().err
 
-    def test_perf_without_figures_is_usage_error(self):
+    def test_perf_without_figures_is_usage_error(self, capsys):
+        # perf only diffs documents: it takes no figures, and needs both.
         with pytest.raises(SystemExit) as excinfo:
             main(["perf"])
         assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "required: --compare, --against" in err
+
+
+# ----------------------------------------------------------------------
+# The calls benchmarks/suite makes
+# ----------------------------------------------------------------------
+ROW_KEYS = {
+    "figure_id", "wall_s", "sim_events", "events_per_s", "points",
+    "executed", "memo_hits", "disk_hits", "cache",
+}
+
+
+def test_suite_calls_write_a_comparable_document(tmp_path):
+    """The suite's own tests run apart from tier-1, so its exact use of
+    this package is pinned here: child.py meters each figure, run.py's
+    write_doc rebuilds the rows and writes the document."""
+    # child.py: run_pass
+    session = PerfSession(default_engine())
+    for figure_id, kwargs in (("table1", {}), ("fig14b", {"io_count": 100})):
+        with session.measure(figure_id):
+            run_figure(figure_id, **kwargs)
+    records = session.records.values()
+    sim_events = sum(record.sim_events for record in records)
+    points = sum(record.points for record in records)
+    figures = session.to_doc()["figures"]
+    assert list(figures) == ["fig14b", "table1"]
+    assert points >= 4
+    for row in figures.values():
+        assert set(row) == ROW_KEYS
+
+    # run.py: write_doc
+    writer = PerfSession()
+    for figure_id, row in figures.items():
+        writer.records[figure_id] = BenchRecord.from_dict(row)
+    doc = writer.to_doc(scale=0.1, seed=0, suite={"sync-qd1": {"passes": 1}})
+    path = write_bench(doc, tmp_path / "suite.json")
+
+    loaded = load_bench(path)
+    assert loaded["suite"] == {"sync-qd1": {"passes": 1}}
+    # write_doc recomputes events_per_s from the rounded wall_s.
+    for figure_id, row in figures.items():
+        reread = loaded["figures"][figure_id]
+        assert dict(reread, events_per_s=row["events_per_s"]) == row
+    assert sum(row["sim_events"] for row in loaded["figures"].values()) == sim_events
+    comparison = compare_docs(loaded, load_bench(path))
+    assert comparison.ok
+    assert [row.figure_id for row in comparison.rows] == ["fig14b", "table1"]

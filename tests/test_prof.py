@@ -12,7 +12,6 @@ from repro.obs import (
     Observability,
     Profiler,
     ProfilerConfig,
-    bench_hotspots,
     hotspot_table,
     queue_report,
     to_collapsed,
@@ -413,14 +412,6 @@ class TestExports:
         write_speedscope(prof, str(path))
         loaded = json.loads(path.read_text())
         assert loaded["$schema"] == SPEEDSCOPE_SCHEMA
-
-    def test_bench_hotspots_rows(self):
-        prof = self.profiler_with_data()
-        rows = bench_hotspots(prof, top=5)
-        assert rows
-        for row in rows:
-            assert set(row) == {"site", "events", "share"}
-        assert rows[0]["events"] == max(row["events"] for row in rows)
 
     def test_empty_profiler_renders(self):
         prof = Profiler()
