@@ -140,7 +140,7 @@ class DeviceSnapshot:
     first_gc_ns: int = -1  # -1: GC never engaged
     write_amplification: float = 0.0
     erases: int = 0
-    power_series: Optional[object] = None  # stats.timeseries.TimeSeries
+    power_series: Optional[object] = None  # stats.timeseries.Points
     #: Registry/spec name of the device measured ("" for legacy
     #: snapshots unpickled from warm caches).
     device: str = ""

@@ -87,9 +87,6 @@ class FlashGeometry:
             raise ValueError(f"die out of range: {die}")
         return die % self.channels
 
-    def channel_of_page(self, ppa: int) -> int:
-        return self.channel_of_die(self.die_of_page(ppa))
-
     def block_of_page(self, ppa: int) -> int:
         self._check_ppa(ppa)
         return ppa // self.pages_per_block

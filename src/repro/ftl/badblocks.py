@@ -88,10 +88,6 @@ class RemapChecker:
     def remapped_count(self) -> int:
         return len(self._remap)
 
-    @property
-    def spares_remaining(self) -> int:
-        return len(self._spares_left)
-
     def resolve(self, virtual_block: int) -> int:
         """Physical block backing ``virtual_block``."""
         if not 0 <= virtual_block < self.usable:

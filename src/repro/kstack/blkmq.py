@@ -38,10 +38,6 @@ class HardwareQueue:
         self._free_tags: List[int] = list(range(tag_count))
         self.inflight: Dict[int, IoRecord] = {}
 
-    @property
-    def has_free_tag(self) -> bool:
-        return bool(self._free_tags)
-
     def allocate(self, record: IoRecord) -> None:
         """Tag ``record`` into this queue."""
         if not self._free_tags:

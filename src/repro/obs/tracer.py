@@ -24,7 +24,7 @@ tracer (see :mod:`repro.obs.core`) and every layer reaches it through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.obs.scope import Offsets, RunScope
 
@@ -329,14 +329,6 @@ class SpanTracer:
 
     def __iter__(self) -> Iterator[IoTrace]:
         return iter(self.finished_ios)
-
-    def totals_by_name(self) -> Dict[str, int]:
-        """Summed top-level phase durations across all finished I/Os."""
-        totals: Dict[str, int] = {}
-        for trace in self.finished_ios:
-            for span in trace.phases():
-                totals[span.name] = totals.get(span.name, 0) + span.duration_ns
-        return totals
 
 
 class NullTracer:

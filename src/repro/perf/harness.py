@@ -12,7 +12,8 @@ prints.
 
 Cache state matters when comparing: a warm-cache run executes zero
 simulations and its wall time says nothing about simulator throughput,
-so comparisons only gate figures whose cache states match.
+so comparisons only gate figures that simulated something (``cold`` or
+``mixed``) in both documents, with matching cache states.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ SCHEMA = 1
 
 #: Default slowdown gate: new wall time > (1 + threshold) x old fails.
 DEFAULT_THRESHOLD = 0.30
+
+#: Cache states whose wall time includes simulation, so can be gated.
+_GATED = ("cold", "mixed")
 
 
 # ----------------------------------------------------------------------
@@ -288,9 +292,12 @@ def compare_docs(
     """Diff two bench documents figure-by-figure.
 
     A figure gates (``slower``) only when it appears in both documents
-    with the *same cache state* and its new wall time exceeds
-    ``(1 + threshold)`` times the old; mismatched cache states are
-    reported ``incomparable`` instead of producing a bogus verdict.
+    with the *same cache state*, that state is ``cold`` or ``mixed``, and
+    its new wall time exceeds ``(1 + threshold)`` times the old;
+    mismatched cache states are reported ``incomparable`` instead of
+    producing a bogus verdict.  ``warm`` and ``none`` rows (no point
+    simulated: a few milliseconds of noise at most) are reported with
+    their times but never ``slower`` or ``faster``.
     """
     comparison = Comparison(threshold=threshold)
     old_figures = old_doc.get("figures", {})
@@ -333,6 +340,8 @@ def compare_docs(
         if old_rec.cache != new_rec.cache:
             row.status = "incomparable"
             row.note = f"cache {old_rec.cache} vs {new_rec.cache}"
+        elif old_rec.cache not in _GATED:
+            row.note = f"{old_rec.cache}, not gated"
         elif old_rec.wall_s > 0 and row.ratio > 1.0 + threshold:
             row.status = "slower"
             row.note = f"+{(row.ratio - 1.0):.0%}"

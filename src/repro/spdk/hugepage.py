@@ -41,10 +41,6 @@ class HugePageAllocator:
         self.regions: List[HugePageRegion] = []
 
     @property
-    def used_bytes(self) -> int:
-        return self._cursor
-
-    @property
     def free_bytes(self) -> int:
         return self.pool_bytes - self._cursor
 

@@ -127,10 +127,6 @@ class SsdConfig:
         """Host link DMA time for ``nbytes``."""
         return self.pcie_latency_ns + int(round(nbytes * 1_000 / self.pcie_mbps))
 
-    def channel_transfer_ns(self, nbytes: int) -> int:
-        """(Super-)channel time to move ``nbytes`` of flash data."""
-        return int(round(nbytes * 1_000 / self.channel_mbps))
-
     def units_of(self, nbytes: int) -> int:
         """Mapping units covered by an ``nbytes`` request."""
         if nbytes <= 0:

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.flash.chip import OpKind
 from repro.sim.engine import Simulator
-from repro.stats.timeseries import TimeSeries
+from repro.stats.timeseries import Points
 
 #: Kind codes of a begin transition; an end transition adds ``_END``.
 #: A pending transition is one int: its time shifted left by
@@ -123,13 +123,13 @@ class PowerMeter:
         return total / until_ns
 
     @property
-    def series(self) -> TimeSeries:
+    def series(self) -> Points:
         """Raw power-transition time series (for Fig. 8)."""
         self._fold()
         if len(self._series_t) > 1:
             self._series_t = [np.concatenate(self._series_t)]
             self._series_w = [np.concatenate(self._series_w)]
-        return TimeSeries.from_arrays("power", self._series_t[0], self._series_w[0])
+        return Points(self._series_t[0], self._series_w[0])
 
     # ------------------------------------------------------------------
     def _fold(self) -> None:

@@ -1,11 +1,11 @@
-"""Measurement utilities: latency distributions and time series."""
+"""Measurement utilities: latency summaries and time series."""
 
-from repro.stats.latency import LatencyRecorder, LatencySummary
-from repro.stats.timeseries import TimeSeries, WindowedAverage
+from repro.stats.latency import LatencySummary, summarize
+from repro.stats.timeseries import Points, WindowedAverage
 
 __all__ = [
-    "LatencyRecorder",
     "LatencySummary",
-    "TimeSeries",
+    "Points",
     "WindowedAverage",
+    "summarize",
 ]

@@ -1,20 +1,23 @@
-"""Latency distribution recording.
+"""Latency distribution summaries.
 
 The paper reports average latency and the 99.999th ("five nines")
-percentile.  :class:`LatencyRecorder` collects raw samples (integer
-nanoseconds) and computes summaries on demand; :class:`LatencySummary`
-is the immutable result object used in experiment reports.
+percentile.  :func:`summarize` reduces raw samples (nanoseconds, one per
+I/O) to an immutable :class:`LatencySummary`, the result object used in
+experiment reports.  Samples stay raw because the experiments need exact
+extreme percentiles from modest sample counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
 NS_PER_US = 1_000.0
-NS_PER_MS = 1_000_000.0
 
 
 @dataclass(frozen=True)
@@ -44,10 +47,6 @@ class LatencySummary:
     def p99_us(self) -> float:
         return self.p99_ns / NS_PER_US
 
-    @property
-    def max_us(self) -> float:
-        return self.max_ns / NS_PER_US
-
     def __str__(self) -> str:
         return (
             f"n={self.count} mean={self.mean_us:.1f}us "
@@ -61,66 +60,26 @@ EMPTY_SUMMARY = LatencySummary(
 )
 
 
-class LatencyRecorder:
-    """Accumulates latency samples and summarizes them.
+def summarize(samples: ArrayLike) -> LatencySummary:
+    """Summarize latency ``samples`` (nanoseconds); empty gives zeros.
 
-    Samples are kept raw (one float per I/O) because the experiments need
-    exact extreme percentiles from modest sample counts; at the scales
-    this repository runs (<= a few hundred thousand I/Os per experiment)
-    raw storage is cheap.
+    Percentiles use the *higher* interpolation so that extreme
+    percentiles from small sample counts report an actually observed
+    latency rather than an interpolated value below the tail.
     """
-
-    def __init__(self, name: str = "latency") -> None:
-        self.name = name
-        self._samples: List[float] = []
-
-    def record(self, latency_ns: float) -> None:
-        """Add one sample (nanoseconds)."""
-        if latency_ns < 0:
-            raise ValueError(f"negative latency: {latency_ns}")
-        self._samples.append(float(latency_ns))
-
-    def extend(self, latencies_ns: Iterable[float]) -> None:
-        for value in latencies_ns:
-            self.record(value)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    @property
-    def samples(self) -> np.ndarray:
-        return np.asarray(self._samples, dtype=np.float64)
-
-    def percentile(self, pct: float) -> float:
-        """Empirical percentile (``pct`` in [0, 100]), in nanoseconds.
-
-        Uses the *higher* interpolation so that extreme percentiles from
-        small sample counts report an actually observed latency rather
-        than an interpolated value below the tail.
-        """
-        if not self._samples:
-            return 0.0
-        return float(np.percentile(self.samples, pct, method="higher"))
-
-    def mean(self) -> float:
-        if not self._samples:
-            return 0.0
-        return float(np.mean(self.samples))
-
-    def summary(self) -> LatencySummary:
-        if not self._samples:
-            return EMPTY_SUMMARY
-        data = self.samples
-        pcts = np.percentile(data, [50, 95, 99, 99.99, 99.999], method="higher")
-        return LatencySummary(
-            count=len(self._samples),
-            mean_ns=float(np.mean(data)),
-            min_ns=float(np.min(data)),
-            max_ns=float(np.max(data)),
-            p50_ns=float(pcts[0]),
-            p95_ns=float(pcts[1]),
-            p99_ns=float(pcts[2]),
-            p9999_ns=float(pcts[3]),
-            p99999_ns=float(pcts[4]),
-            stdev_ns=float(np.std(data)),
-        )
+    data = np.asarray(samples, dtype=np.float64)
+    if not len(data):
+        return EMPTY_SUMMARY
+    pcts = np.percentile(data, [50, 95, 99, 99.99, 99.999], method="higher")
+    return LatencySummary(
+        count=len(data),
+        mean_ns=float(np.mean(data)),
+        min_ns=float(np.min(data)),
+        max_ns=float(np.max(data)),
+        p50_ns=float(pcts[0]),
+        p95_ns=float(pcts[1]),
+        p99_ns=float(pcts[2]),
+        p9999_ns=float(pcts[3]),
+        p99999_ns=float(pcts[4]),
+        stdev_ns=float(np.std(data)),
+    )

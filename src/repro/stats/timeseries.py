@@ -1,6 +1,6 @@
-"""Time-series recording for the GC / power experiments (Figs. 7b and 8).
+"""Time series for the GC / power experiments (Figs. 7b and 8).
 
-:class:`TimeSeries` stores raw ``(time, value)`` points.
+:class:`Points` holds raw ``(time, value)`` samples.
 :class:`WindowedAverage` buckets points into fixed windows and reports the
 per-window mean — exactly how the paper's time-series plots are drawn.
 """
@@ -8,7 +8,7 @@ per-window mean — exactly how the paper's time-series plots are drawn.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Tuple, Union
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
@@ -16,51 +16,30 @@ if TYPE_CHECKING:
     from numpy.typing import ArrayLike
 
 
-class TimeSeries:
-    """Raw ``(t_ns, value)`` samples in arrival order.
+@dataclass(frozen=True, eq=False)
+class Points:
+    """Raw ``(t_ns, value)`` samples over non-decreasing times: int64
+    ``times`` and float64 ``values`` (16 bytes a point)."""
 
-    A series either grows point by point through :meth:`record` (list
-    backed) or is built whole by :meth:`from_arrays` (int64/float64
-    backed, read-only; 16 bytes a point instead of two boxed numbers).
-    """
+    times: np.ndarray
+    values: np.ndarray
 
-    def __init__(self, name: str = "series") -> None:
-        self.name = name
-        self._times: Union[List[int], np.ndarray] = []
-        self._values: Union[List[float], np.ndarray] = []
-
-    @classmethod
-    def from_arrays(
-        cls, name: str, times: ArrayLike, values: ArrayLike
-    ) -> "TimeSeries":
-        """A read-only series over non-decreasing ``times``."""
-        series = cls(name)
-        series._times = np.asarray(times, dtype=np.int64)
-        series._values = np.asarray(values, dtype=np.float64)
-        return series
-
-    def record(self, t_ns: int, value: float) -> None:
-        if not isinstance(self._times, list) or not isinstance(self._values, list):
-            raise TypeError("an array-backed time series is read-only")
-        if self._times and t_ns < self._times[-1]:
-            raise ValueError("time series records must be non-decreasing in time")
-        self._times.append(int(t_ns))
-        self._values.append(float(value))
+    def __post_init__(self) -> None:
+        times = np.asarray(self.times, dtype=np.int64)
+        values = np.asarray(self.values, dtype=np.float64)
+        if len(times) != len(values):
+            raise ValueError("times and values differ in length")
+        if np.any(times[1:] < times[:-1]):
+            raise ValueError("time series points must be non-decreasing in time")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self._times)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._times, dtype=np.int64)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._values, dtype=np.float64)
+        return len(self.times)
 
     def windowed(self, window_ns: int) -> "WindowedAverage":
         """Aggregate into ``window_ns``-wide buckets of per-window means."""
-        return WindowedAverage.from_points(self._times, self._values, window_ns)
+        return WindowedAverage.from_points(self.times, self.values, window_ns)
 
 
 @dataclass(frozen=True)

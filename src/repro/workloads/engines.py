@@ -10,83 +10,77 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from array import array
+from typing import TYPE_CHECKING, Any, Generator, Optional, Tuple
 
-from repro.obs.registry import NULL_REGISTRY
+import numpy as np
+
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, Wait
 from repro.ssd.device import IoOp
-from repro.stats.latency import LatencyRecorder
-from repro.stats.timeseries import TimeSeries
+from repro.stats.latency import LatencySummary, summarize
+from repro.stats.timeseries import Points
 from repro.workloads.job import FioJob
 from repro.workloads.patterns import AccessPattern
-from repro.workloads.trace import TraceRecorder
 
 if TYPE_CHECKING:
-    from repro.obs.core import Observability
+    from repro.obs.registry import MetricsRegistry
     from repro.ssd.device import IoRecord
 
 
 class MetricsCollector:
-    """Per-direction latency recorders plus an optional time series.
+    """A job's completion log: one row per completed I/O, in completion
+    order, over three columns — direction (0 read, 1 any other op),
+    completion time (ns) and application-observed latency (ns).
 
-    When an :class:`~repro.obs.core.Observability` bundle is supplied its
-    registry additionally receives the workload-level instruments
-    (``io.latency_us``, ``io.reads`` / ``io.writes``, ``io.bytes``);
-    without one the instruments are shared no-ops.
+    Every job metric is a view of the log: the latency summaries, the
+    (completion time, latency) series, and the bundle's ``io.*``
+    instruments, booked once when the job ends.
     """
 
-    def __init__(
-        self,
-        *,
-        capture_timeseries: bool = False,
-        capture_trace: bool = False,
-        obs: "Optional[Observability]" = None,
-    ) -> None:
-        self.all = LatencyRecorder("all")
-        self.reads = LatencyRecorder("reads")
-        self.writes = LatencyRecorder("writes")
-        self.series: Optional[TimeSeries] = (
-            TimeSeries("latency") if capture_timeseries else None
-        )
-        self.trace: Optional[TraceRecorder] = (
-            TraceRecorder() if capture_trace else None
-        )
-        self.bytes_done = 0
-        registry = obs.registry if obs is not None else NULL_REGISTRY
-        self._m_latency = registry.histogram(
-            "io.latency_us", unit="us", help="application-observed I/O latency"
-        )
-        self._m_reads = registry.counter("io.reads", help="read I/Os completed")
-        self._m_writes = registry.counter("io.writes", help="write I/Os completed")
-        self._m_bytes = registry.counter(
-            "io.bytes", unit="B", help="payload bytes transferred"
+    __slots__ = ("direction", "times", "latencies")
+
+    def __init__(self) -> None:
+        self.direction = bytearray()
+        self.times = array("q")
+        self.latencies = array("d")
+
+    def record(self, op: IoOp, latency_ns: float, now_ns: int) -> None:
+        if latency_ns < 0:
+            raise ValueError(f"negative latency: {latency_ns}")
+        self.direction.append(op is not IoOp.READ)
+        self.times.append(now_ns)
+        self.latencies.append(latency_ns)
+
+    def summaries(self) -> Tuple[LatencySummary, LatencySummary, LatencySummary]:
+        """All, read and write latency summaries."""
+        latencies = np.asarray(self.latencies)
+        writes = np.frombuffer(self.direction, dtype=np.bool_)
+        return (
+            summarize(latencies),
+            summarize(latencies[~writes]),
+            summarize(latencies[writes]),
         )
 
-    def record(
-        self,
-        op: IoOp,
-        latency_ns: float,
-        now_ns: int,
-        nbytes: int,
-        offset: int = 0,
-    ) -> None:
-        self.all.record(latency_ns)
-        if op is IoOp.READ:
-            self.reads.record(latency_ns)
-            self._m_reads.inc()
-        else:
-            self.writes.record(latency_ns)
-            self._m_writes.inc()
-        self._m_latency.observe(latency_ns / 1000.0)
-        self._m_bytes.inc(nbytes)
-        if self.series is not None:
-            self.series.record(now_ns, latency_ns)
-        if self.trace is not None:
-            self.trace.record(
-                op, offset, nbytes, int(now_ns - latency_ns), now_ns
-            )
-        self.bytes_done += nbytes
+    def series(self) -> Points:
+        """Latency (ns) against completion time (ns), as Fig. 7b plots it."""
+        return Points(np.asarray(self.times), np.asarray(self.latencies))
+
+    def book(self, registry: MetricsRegistry, block_size: int) -> None:
+        """Add the log to ``registry``'s workload-level instruments."""
+        histogram = registry.histogram(
+            "io.latency_us", unit="us", help="application-observed I/O latency"
+        )
+        writes = self.direction.count(1)
+        registry.counter("io.reads", help="read I/Os completed").inc(
+            len(self.direction) - writes
+        )
+        registry.counter("io.writes", help="write I/Os completed").inc(writes)
+        registry.counter("io.bytes", unit="B", help="payload bytes transferred").inc(
+            len(self.direction) * block_size
+        )
+        for latency_ns in self.latencies:
+            histogram.observe(latency_ns / 1000.0)
 
 
 class SyncJobEngine:
@@ -111,7 +105,7 @@ class SyncJobEngine:
         block_size = self.job.block_size
         for op, offset in self.pattern.take(self.job.io_count):
             latency = yield from self.stack.sync_io(op, offset, block_size)
-            self.metrics.record(op, latency, self.sim.now, block_size, offset)
+            self.metrics.record(op, latency, self.sim.now)
 
 
 class AsyncJobEngine:
@@ -164,9 +158,7 @@ class AsyncJobEngine:
         now = self.sim.now
         if record.trace is not None:
             record.trace.finish(now)
-        self.metrics.record(
-            record.op, now - record.app_start_ns, now, self.job.block_size, record.offset
-        )
+        self.metrics.record(record.op, now - record.app_start_ns, now)
         self._inflight -= 1
         self._completed += 1
         # At most one of the two is pending, and waking it is the last

@@ -35,7 +35,6 @@ class FioJob:
     seed: int = 1234
     region_bytes: Optional[int] = None  # None = whole device
     capture_timeseries: bool = False  # keep (t, latency) pairs (Fig. 7b)
-    capture_trace: bool = False  # keep one TraceEntry per I/O
 
     def __post_init__(self) -> None:
         if self.block_size <= 0 or self.block_size % 512:

@@ -8,8 +8,7 @@ from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
 from repro.host.accounting import CpuAccounting, ExecMode
 from repro.sim.engine import Simulator
 from repro.stats.latency import LatencySummary
-from repro.stats.timeseries import TimeSeries
-from repro.workloads.trace import TraceRecorder
+from repro.stats.timeseries import Points
 from repro.workloads.engines import AsyncJobEngine, MetricsCollector, SyncJobEngine
 from repro.workloads.job import FioJob, IoEngineKind
 from repro.workloads.patterns import make_pattern
@@ -27,14 +26,18 @@ class JobResult:
     read_latency: LatencySummary
     write_latency: LatencySummary
     duration_ns: int
-    bytes_done: int
-    timeseries: Optional[TimeSeries]
-    trace: Optional[TraceRecorder]
+    #: (completion time, latency) per I/O in ns; only with
+    #: ``capture_timeseries``.
+    timeseries: Optional[Points]
     accounting: Optional[CpuAccounting]
     avg_power_w: Optional[float]
     #: The observability bundle active during the run (span tracer +
     #: metrics registry), or ``None`` when tracing was disabled.
     obs: Optional[object] = None
+
+    @property
+    def bytes_done(self) -> int:
+        return self.latency.count * self.job.block_size
 
     @property
     def bandwidth_mbps(self) -> float:
@@ -93,11 +96,7 @@ def run_jobs(
             seed=job.seed,
             region_offset=region_offset,
         )
-        metrics = MetricsCollector(
-            capture_timeseries=job.capture_timeseries,
-            capture_trace=job.capture_trace,
-            obs=obs,
-        )
+        metrics = MetricsCollector()
         if job.engine is IoEngineKind.LIBAIO:
             engine = AsyncJobEngine(sim, stack, job, pattern, metrics)
         else:
@@ -111,18 +110,19 @@ def run_jobs(
             raise RuntimeError(f"job {job.name!r} did not finish (deadlock?)")
     results: List[JobResult] = []
     for stack, job, metrics, _engine in prepared:
+        if obs is not None:
+            metrics.book(obs.registry, job.block_size)
         device = stack.device
         power = getattr(device, "power", None)
+        latency, read_latency, write_latency = metrics.summaries()
         results.append(
             JobResult(
                 job=job,
-                latency=metrics.all.summary(),
-                read_latency=metrics.reads.summary(),
-                write_latency=metrics.writes.summary(),
+                latency=latency,
+                read_latency=read_latency,
+                write_latency=write_latency,
                 duration_ns=sim.now - started,
-                bytes_done=metrics.bytes_done,
-                timeseries=metrics.series,
-                trace=metrics.trace,
+                timeseries=metrics.series() if job.capture_timeseries else None,
                 accounting=getattr(stack, "accounting", None),
                 avg_power_w=(
                     power.average_watts(sim.now) if power is not None else None

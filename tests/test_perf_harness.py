@@ -159,6 +159,33 @@ class TestCompare:
         assert row.events_delta == pytest.approx(1.0)
         assert "+100%" in comparison.render()
 
+    def test_only_simulating_rows_gate(self):
+        # fig08b reuses fig08a's run from the sweep memo: a warm row of a
+        # few milliseconds whose ratio is noise.  A cold row still gates.
+        old = make_doc({
+            "fig08b": (0.0014, 0, 8, 0),
+            "table1": (0.0001, 0, 0, 0),
+            "fig10": (1.0, 100, 4, 4),
+            "fig11": (1.0, 100, 4, 2),
+        })
+        new = make_doc({
+            "fig08b": (0.002, 0, 8, 0),
+            "table1": (0.0, 0, 0, 0),
+            "fig10": (1.43, 100, 4, 4),
+            "fig11": (0.5, 100, 4, 2),
+        })
+        comparison = compare_docs(old, new)
+        rows = {row.figure_id: row for row in comparison.rows}
+        assert rows["fig08b"].status == "ok"
+        assert rows["fig08b"].note == "warm, not gated"
+        assert rows["fig08b"].new_wall_s == 0.002
+        assert rows["table1"].status == "ok"
+        assert rows["table1"].note == "none, not gated"
+        assert rows["fig10"].status == "slower"
+        assert rows["fig10"].note == "+43%"
+        assert rows["fig11"].status == "faster"
+        assert [row.figure_id for row in comparison.regressions] == ["fig10"]
+
     def test_events_delta_missing_data(self):
         old = make_doc({"f": (10.0, 0, 1, 1)})  # 0 ev/s old: no delta
         new = make_doc({"f": (10.0, 100, 1, 1)})
@@ -190,6 +217,14 @@ class TestCliGate:
     def test_clean_compare_exits_zero(self, tmp_path):
         old, new = self.write_pair(tmp_path, new_wall=10.5)
         assert main(["perf", "--compare", old, "--against", new]) == 0
+
+    def test_warm_row_does_not_fail(self, tmp_path, capsys):
+        old = tmp_path / "old.json"
+        new = tmp_path / "new.json"
+        old.write_text(json.dumps(make_doc({"fig08b": (0.0014, 0, 8, 0)})))
+        new.write_text(json.dumps(make_doc({"fig08b": (0.002, 0, 8, 0)})))
+        assert main(["perf", "--compare", str(old), "--against", str(new)]) == 0
+        assert "warm, not gated" in capsys.readouterr().out
 
     def test_against_requires_compare(self, tmp_path, capsys):
         new = tmp_path / "new.json"

@@ -1,5 +1,6 @@
-"""Tests for latency recording and time series."""
+"""Tests for latency summaries and time series."""
 
+import dataclasses
 import itertools
 import pickle
 
@@ -7,68 +8,43 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.stats import LatencyRecorder, TimeSeries, WindowedAverage
-
-#: A list-backed ``TimeSeries("power")`` of six points, pickled with
-#: ``pickle.HIGHEST_PROTOCOL`` as sweep caches stored it before power
-#: series became array-backed.
-_LIST_BACKED_PICKLE = (
-    b"\x80\x05\x95\x9d\x00\x00\x00\x00\x00\x00\x00\x8c\x16repro.stats.timeseries"
-    b"\x94\x8c\nTimeSeries\x94\x93\x94)\x81\x94}\x94(\x8c\x04name\x94\x8c\x05power"
-    b"\x94\x8c\x06_times\x94]\x94(K\x00K\x05K\x0cK\x0cK\x13K\x1fe\x8c\x07_values"
-    b"\x94]\x94(G@\x0effffffG@\x0ez\xe1G\xae\x14{G@\x0f\xae\x14z\xe1G\xaeG@\x0eff"
-    b"ffffG@\x0e\xa3\xd7\n=p\xa4G@\x0effffffeub."
-)
-_LIST_BACKED_POINTS = [
-    (0, 3.8), (5, 3.81), (12, 3.96), (12, 3.8), (19, 3.83), (31, 3.8),
-]
+from repro.stats import Points, WindowedAverage, summarize
 
 
-class TestLatencyRecorder:
+class TestLatencySummary:
     def test_mean_and_count(self):
-        recorder = LatencyRecorder()
-        recorder.extend([1000, 2000, 3000])
-        assert len(recorder) == 3
-        assert recorder.mean() == 2000
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyRecorder().record(-1)
+        summary = summarize([1000, 2000, 3000])
+        assert summary.count == 3
+        assert summary.mean_ns == 2000
 
     def test_empty_summary_is_zeroes(self):
-        summary = LatencyRecorder().summary()
+        summary = summarize([])
         assert summary.count == 0
         assert summary.mean_ns == 0.0
+        assert summary.p99999_ns == 0.0
 
     def test_percentile_uses_observed_values(self):
-        recorder = LatencyRecorder()
-        recorder.extend(range(1, 101))
+        summary = summarize(range(1, 101))
         # 'higher' interpolation: an actually observed sample.
-        assert recorder.percentile(99) in range(1, 101)
-        assert recorder.percentile(100) == 100
+        for value in (summary.p50_ns, summary.p95_ns, summary.p99_ns):
+            assert value in range(1, 101)
+        assert summary.p99_ns == 100
+        assert summary.max_ns == 100
 
     def test_five_nines_equals_max_for_small_samples(self):
-        recorder = LatencyRecorder()
-        recorder.extend([10] * 999 + [5000])
-        assert recorder.summary().p99999_ns == 5000
+        assert summarize([10] * 999 + [5000]).p99999_ns == 5000
 
     def test_unit_conversions(self):
-        recorder = LatencyRecorder()
-        recorder.record(12_600)
-        summary = recorder.summary()
+        summary = summarize([12_600])
         assert summary.mean_us == pytest.approx(12.6)
         assert summary.p99999_us == pytest.approx(12.6)
 
     def test_str_mentions_count(self):
-        recorder = LatencyRecorder()
-        recorder.record(1000)
-        assert "n=1" in str(recorder.summary())
+        assert "n=1" in str(summarize([1000]))
 
     @given(st.lists(st.floats(min_value=0, max_value=1e9), min_size=1, max_size=200))
     def test_property_summary_ordering(self, samples):
-        recorder = LatencyRecorder()
-        recorder.extend(samples)
-        summary = recorder.summary()
+        summary = summarize(samples)
         assert summary.min_ns <= summary.p50_ns <= summary.p99_ns
         assert summary.p99_ns <= summary.p99999_ns <= summary.max_ns
         tolerance = 1e-9 * max(1.0, summary.max_ns)
@@ -77,18 +53,16 @@ class TestLatencyRecorder:
 
 class TestTimeSeries:
     def test_records_and_windows(self):
-        series = TimeSeries()
-        for t, v in [(0, 10.0), (5, 20.0), (12, 30.0), (19, 50.0)]:
-            series.record(t, v)
+        series = Points([0, 5, 12, 19], [10.0, 20.0, 30.0, 50.0])
         windowed = series.windowed(10)
         assert windowed.starts_ns == (0, 10)
         assert windowed.means == (15.0, 40.0)
 
     def test_time_must_be_monotonic(self):
-        series = TimeSeries()
-        series.record(10, 1.0)
         with pytest.raises(ValueError):
-            series.record(5, 2.0)
+            Points([10, 5], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            Points([0, 1], [1.0])
 
     def test_empty_window(self):
         assert len(WindowedAverage.from_points([], [], 10)) == 0
@@ -160,26 +134,17 @@ class TestTimeSeries:
         assert windowed.means == tuple(means)
 
     def test_array_backed_series(self):
-        times = [t for t, _ in _LIST_BACKED_POINTS]
-        values = [v for _, v in _LIST_BACKED_POINTS]
-        series = TimeSeries.from_arrays("power", times, values)
-        assert len(series) == len(times)
+        series = Points([0, 5, 12], [3.8, 3.81, 3.96])
+        assert len(series) == 3
         assert series.times.dtype == np.int64
         assert series.values.dtype == np.float64
-        with pytest.raises(TypeError):
-            series.record(40, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            series.times = np.zeros(3, dtype=np.int64)
 
-    def test_list_backed_pickle_still_loads(self):
-        """Sweep caches written with list-backed series stay readable."""
-        old = pickle.loads(_LIST_BACKED_PICKLE)
-        times = [t for t, _ in _LIST_BACKED_POINTS]
-        values = [v for _, v in _LIST_BACKED_POINTS]
-        assert old.name == "power"
-        assert old.times.tolist() == times
-        assert old.values.tolist() == values
-        new = TimeSeries.from_arrays("power", times, values)
+    def test_pickle_round_trip(self):
+        series = Points([0, 5, 12, 12, 19, 31], [3.8, 3.81, 3.96, 3.8, 3.83, 3.8])
+        roundtrip = pickle.loads(pickle.dumps(series, protocol=pickle.HIGHEST_PROTOCOL))
+        assert roundtrip.times.tolist() == series.times.tolist()
         for window in (1, 7, 10, 100):
-            assert old.windowed(window) == new.windowed(window)
-        assert old.windowed(10).means == (3.8049999999999997, 3.8633333333333333, 3.8)
-        roundtrip = pickle.loads(pickle.dumps(new, protocol=pickle.HIGHEST_PROTOCOL))
-        assert roundtrip.windowed(10) == new.windowed(10)
+            assert roundtrip.windowed(window) == series.windowed(window)
+        assert series.windowed(10).means == (3.8049999999999997, 3.8633333333333333, 3.8)
