@@ -67,7 +67,7 @@ class FlashDie:
         # die's only draw kind (one uniform per jittered op), so its
         # stream is block-drawn (repro.sim.rng) with bit-identical values.
         self._slots = timing.slots()
-        self._uniform = UniformStream(seed).uniform
+        self._random = UniformStream(seed).random
         self.free_at: int = 0
         self.busy_ns: int = 0
         self._last_slow_op: Optional[_InFlightOp] = None
@@ -81,60 +81,78 @@ class FlashDie:
         self.suspends = 0
 
     # ------------------------------------------------------------------
-    def _jittered(self, base_ns: int, jitter: float) -> int:
-        """Per-op latency with word-line/page-type variation applied."""
-        if jitter <= 0.0:
-            return base_ns
-        factor = 1.0 + self._uniform(-jitter, jitter)
-        return max(1, int(round(base_ns * factor)))
-
+    # Reads run once per mapping unit and programs once per flush
+    # batch, so both book inline.  A jittered op takes
+    # ``base * (1 + U(-jitter, +jitter))``, with ``U`` mapped from the
+    # die's next double ``u`` as ``UniformStream.uniform`` maps it
+    # (``low + (high - low) * u``): the same durations, drawn in the
+    # same order.
     def read(self, not_before: int = 0) -> Tuple[int, int]:
         """Book a page read; returns its ``(start, end)`` interval."""
         self.reads += 1
         slots = self._slots
-        duration = self._jittered(slots.read_ns, slots.read_jitter)
-        arrival = max(self.sim.now, not_before)
-        slow = self._suspendable_op(arrival)
-        if slow is not None:
-            return self._suspend_and_read(slow, arrival, duration)
-        return self._book(OpKind.READ, duration, arrival)
+        duration = slots.read_ns
+        jitter = slots.read_jitter
+        if jitter > 0.0:
+            factor = 1.0 + (-jitter + (jitter + jitter) * self._random())
+            duration = max(1, int(round(duration * factor)))
+        now = self.sim.now
+        arrival = not_before if not_before > now else now
+        if self.allow_suspend:
+            slow = self._suspendable_op(arrival)
+            if slow is not None:
+                return self._suspend_and_read(slow, arrival, duration)
+        start = self.free_at
+        if arrival > start:
+            start = arrival
+        end = start + duration
+        self.free_at = end
+        self.busy_ns += duration
+        if self.observer is not None:
+            self.observer(OpKind.READ, start, end)
+        return start, end
 
     def program(self, not_before: int = 0) -> Tuple[int, int]:
         """Book a page program; returns its ``(start, end)`` interval."""
         self.programs += 1
         slots = self._slots
-        duration = self._jittered(slots.program_ns, slots.program_jitter)
-        interval = self._book(OpKind.PROGRAM, duration, not_before)
-        self._last_slow_op = _InFlightOp(OpKind.PROGRAM, *interval)
-        return interval
-
-    def erase(self, not_before: int = 0) -> Tuple[int, int]:
-        """Book a block erase; returns its ``(start, end)`` interval."""
-        self.erases += 1
-        interval = self._book(OpKind.ERASE, self._slots.erase_ns, not_before)
-        self._last_slow_op = _InFlightOp(OpKind.ERASE, *interval)
-        return interval
-
-    # ------------------------------------------------------------------
-    def _book(self, kind: OpKind, duration: int, not_before: int) -> Tuple[int, int]:
+        duration = slots.program_ns
+        jitter = slots.program_jitter
+        if jitter > 0.0:
+            factor = 1.0 + (-jitter + (jitter + jitter) * self._random())
+            duration = max(1, int(round(duration * factor)))
         start = max(self.sim.now, self.free_at, not_before)
         end = start + duration
         self.free_at = end
         self.busy_ns += duration
         if self.observer is not None:
-            self.observer(kind, start, end)
+            self.observer(OpKind.PROGRAM, start, end)
+        self._last_slow_op = _InFlightOp(OpKind.PROGRAM, start, end)
         return start, end
 
+    def erase(self, not_before: int = 0) -> Tuple[int, int]:
+        """Book a block erase; returns its ``(start, end)`` interval."""
+        self.erases += 1
+        duration = self._slots.erase_ns
+        start = max(self.sim.now, self.free_at, not_before)
+        end = start + duration
+        self.free_at = end
+        self.busy_ns += duration
+        if self.observer is not None:
+            self.observer(OpKind.ERASE, start, end)
+        self._last_slow_op = _InFlightOp(OpKind.ERASE, start, end)
+        return start, end
+
+    # ------------------------------------------------------------------
     def _suspendable_op(self, arrival: int) -> Optional[_InFlightOp]:
-        """The slow op to suspend for a read arriving at ``arrival``.
+        """The slow op to suspend for a read arriving at ``arrival``
+        (the die was built with ``allow_suspend``).
 
         Suspension applies only when the slow operation is the *last*
         thing booked on the die (``free_at`` equals its end) — i.e. the
         read would otherwise wait directly behind it.  If other work is
         already queued behind the slow op, the read takes the FIFO path.
         """
-        if not self.allow_suspend:
-            return None
         slow = self._last_slow_op
         if slow is None:
             return None

@@ -49,7 +49,9 @@ class FtlLayout:
         return block // self.blocks_per_die
 
     def die_of_page(self, ppa: int) -> int:
-        return self.die_of_block(self.block_of_page(ppa))
+        if not 0 <= ppa < self.total_pages:
+            raise ValueError(f"page out of range: {ppa}")
+        return ppa // self.pages_per_block // self.blocks_per_die
 
     def block_of_page(self, ppa: int) -> int:
         if not 0 <= ppa < self.total_pages:

@@ -137,6 +137,12 @@ class MappingTable:
             raise ValueError(f"logical page out of range: {lpn}")
         return self._l2p[lpn]
 
+    def forward_map(self) -> "array[int]":
+        """The LPN -> PPA map, ``UNMAPPED`` where never written or
+        trimmed (the live array; do not mutate).  The read path indexes
+        it directly, having range-checked a request's LPNs once."""
+        return self._l2p
+
     def owner(self, ppa: int) -> int:
         """LPN whose data is at ``ppa``, or ``UNMAPPED``."""
         return self._p2l[ppa]

@@ -55,6 +55,13 @@ class WriteBuffer:
         """True if ``lpn``'s freshest data is still in DRAM (read hit)."""
         return self._resident.get(lpn, 0) > 0
 
+    @property
+    def resident(self) -> Dict[int, int]:
+        """Buffered copies per LPN, only LPNs with at least one (the
+        live dict; do not mutate): ``lpn in resident`` is
+        :meth:`contains`, without the call."""
+        return self._resident
+
     # ------------------------------------------------------------------
     def reserve(self, callback: Callable[..., Any], *args: Any) -> None:
         """Acquire a slot, then run ``callback(*args)``.
@@ -188,7 +195,9 @@ class ReadCache:
 
         Detects a sequential run of three or more accesses, then asks the
         controller to stage the next ``prefetch_ahead`` units that are
-        not already cached.
+        not already cached.  The controller reports every unit it serves
+        while prefetching is on (a cache with no prefetch depth never
+        uses the detector).
         """
         if self._last_lpn is not None and lpn == self._last_lpn + 1:
             self._streak += 1

@@ -62,15 +62,26 @@ class ChannelArray:
     def transfer(
         self, channel: int, nbytes: int, not_before: int = 0
     ) -> Tuple[int, int]:
-        """Book ``nbytes`` on ``channel``; returns the ``(start, end)``."""
-        if not 0 <= channel < len(self._channels):
+        """Book ``nbytes`` on ``channel``; returns the ``(start, end)``.
+
+        Runs once per mapping unit read, so it books the channel's
+        timeline in place (what ``TimelineResource.reserve`` does) with
+        the memoized duration.
+        """
+        channels = self._channels
+        if not 0 <= channel < len(channels):
             raise ValueError(f"channel out of range: {channel}")
-        interval = self._channels[channel].reserve(
-            self.transfer_ns(nbytes), not_before
-        )
+        duration = self._transfer_cache.get(nbytes)
+        if duration is None:
+            duration = self.transfer_ns(nbytes)
+        timeline = channels[channel]
+        start = max(self.sim.now, timeline.free_at, not_before)
+        end = start + duration
+        timeline.free_at = end
+        timeline.busy_ns += duration
         if self.observer is not None:
-            self.observer(*interval)
-        return interval
+            self.observer(start, end)
+        return start, end
 
     def busy_ns(self, channel: int) -> int:
         return self._channels[channel].busy_ns

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Tuple
 from repro.flash.chip import FlashDie
 from repro.ftl.allocator import OutOfSpace
 from repro.ftl.core import GcPlan, PageMappedFtl
+from repro.ftl.mapping import UNMAPPED
 from repro.sim.engine import Simulator
 from repro.sim.resources import TimelineResource
 from repro.sim.rng import UniformStream
@@ -87,6 +88,7 @@ class SsdController:
         self.sim = sim
         self.config = config
         self.layout = config.ftl_layout()
+        self._pages_per_die = self.layout.blocks_per_die * self.layout.pages_per_block
         self.ftl = PageMappedFtl(
             self.layout,
             overprovision=config.overprovision,
@@ -222,140 +224,189 @@ class SsdController:
 
     # ------------------------------------------------------------------
     # Read datapath (analytic: books timeline reservations, returns the
-    # unit's device-internal completion time)
+    # request's device-internal completion time)
     # ------------------------------------------------------------------
-    def read_unit(self, lpn: int, *, trace: "Optional[IoTrace]" = None) -> int:
-        """Serve one mapping unit; returns its device-done timestamp."""
+    def read_units(
+        self, first_lpn: int, count: int, trace: "Optional[IoTrace]" = None
+    ) -> int:
+        """Serve a request's ``count`` mapping units from ``first_lpn``
+        on, in LPN order; returns when the last one is ready.
+
+        Per unit: the map-segment cache (a miss stalls ``map_fetch_ns``),
+        then a write-buffer hit, a read-cache hit, a never-written LBA,
+        or a die read and a channel transfer; on a sequential run the
+        prefetcher stages the next units.  What does not change between
+        units is looked up once per request.  The RNG streams draw in the
+        per-unit order: the die's jitter, the fault plan's retry rolls
+        (each retry one more jittered read), the stall roll, then the
+        prefetch reads' jitter.
+        """
+        ftl = self.ftl
+        logical_pages = ftl.logical_pages
+        if first_lpn < 0 or count < 1 or first_lpn + count > logical_pages:
+            raise ValueError(f"units [{first_lpn}, {first_lpn + count}) out of range")
         config = self.config
-        map_delay = self._map_lookup_delay(lpn)
-        start = self.sim.now + config.read_fw_ns + map_delay
-        if trace is not None and map_delay:
-            trace.annotate("map_fetch", start - map_delay, start, lpn=lpn)
-        done = self._serve_read(lpn, start, trace)
-        self._maybe_prefetch(lpn)
+        stats = self.stats
+        now = self.sim.now
+        fw_start = now + config.read_fw_ns
+        dram_ns = config.dram_hit_ns
+        segments = config.map_cache_segments
+        segment_units = config.map_segment_units
+        fetch_ns = config.map_fetch_ns
+        map_cache = self._map_cache
+        last_segment = -1
+        buffered = self.write_buffer.resident
+        read_cache = self.read_cache
+        cache_on = read_cache.enabled
+        prefetch_on = cache_on and read_cache.prefetch_ahead > 0
+        l2p = ftl.mapping.forward_map()
+        pages_per_die = self._pages_per_die
+        dies = self.dies
+        transfer = self.channels.transfer
+        n_channels = len(self.channels)
+        stall_prob = config.read_stall_prob
+        stall_roll = self._rng.random
+        fi = self._nand_faults
+        read_fail = fi is not None and fi.spec.read_fail_prob > 0.0
+        done = flash_reads = prefetched = 0
+        for lpn in range(first_lpn, first_lpn + count):
+            start = fw_start
+            if segments > 0:
+                segment = lpn // segment_units
+                # The previous unit's segment is the newest entry already.
+                if segment != last_segment:
+                    last_segment = segment
+                    if segment in map_cache:
+                        map_cache.move_to_end(segment)
+                    else:
+                        map_cache[segment] = None
+                        while len(map_cache) > segments:
+                            map_cache.popitem(last=False)
+                        stats.map_misses += 1
+                        self._m_map_misses.inc()
+                        start += fetch_ns
+                        if trace is not None and fetch_ns:
+                            trace.annotate("map_fetch", fw_start, start, lpn=lpn)
+            if lpn in buffered:
+                stats.buffer_read_hits += 1
+                self._m_buffer_hits.inc()
+                unit_done = start + dram_ns
+                if trace is not None:
+                    trace.annotate("buffer_hit", start, unit_done)
+            else:
+                ready = read_cache.lookup(lpn) if cache_on else None
+                ppa = l2p[lpn]
+                if ready is not None:
+                    stats.cache_read_hits += 1
+                    self._m_cache_hits.inc()
+                    unit_done = (ready if ready > start else start) + dram_ns
+                    if trace is not None:
+                        trace.annotate("cache_hit", start, unit_done)
+                elif ppa == UNMAPPED:
+                    # Never-written LBA: the controller returns zeros from DRAM.
+                    stats.unwritten_reads += 1
+                    unit_done = start + dram_ns
+                else:
+                    die_index = ppa // pages_per_die
+                    die = dies[die_index]
+                    suspends_before = die.suspends
+                    flash_start, array_done = die.read(start)
+                    suspended = die.suspends != suspends_before
+                    if suspended:
+                        self._m_suspends.inc()
+                    retries = 0
+                    retry_start = array_done
+                    if read_fail:
+                        retries, array_done = self._read_retries(
+                            die_index, lpn, array_done, trace
+                        )
+                    stall = 0
+                    if stall_prob > 0.0 and stall_roll() < stall_prob:
+                        stats.read_stalls += 1
+                        stall = config.read_stall_ns
+                        array_done += stall
+                    channel = die_index % n_channels
+                    channel_start, unit_done = transfer(channel, UNIT_SIZE, array_done)
+                    if trace is not None:
+                        die_name = f"ssd.die{die_index}"
+                        if flash_start > start:
+                            # The die was busy: a suspend window (Z-NAND
+                            # preempting a program) or plain die contention.
+                            trace.phase("suspend_wait" if suspended else "die_wait", start)
+                            if suspended:
+                                holder = "program_suspend"
+                            else:
+                                holder = "gc" if self.gc_active > 0 else "io"
+                            trace.wait(die_name, holder, start, flash_start)
+                        trace.phase("flash_read", flash_start)
+                        if retries:
+                            trace.wait(die_name, "ecc_retry", retry_start, array_done - stall)
+                        if stall:
+                            trace.annotate("read_stall", array_done - stall, array_done)
+                        # Channel transfer toward the controller buffer.
+                        trace.phase("dma", array_done)
+                        trace.wait(
+                            f"ssd.ch{channel}", "transfer_backlog", array_done, channel_start
+                        )
+                    if cache_on:
+                        read_cache.insert(lpn, unit_done)
+                    flash_reads += 1
+            if prefetch_on:
+                for candidate in read_cache.note_access(lpn):
+                    if candidate >= logical_pages:
+                        continue
+                    ppa = l2p[candidate]
+                    if ppa == UNMAPPED or candidate in buffered:
+                        continue
+                    die_index = ppa // pages_per_die
+                    _, array_done = dies[die_index].read(now)
+                    _, staged = transfer(die_index % n_channels, UNIT_SIZE, array_done)
+                    read_cache.insert(candidate, staged)
+                    prefetched += 1
+            if unit_done > done:
+                done = unit_done
+        # The stats count prefetch reads as flash reads; the metric
+        # counts only the reads that served a request.
+        stats.flash_reads += flash_reads + prefetched
+        self._m_flash_reads.inc(flash_reads)
         return done
 
-    def _map_lookup_delay(self, lpn: int) -> int:
-        """Extra stall if the lpn's map segment is outside the cache."""
-        config = self.config
-        if config.map_cache_segments <= 0:
-            return 0
-        segment = lpn // config.map_segment_units
-        cache = self._map_cache
-        if segment in cache:
-            cache.move_to_end(segment)
-            return 0
-        cache[segment] = None
-        while len(cache) > config.map_cache_segments:
-            cache.popitem(last=False)
-        self.stats.map_misses += 1
-        self._m_map_misses.inc()
-        return config.map_fetch_ns
-
-    def _serve_read(
-        self, lpn: int, start: int, trace: "Optional[IoTrace]" = None
-    ) -> int:
-        config = self.config
-        if self.write_buffer.contains(lpn):
-            self.stats.buffer_read_hits += 1
-            self._m_buffer_hits.inc()
-            if trace is not None:
-                trace.annotate("buffer_hit", start, start + config.dram_hit_ns)
-            return start + config.dram_hit_ns
-        cached_ready = self.read_cache.lookup(lpn)
-        if cached_ready is not None:
-            self.stats.cache_read_hits += 1
-            self._m_cache_hits.inc()
-            if trace is not None:
-                trace.annotate(
-                    "cache_hit", start, max(start, cached_ready) + config.dram_hit_ns
-                )
-            return max(start, cached_ready) + config.dram_hit_ns
-        ppa = self.ftl.read_ppa(lpn)
-        if ppa is None:
-            # Never-written LBA: the controller returns zeros from DRAM.
-            self.stats.unwritten_reads += 1
-            return start + config.dram_hit_ns
-        return self._flash_read(lpn, ppa, start, trace)
-
-    def _flash_read(
-        self, lpn: int, ppa: int, start: int, trace: "Optional[IoTrace]" = None
-    ) -> int:
-        die_index = self.layout.die_of_page(ppa)
-        die = self.dies[die_index]
-        suspends_before = die.suspends
-        flash_start, array_done = die.read(not_before=start)
-        suspended = die.suspends > suspends_before
-        if suspended:
-            self._m_suspends.inc()
-        retries = 0
+    def _read_retries(
+        self, die_index: int, lpn: int, array_done: int, trace: "Optional[IoTrace]"
+    ) -> Tuple[int, int]:
+        """Injected read failures after a die read that ended at
+        ``array_done``: each retry re-reads the page with tuned reference
+        voltages after an ECC soft-decode pass.  The final permitted
+        retry is modeled as succeeding (the heroic-recovery path); errors
+        never propagate to the host.  Returns the retry count and when
+        the last read ends."""
         fi = self._nand_faults
-        if fi is not None and fi.spec.read_fail_prob > 0.0:
-            # Injected read failure: each retry re-reads the page with
-            # tuned reference voltages after an ECC soft-decode pass.
-            # The final permitted retry is modeled as succeeding (the
-            # heroic-recovery path); errors never propagate to the host.
-            retry_start = array_done
-            while retries < fi.spec.max_read_retries and fi.roll(
-                fi.spec.read_fail_prob
-            ):
-                retries += 1
-                _, array_done = die.read(
-                    not_before=array_done + fi.spec.ecc_retry_ns
+        assert fi is not None
+        spec = fi.spec
+        die = self.dies[die_index]
+        retry_start = array_done
+        retries = 0
+        while retries < spec.max_read_retries and fi.roll(spec.read_fail_prob):
+            retries += 1
+            _, array_done = die.read(not_before=array_done + spec.ecc_retry_ns)
+        if retries:
+            self.stats.read_retries += retries
+            self._m_read_retries.inc(retries)
+            self._t_fault_recovery.add_interval(retry_start, array_done)
+            if trace is not None:
+                trace.annotate("ecc_retry", retry_start, array_done, retries=retries)
+            tracer = self.sim.obs.tracer
+            if tracer.enabled:
+                tracer.span(
+                    "faults",
+                    "ecc_retry",
+                    retry_start,
+                    array_done,
+                    die=die_index,
+                    lpn=lpn,
+                    retries=retries,
                 )
-            if retries:
-                self.stats.read_retries += retries
-                self._m_read_retries.inc(retries)
-                self._t_fault_recovery.add_interval(retry_start, array_done)
-                if trace is not None:
-                    trace.annotate(
-                        "ecc_retry", retry_start, array_done, retries=retries
-                    )
-                tracer = self.sim.obs.tracer
-                if tracer.enabled:
-                    tracer.span(
-                        "faults",
-                        "ecc_retry",
-                        retry_start,
-                        array_done,
-                        die=die_index,
-                        lpn=lpn,
-                        retries=retries,
-                    )
-        stall = 0
-        if self._roll(self.config.read_stall_prob):
-            self.stats.read_stalls += 1
-            stall = self.config.read_stall_ns
-            array_done += stall
-        channel = self.channels.channel_of_die(die_index)
-        channel_start, transfer_done = self.channels.transfer(
-            channel, UNIT_SIZE, not_before=array_done
-        )
-        if trace is not None:
-            if flash_start > start:
-                # The die was busy: a suspend window (Z-NAND preempting a
-                # program) or plain die contention.
-                trace.phase("suspend_wait" if suspended else "die_wait", start)
-                holder = (
-                    "program_suspend"
-                    if suspended
-                    else ("gc" if self.gc_active > 0 else "io")
-                )
-                trace.wait(f"ssd.die{die_index}", holder, start, flash_start)
-            trace.phase("flash_read", flash_start)
-            if retries:
-                trace.wait(f"ssd.die{die_index}", "ecc_retry", retry_start, array_done - stall)
-            if stall:
-                trace.annotate("read_stall", array_done - stall, array_done)
-            # Channel transfer toward the controller buffer.
-            trace.phase("dma", array_done)
-            trace.wait(
-                f"ssd.ch{channel}", "transfer_backlog", array_done, channel_start
-            )
-        self.read_cache.insert(lpn, ready_at=transfer_done)
-        self.stats.flash_reads += 1
-        self._m_flash_reads.inc()
-        return transfer_done
+        return retries, array_done
 
     def _roll(self, prob: float) -> bool:
         return prob > 0.0 and self._rng.random() < prob
@@ -399,22 +450,6 @@ class SsdController:
             self.stats.write_stalls += 1
             return self.config.write_stall_ns
         return 0
-
-    def _maybe_prefetch(self, lpn: int) -> None:
-        for candidate in self.read_cache.note_access(lpn):
-            if candidate >= self.ftl.logical_pages:
-                continue
-            ppa = self.ftl.read_ppa(candidate)
-            if ppa is None or self.write_buffer.contains(candidate):
-                continue
-            die_index = self.layout.die_of_page(ppa)
-            _, array_done = self.dies[die_index].read(not_before=self.sim.now)
-            channel = self.channels.channel_of_die(die_index)
-            _, transfer_done = self.channels.transfer(
-                channel, UNIT_SIZE, not_before=array_done
-            )
-            self.read_cache.insert(candidate, ready_at=transfer_done)
-            self.stats.flash_reads += 1
 
     # ------------------------------------------------------------------
     # Write datapath (the device's write stages call in here once a unit
@@ -513,22 +548,23 @@ class SsdController:
         # units that no longer fit here are steered to whichever die
         # still accepts host data (the striping engine's job).
         ftl = self.ftl
+        can_host_write = ftl.allocator.can_host_write
+        write_to_die = ftl.write_to_die
+        channels = self.channels
         now = self.sim.now
         local: List[int] = []
         overflow: List[int] = []
         for lpn in batch:
-            if ftl.allocator.can_host_write(die_index):
-                ftl.write_to_die(lpn, die_index)
+            if can_host_write(die_index):
+                write_to_die(lpn, die_index)
                 local.append(lpn)
             else:
                 overflow.append(lpn)
         tracer = self.sim.obs.tracer
         finish_at = now
         if local:
-            channel = self.channels.channel_of_die(die_index)
-            _, staged = self.channels.transfer(
-                channel, len(local) * UNIT_SIZE, not_before=now
-            )
+            channel = channels.channel_of_die(die_index)
+            _, staged = channels.transfer(channel, len(local) * UNIT_SIZE, not_before=now)
             prog_start, programmed = self._program_page(die_index, not_before=staged)
             if tracer.enabled:
                 tracer.span(
@@ -543,15 +579,15 @@ class SsdController:
         for lpn in overflow:
             try:
                 die, stream = ftl.host_write_point()
-                ftl.write_to_die(lpn, die, stream)
+                write_to_die(lpn, die, stream)
             except OutOfSpace:
                 # Every die is down to its GC reserve: give the unit
                 # back to the queue and let GC elsewhere catch up.
                 self.write_buffer.requeue(lpn)
                 continue
             placed.append(lpn)
-            channel = self.channels.channel_of_die(die)
-            _, staged = self.channels.transfer(channel, UNIT_SIZE, not_before=now)
+            channel = channels.channel_of_die(die)
+            _, staged = channels.transfer(channel, UNIT_SIZE, not_before=now)
             prog_start, programmed = self._program_page(die, not_before=staged)
             if tracer.enabled:
                 tracer.span(f"die{die}", "flash_prog", prog_start, programmed, units=1)

@@ -267,11 +267,7 @@ class SsdDevice:
     def _submit_read(self, record: IoRecord, on_done: "Optional[DeviceDone]") -> None:
         controller = self.controller
         trace = record.trace
-        internal_done = 0
-        for lpn in range(record.lpn, record.lpn + record.units):
-            unit_done = controller.read_unit(lpn, trace=trace)
-            if unit_done > internal_done:
-                internal_done = unit_done
+        internal_done = controller.read_units(record.lpn, record.units, trace)
         dma_start, dma_done = controller.pcie.reserve(
             self.config.pcie_transfer_ns(record.nbytes), not_before=internal_done
         )

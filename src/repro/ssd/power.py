@@ -93,19 +93,21 @@ class PowerMeter:
             code = _PROGRAM
         else:
             code = _ERASE
-        self._record(code, start, end)
+        now = self.sim.now
+        pending = self._pending
+        pending.append((start if start > now else now) << _CODE_BITS | code)
+        pending.append((end if end > now else now) << _CODE_BITS | code | _END)
+        if len(pending) >= self._fold_at:
+            self._fold()
 
     def observe_transfer(self, start: int, end: int) -> None:
         """Register a channel data transfer interval."""
         if end <= start:
             return
-        self._record(_TRANSFER, start, end)
-
-    def _record(self, code: int, start: int, end: int) -> None:
         now = self.sim.now
         pending = self._pending
-        pending.append((start if start > now else now) << _CODE_BITS | code)
-        pending.append((end if end > now else now) << _CODE_BITS | code | _END)
+        pending.append((start if start > now else now) << _CODE_BITS | _TRANSFER)
+        pending.append((end if end > now else now) << _CODE_BITS | _TRANSFER | _END)
         if len(pending) >= self._fold_at:
             self._fold()
 

@@ -65,11 +65,24 @@ def test_die_books_the_same_intervals_as_a_scalar_drawing_die(device):
 
     block = FlashDie(Simulator(), timing, allow_suspend=suspend, seed=seed)
     reference = FlashDie(Simulator(), timing, allow_suspend=suspend, seed=seed)
-    reference._uniform = np.random.default_rng(seed).uniform
+    reference._random = np.random.default_rng(seed).random
     assert _book(block, ops) == _book(reference, ops)
     assert block.suspends == reference.suspends
     if suspend:
         assert block.suspends > 0  # the suspend path was exercised
+
+
+@pytest.mark.parametrize("device", ["zssd", "intel750"])
+def test_die_jitter_maps_each_draw_as_generator_uniform(device):
+    # FlashDie maps its draw u inline as -j + (j + j) * u, the double
+    # Generator.uniform(-j, j) returns for the same generator state.
+    timing = resolve_config(device).timing
+    for jitter in (timing.read_jitter, timing.program_jitter):
+        mirror, scalar = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(DRAWS):
+            assert -jitter + (jitter + jitter) * mirror.random() == scalar.uniform(
+                -jitter, jitter
+            )
 
 
 def test_zero_probability_fault_rolls_draw_nothing():

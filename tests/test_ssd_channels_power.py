@@ -33,6 +33,13 @@ class TestChannelArray:
         channels = ChannelArray(Simulator(), 1, mbps=1000)
         assert channels.transfer(0, 500, not_before=2000) == (2000, 2500)
 
+    def test_transfer_starts_no_earlier_than_now(self):
+        sim = Simulator()
+        channels = ChannelArray(sim, 1, mbps=1000)
+        sim.run(until=3000)
+        assert channels.transfer(0, 500) == (3000, 3500)
+        assert channels.busy_ns(0) == 500
+
     def test_observer_called(self):
         sim = Simulator()
         seen = []
