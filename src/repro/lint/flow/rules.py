@@ -324,7 +324,7 @@ class DimInference:
         if isinstance(expr, ast.Call):
             return self._infer_call(expr, report)
         if isinstance(expr, (ast.Yield, ast.YieldFrom, ast.Await)):
-            # `yield sim.timeout(delay)` is the idiomatic blocking call in
+            # `yield sim.sleep(delay)` is the idiomatic blocking call in
             # generator processes — the yielded call's arguments must
             # still be checked even though the yield itself has no dim.
             if expr.value is not None:

@@ -10,19 +10,19 @@ spend its events and its host CPU?  Three views:
   ``(layer, component, callsite)`` triple derived from the callback's
   defining module (``repro.ssd.channels`` -> layer ``ssd``, component
   ``ssd.channels``).  Generator-trampoline dispatches — a
-  :class:`~repro.sim.process.Process` resume, or an event whose firing
-  synchronously resumes a waiting process — are attributed to the
-  *generator's* code object, so the cost of a ``Process._wake`` (a
-  ``sim.sleep()`` ending) lands on the FTL/NVMe/kstack coroutine it
-  actually drives, not on the sim kernel.  A sleep a process skips by
+  :class:`~repro.sim.process.Process` start, a sleep's wake, or a
+  resume from an event it waited on — are attributed to the
+  *generator's* code object, so the cost of a ``Process._resume`` (a
+  ``sim.sleep()`` ending) lands on the kstack/NVMe/workload coroutine
+  it actually drives, not on the sim kernel.  A sleep a process skips by
   moving the clock inline (``Simulator.advance_if_next``) is booked the
   same way, as an *inline resume* of the generator that made the move
   (:meth:`Profiler.note_ahead`).  Event counts are exact (counted on
   the sim clock); wall time is sampled with ``time.perf_counter_ns``
   around each dispatch, and split at each inline move, when
   ``ProfilerConfig.wall`` is on.
-* **Event-queue introspection** — insert/dispatch/stale-wakeup counts,
-  peak and time-resolved queue depth, a heap-sift cost proxy (sum of
+* **Event-queue introspection** — insert/dispatch counts, peak and
+  time-resolved queue depth, a heap-sift cost proxy (sum of
   ``log2(depth)`` per push/pop — the comparison count a binary heap
   pays), same-tick batch sizes, and generator-trampoline hop counts.
   The time-resolved series are real :class:`~repro.obs.telemetry.
@@ -61,10 +61,6 @@ from repro.obs.telemetry import (
     Telemetry,
     TelemetryConfig,
 )
-
-#: How deep to follow an event's callback chain looking for the process
-#: it will synchronously resume (Timeout -> AnyOf -> Process is depth 2).
-_RESOLVE_DEPTH = 3
 
 #: Layers the attribution report treats as first-class (everything under
 #: ``repro.`` is *named*; this tuple only fixes the report's ordering).
@@ -163,16 +159,9 @@ def _process_site(code: CodeType, frame: Optional[FrameType]) -> CallSite:
 
 def _generator_of(callback: Callable[..., Any]) -> Optional[Any]:
     """The innermost generator a dispatched callback will synchronously
-    resume.
-
-    Covers the three trampoline shapes the kernel produces:
-
-    * ``Process._wake`` / ``Process._resume`` / ``Process._on_event``
-      bound methods — the process's own generator;
-    * an :class:`~repro.sim.events.Event` method (``Timeout._fire``)
-      whose pending callbacks include a waiting process — firing the
-      event resumes that generator in the same dispatch;
-    * one or two levels of event indirection (``AnyOf`` racing).
+    resume: the process's own generator, for the ``Process._resume`` (a
+    start or a sleep's wake) and ``Process._on_event`` bound methods the
+    kernel dispatches.
 
     A process whose generator is suspended inside ``yield from`` resumes
     the delegate it is parked in, so the chain is followed through
@@ -180,41 +169,20 @@ def _generator_of(callback: Callable[..., Any]) -> Optional[Any]:
     workload loop that delegates to ``KernelStack.sync_io``, which
     delegates to a completion engine, is charged to the engine.
 
-    Duck-typed on ``_generator`` / ``_callbacks`` so this module never
-    imports the sim kernel (which imports :mod:`repro.obs.core`).
+    Duck-typed on ``_generator`` so this module never imports the sim
+    kernel (which imports :mod:`repro.obs.core`).
     """
     owner = getattr(callback, "__self__", None)
     if owner is None:
         return None
     generator = getattr(owner, "_generator", None)
     if generator is None:
-        generator = _generator_behind_event(owner, _RESOLVE_DEPTH)
-        if generator is None:
-            return None
+        return None
     inner = getattr(generator, "gi_yieldfrom", None)
     while inner is not None and hasattr(inner, "gi_code"):
         generator = inner
         inner = getattr(generator, "gi_yieldfrom", None)
     return generator
-
-
-def _generator_behind_event(event: Any, depth: int) -> Optional[Any]:
-    if depth <= 0:
-        return None
-    callbacks = getattr(event, "_callbacks", None)
-    if not callbacks:
-        return None
-    for registered in callbacks:
-        owner = getattr(registered, "__self__", None)
-        if owner is None:
-            continue
-        generator = getattr(owner, "_generator", None)
-        if generator is not None:
-            return generator
-        generator = _generator_behind_event(owner, depth - 1)
-        if generator is not None:
-            return generator
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +214,6 @@ class Profiler:
         #: Resumes a process made inline (``Simulator.advance_if_next``)
         #: instead of through a dispatched wake; booked in ``events``.
         self.ahead = 0
-        self.stale_wakeups = 0
         self.trampoline_hops = 0
         self.peak_depth = 0
         #: Heap-sift cost proxy: sum of log2(depth) over every push/pop —
@@ -287,7 +254,6 @@ class Profiler:
                 "inserts",
                 "dispatches",
                 "ahead",
-                "stale_wakeups",
                 "trampoline_hops",
                 "peak_depth",
                 "sift_cost",
@@ -343,10 +309,6 @@ class Profiler:
         if depth > self.peak_depth:
             self.peak_depth = depth
         self._depth_series.record(now_ns, float(depth))
-
-    def note_stale(self) -> None:
-        """A process received a wakeup from a detached (stale) event."""
-        self.stale_wakeups += 1
 
     def dispatch(
         self,
@@ -506,7 +468,6 @@ class Profiler:
             "inserts": self.inserts,
             "dispatches": self.dispatches,
             "ahead": self.ahead,
-            "stale_wakeups": self.stale_wakeups,
             "trampoline_hops": self.trampoline_hops,
             "peak_depth": self.peak_depth,
             "sift_cost": self.sift_cost,
@@ -532,7 +493,6 @@ class Profiler:
         self.inserts += other.inserts
         self.dispatches += other.dispatches
         self.ahead += other.ahead
-        self.stale_wakeups += other.stale_wakeups
         self.trampoline_hops += other.trampoline_hops
         self.peak_depth = max(self.peak_depth, other.peak_depth)
         self.sift_cost += other.sift_cost
@@ -592,7 +552,6 @@ def queue_report(profiler: Profiler) -> str:
         f"queue inserts          {stats['inserts']:>12,}",
         f"queue dispatches       {stats['dispatches']:>12,}",
         f"inline resumes         {stats['ahead']:>12,}",
-        f"stale wakeups          {stats['stale_wakeups']:>12,}",
         f"trampoline hops        {stats['trampoline_hops']:>12,}",
         f"peak queue depth       {stats['peak_depth']:>12,}",
         f"heap-sift cost proxy   {stats['sift_cost']:>12,}",

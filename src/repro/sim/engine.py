@@ -31,7 +31,6 @@ from typing import (
     Callable,
     Deque,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -40,7 +39,7 @@ from typing import (
 
 from repro.obs.core import current_obs
 from repro.sim import sanitize
-from repro.sim.events import AnyOf, Event, Sleep, Timeout
+from repro.sim.events import Event, Sleep
 from repro.sim.process import Process
 from repro.units import Ns
 
@@ -180,21 +179,13 @@ class Simulator:
         """Create a fresh pending event."""
         return Event(self)
 
-    def timeout(self, delay: Ns, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` ns from now.
-
-        A process that only wants to pause should yield :meth:`sleep`
-        instead; a timeout is for a deadline others wait on or race
-        (``any_of``).
-        """
-        return Timeout(self, int(delay), value)
-
     def sleep(self, delay: Ns) -> Sleep:
         """Pause the yielding process for ``delay`` ns, with no event.
 
         ``yield sim.sleep(ns)`` resumes the process ``delay`` ns later,
-        on the same tick and in the same FIFO slot as ``yield
-        sim.timeout(ns)`` would (see ``docs/sim-engine.md``).
+        on the same tick and in the same FIFO slot as yielding an event
+        whose ``succeed`` is scheduled ``delay`` ns out at the call
+        would (see ``docs/sim-engine.md``).
         """
         delay = int(delay)
         if delay < 0:
@@ -210,17 +201,13 @@ class Simulator:
         self._waitlists.append(waitlist)
         return waitlist
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Create an event that fires when the first of ``events`` fires."""
-        return AnyOf(self, events)
-
     def process(self, generator: Iterator) -> Process:
         """Start a new process driving ``generator``.
 
         The generator yields :class:`~repro.sim.events.Event` instances
-        (including timeouts and other processes) and is resumed with each
-        event's value, or a :meth:`sleep` request and is resumed with
-        ``None`` once it has elapsed.
+        (other processes included) and is resumed with each event's
+        value, or a :meth:`sleep` request and is resumed with ``None``
+        once it has elapsed.
         """
         return Process(self, generator)
 
@@ -403,7 +390,7 @@ class Simulator:
         """Tear down a simulator that will not run again.
 
         Drops every queued or waitlisted callback, detaches each live
-        process from the event or sleep it is parked on, and closes its
+        process from the event it is parked on, and closes its
         generator, so the ``finally`` blocks of parked processes run
         now, once, in creation order.  Nothing is dispatched (``events_executed_total`` does not
         move).  What is left holds no reference cycle through the
@@ -415,7 +402,9 @@ class Simulator:
         # ``finally`` block that triggers an event must not resume a
         # process that is about to be closed.
         for process in live:
-            process._detach()  # noqa: SLF001
+            waiting_on = process._waiting_on  # noqa: SLF001
+            if waiting_on is not None:
+                waiting_on.remove_callback(process._on_event)  # noqa: SLF001
         for process in live:
             process._generator.close()  # noqa: SLF001
         waitlists, self._waitlists = self._waitlists, []

@@ -9,10 +9,10 @@ the source; this module catches the ones only visible at runtime.  Set
   callback stamped before ``now`` (a corrupted heap entry would otherwise
   silently run the clock backwards);
 * **single-engine ownership** — an :class:`~repro.sim.events.Event`
-  created on one simulator is never waited on, raced (``AnyOf``), or
-  scheduled through another.  Cross-engine waits "work" by accident in
-  unsanitized runs (the callback fires on the other engine's clock) and
-  are a classic source of phantom latencies;
+  created on one simulator is never yielded by a process of another.
+  Cross-engine waits "work" by accident in unsanitized runs (the
+  callback fires on the other engine's clock) and are a classic source
+  of phantom latencies;
 * **hand-off is last** — a callback that wakes a process with
   :meth:`~repro.sim.engine.Simulator.hand_off` queues nothing after it:
   the woken process may have run ahead, so a later ``schedule`` would

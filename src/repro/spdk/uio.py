@@ -3,10 +3,10 @@
 SPDK setup unbinds the device from the kernel ``nvme`` driver and
 rebinds it to ``uio_pci_generic`` (or vfio), after which the kernel no
 longer services it — no block device node, no interrupts, user space
-owns the BARs.  The binding model enforces that ordering: a stack can
-only be built on a device bound to uio, and the kernel stack refuses a
-device that has been unbound (mirroring what happens on the real system
-when you forget to rebind).
+owns the BARs.  The binding model enforces that ordering when
+:class:`~repro.spdk.stack.SpdkStack` sets up: uio binds only to an
+unbound device, and unbinding twice is an error.  Nothing models the
+way back to the kernel driver, and the kernel stack checks no binding.
 """
 
 from __future__ import annotations
@@ -44,21 +44,3 @@ class UioBinding:
             )
         self.binding = DriverBinding.UIO
         self.transitions += 1
-
-    def bind_kernel(self) -> None:
-        """Give the device back to the kernel nvme driver."""
-        if self.binding is not DriverBinding.UNBOUND:
-            raise RuntimeError(
-                f"cannot bind nvme while bound to {self.binding.value}; unbind first"
-            )
-        self.binding = DriverBinding.KERNEL_NVME
-        self.transitions += 1
-
-    @property
-    def user_space_ready(self) -> bool:
-        return self.binding is DriverBinding.UIO
-
-    @property
-    def interrupts_available(self) -> bool:
-        """ISRs can only be handled while the kernel driver is bound."""
-        return self.binding is DriverBinding.KERNEL_NVME

@@ -190,6 +190,10 @@ class ReadCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
+    def discard(self, lpn: int) -> None:
+        """Drop ``lpn``'s cached copy, if any (its data was deallocated)."""
+        self._entries.pop(lpn, None)
+
     def note_access(self, lpn: int) -> List[int]:
         """Update the stream detector; returns LPNs to prefetch.
 

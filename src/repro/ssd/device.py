@@ -255,8 +255,10 @@ class SsdDevice:
 
     def _submit_trim(self, record: IoRecord, on_done: "Optional[DeviceDone]") -> None:
         ftl = self.controller.ftl
+        read_cache = self.controller.read_cache
         for lpn in range(record.lpn, record.lpn + record.units):
             ftl.trim(lpn)
+            read_cache.discard(lpn)
         done_at = (
             self.sim.now
             + self.config.write_fw_ns

@@ -170,7 +170,7 @@ class TestStackFacade:
             request = yield from stack.submit_async(IoOp.READ, 0, 4096)
             yield request.cqe_event
             delay = stack.async_completion_ns()
-            yield sim.timeout(delay)
+            yield sim.sleep(delay)
             stack.complete_async(request)
             return True
 

@@ -18,7 +18,7 @@ class BlockPathRecorder:
 
     def io(self, op, offset, nbytes):
         self.issued.append((op, offset, nbytes))
-        yield self.sim.timeout(self.latency_ns)
+        yield self.sim.sleep(self.latency_ns)
         return self.latency_ns
 
 

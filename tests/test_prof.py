@@ -29,13 +29,13 @@ from repro.sim.engine import Simulator
 
 
 def toy_run(obs=None, procs=3, waits=5):
-    """A tiny simulation: ``procs`` generators each awaiting ``waits``
-    timeouts, all at the same instants (same-tick batches of ``procs``)."""
+    """A tiny simulation: ``procs`` generators each taking ``waits``
+    sleeps, all at the same instants (same-tick batches of ``procs``)."""
     sim = Simulator(obs=obs)
 
     def worker(n):
         for _ in range(n):
-            yield sim.timeout(10)
+            yield sim.sleep(10)
 
     for _ in range(procs):
         sim.process(worker(waits))
@@ -186,41 +186,6 @@ class TestToySimulation:
         assert stats["batches"] * 4 == obs.profiler.dispatches
         assert stats["peak_depth"] == 4
         assert stats["sift_cost"] > 0
-
-    def test_interrupt_detaches_so_no_stale_wakeup(self):
-        obs = profiled_bundle(wall=False)
-        sim = Simulator(obs=obs)
-
-        def sleeper():
-            yield sim.timeout(100)
-
-        def interrupter(victim):
-            yield sim.timeout(10)
-            victim.interrupt()
-
-        victim = sim.process(sleeper())
-        sim.process(interrupter(victim))
-        sim.run()
-        # interrupt() detaches the process from the pending timeout, so
-        # its later firing delivers no wakeup at all: zero stales.
-        assert obs.profiler.stale_wakeups == 0
-
-    def test_stale_wakeup_still_counted(self):
-        obs = profiled_bundle(wall=False)
-        sim = Simulator(obs=obs)
-
-        def sleeper():
-            ready = sim.event()
-            ready.succeed()
-            yield ready  # resume rides the microtask ring
-
-        # The interrupt lands between the yield and the queued microtask
-        # (same instant), so the ring entry fires against a process that
-        # already moved on — the one stale path detach cannot remove.
-        victim = sim.process(sleeper())
-        sim.schedule(0, victim.interrupt)
-        sim.run()
-        assert obs.profiler.stale_wakeups == 1
 
     def test_queue_depth_series_recorded(self):
         obs = profiled_bundle(wall=False, period_ns=10)

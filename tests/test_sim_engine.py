@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import AnyOf, Simulator
-from repro.sim.process import Interrupted
+from repro.sim import Simulator
 
 
 class TestScheduling:
@@ -85,7 +84,7 @@ class TestEvents:
         sim = Simulator()
         event = sim.event()
         event.succeed(99)
-        assert event.triggered and event.ok
+        assert event.triggered
         assert event.value == 99
 
     def test_value_before_trigger_raises(self):
@@ -99,17 +98,6 @@ class TestEvents:
         with pytest.raises(RuntimeError):
             event.succeed()
 
-    def test_fail_propagates_exception(self):
-        event = Simulator().event()
-        event.fail(ValueError("boom"))
-        assert event.triggered and not event.ok
-        with pytest.raises(ValueError):
-            _ = event.value
-
-    def test_fail_requires_exception_instance(self):
-        with pytest.raises(TypeError):
-            Simulator().event().fail("not an exception")
-
     def test_callback_after_trigger_runs_immediately(self):
         event = Simulator().event()
         event.succeed(5)
@@ -117,46 +105,14 @@ class TestEvents:
         event.add_callback(lambda ev: got.append(ev.value))
         assert got == [5]
 
-    def test_timeout_fires_at_right_time(self):
-        sim = Simulator()
-        timeout = sim.timeout(123, value="hi")
-        sim.run()
-        assert sim.now == 123
-        assert timeout.value == "hi"
-
-    def test_negative_timeout_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator().timeout(-1)
-
-    def test_any_of_first_wins(self):
-        sim = Simulator()
-        slow = sim.timeout(100)
-        fast = sim.timeout(10)
-        race = sim.any_of([slow, fast])
-        sim.run_until_event(race)
-        assert race.value is fast
-        assert sim.now == 10
-
-    def test_any_of_empty_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            AnyOf(sim, [])
-
-    def test_any_of_only_fires_once(self):
-        sim = Simulator()
-        a, b = sim.timeout(5), sim.timeout(6)
-        race = sim.any_of([a, b])
-        sim.run()
-        assert race.value is a  # b's later trigger is ignored
-
 
 class TestProcesses:
     def test_process_waits_on_timeouts(self):
         sim = Simulator()
 
         def flow():
-            yield sim.timeout(10)
-            yield sim.timeout(5)
+            yield sim.sleep(10)
+            yield sim.sleep(5)
             return sim.now
 
         process = sim.process(flow())
@@ -180,7 +136,7 @@ class TestProcesses:
         sim = Simulator()
 
         def inner():
-            yield sim.timeout(10)
+            yield sim.sleep(10)
             return "inner-done"
 
         def outer():
@@ -198,58 +154,21 @@ class TestProcesses:
 
     def test_non_event_yield_fails_process(self):
         sim = Simulator()
+        closed = []
 
         def bad():
-            yield 42
+            try:
+                yield 42
+            finally:
+                closed.append(sim.now)
 
         process = sim.process(bad())
-        sim.run()
-        assert process.triggered and not process.ok
-
-    def test_exception_from_failed_event_propagates(self):
-        sim = Simulator()
-        event = sim.event()
-        sim.schedule(1, event.fail, RuntimeError("dead"))
-        caught = []
-
-        def flow():
-            try:
-                yield event
-            except RuntimeError as exc:
-                caught.append(str(exc))
-            return None
-
-        sim.process(flow())
-        sim.run()
-        assert caught == ["dead"]
-
-    def test_interrupt_wakes_process(self):
-        sim = Simulator()
-        log = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(1000)
-            except Interrupted as exc:
-                log.append(exc.cause)
-            return None
-
-        process = sim.process(sleeper())
-        sim.schedule(10, process.interrupt, "wakeup")
-        sim.run()
-        assert log == ["wakeup"]
-        assert sim.now < 1000 or sim.now == 1000  # timeout may still be queued
-
-    def test_interrupt_finished_process_raises(self):
-        sim = Simulator()
-
-        def quick():
-            yield sim.timeout(1)
-
-        process = sim.process(quick())
-        sim.run()
-        with pytest.raises(RuntimeError):
-            process.interrupt()
+        with pytest.raises(TypeError, match="non-event: 42"):
+            sim.run()
+        # The generator is closed and untracked; the process never
+        # triggers, so nothing waiting on it resumes.
+        assert closed == [0]
+        assert not process.triggered and not sim._live
 
     def test_ready_event_chain_does_not_recurse(self):
         sim = Simulator()
@@ -271,7 +190,7 @@ class TestProcesses:
 
         def worker(name, period):
             for _ in range(3):
-                yield sim.timeout(period)
+                yield sim.sleep(period)
                 order.append((name, sim.now))
 
         sim.process(worker("fast", 10))
@@ -415,7 +334,7 @@ class TestClose:
         def bad_yield():
             yield 42
 
-        def interrupted():
+        def returns():
             yield sim.sleep(100)
 
         def raises():
@@ -423,9 +342,10 @@ class TestClose:
             raise ValueError("boom")
 
         sim.process(bad_yield())
-        victim = sim.process(interrupted())
-        sim.schedule(5, victim.interrupt)
+        sim.process(returns())
         sim.process(raises())
+        with pytest.raises(TypeError):
+            sim.run()
         with pytest.raises(ValueError):
             sim.run()
         sim.run()

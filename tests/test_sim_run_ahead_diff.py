@@ -14,8 +14,8 @@ equal — when the queue drains, when ``run(until=)`` cuts the run, when
 The scripts mix in the shapes that would make running ahead wrong:
 same-tick ties, zero-delay pauses while a batch drains, processes woken
 from inside another process's code or from a callback that carries on
-after the trigger, child processes and callbacks scheduled between
-pauses, and interrupts.  Callbacks that wake waiters as their last act
+after the trigger, and child processes and callbacks scheduled between
+pauses.  Callbacks that wake waiters as their last act
 use :meth:`~repro.sim.engine.Simulator.hand_off` in the run-ahead runs,
 so a lone woken process runs ahead from there.
 """
@@ -26,7 +26,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.sim import engine as sim_engine
 from repro.sim import sanitize
 from repro.sim.engine import Simulator
-from repro.sim.process import Interrupted
 
 #: Heavy in 0 (microtask ring) and small collisions (same-tick ties).
 DELAYS = (0, 0, 1, 1, 2, 3, 5, 10)
@@ -44,7 +43,6 @@ _op = st.one_of(
     st.tuples(st.just("signal"), st.integers(0, CHANNELS - 1)),
     st.tuples(st.just("stage"), st.sampled_from(DELAYS)),
     st.tuples(st.just("handoff"), st.sampled_from(DELAYS)),
-    st.tuples(st.just("interrupt"), st.integers(0, MAX_PROCS - 1)),
 )
 _script = st.lists(st.lists(_op, max_size=10), min_size=1, max_size=MAX_PROCS)
 
@@ -106,35 +104,27 @@ class Run:
         sim = self.sim
         for step, (op, arg) in enumerate(ops):
             label = (index, step, op)
-            try:
-                if op == "pause":
-                    yield from self.pause(arg)
-                elif op == "ready":
-                    ready = sim.event()
-                    ready.succeed()
-                    yield ready
-                elif op == "call":
-                    sim.schedule(arg, self.note, label + ("call",))
-                elif op == "spawn":
-                    sim.process(self.child(label + ("child",), arg))
-                elif op == "wait":
-                    yield self.gates[arg]
-                    yield from self.pause(1)
-                elif op == "signal":
-                    self.fire(arg)
-                elif op == "stage":
-                    sim.schedule(arg, self.stage, label + ("stage",), step % CHANNELS)
-                elif op == "handoff":
-                    sim.schedule(
-                        arg, self.last_stage, label + ("handoff",), step % CHANNELS
-                    )
-                else:
-                    target = self.procs[arg % len(self.procs)]
-                    if target.is_alive:
-                        target.interrupt(label)
-            except Interrupted as exc:
-                self.note(label + ("interrupted", exc.cause))
-                continue
+            if op == "pause":
+                yield from self.pause(arg)
+            elif op == "ready":
+                ready = sim.event()
+                ready.succeed()
+                yield ready
+            elif op == "call":
+                sim.schedule(arg, self.note, label + ("call",))
+            elif op == "spawn":
+                sim.process(self.child(label + ("child",), arg))
+            elif op == "wait":
+                yield self.gates[arg]
+                yield from self.pause(1)
+            elif op == "signal":
+                self.fire(arg)
+            elif op == "stage":
+                sim.schedule(arg, self.stage, label + ("stage",), step % CHANNELS)
+            else:
+                sim.schedule(
+                    arg, self.last_stage, label + ("handoff",), step % CHANNELS
+                )
             self.note(label)
 
     def snapshot(self):

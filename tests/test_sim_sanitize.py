@@ -83,22 +83,36 @@ class TestOwnership:
     def test_check_owner_ignores_unowned_objects(self):
         sanitize.check_owner(Simulator(), object(), "wait")
 
-    def test_any_of_rejects_foreign_event(self, sanitized):
+    @staticmethod
+    def waiter(sim, event):
+        def flow():
+            value = yield event
+            return value
+
+        return sim.process(flow())
+
+    def test_yield_rejects_foreign_event(self, sanitized):
         a, b = Simulator(), Simulator()
-        foreign = Event(b)
-        with pytest.raises(SimSanitizeError, match="AnyOf"):
-            a.any_of([a.event(), foreign])
+        self.waiter(a, Event(b))
+        with pytest.raises(SimSanitizeError, match="process yield"):
+            a.run()
 
-    def test_any_of_accepts_own_events(self, sanitized):
+    def test_yield_accepts_own_events(self, sanitized):
         sim = Simulator()
-        race = sim.any_of([sim.timeout(5), sim.timeout(9)])
+        event = sim.event()
+        sim.schedule(5, event.succeed, "own")
+        process = self.waiter(sim, event)
         sim.run()
-        assert race.triggered
+        assert process.value == "own"
 
-    def test_any_of_unchecked_without_sanitizer(self, monkeypatch):
+    def test_yield_unchecked_without_sanitizer(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "0")
         a, b = Simulator(), Simulator()
-        a.any_of([a.event(), Event(b)])  # historical (buggy) tolerance
+        foreign = Event(b)
+        process = self.waiter(a, foreign)
+        a.run()  # historical (buggy) tolerance: the yield parks
+        foreign.succeed("late")
+        assert process.value == "late"
 
 
 class TestSanitizedSimulation:
@@ -112,7 +126,7 @@ class TestSanitizedSimulation:
 
             def proc():
                 for delay in (3, 1, 4, 1, 5):
-                    yield sim.timeout(delay)
+                    yield sim.sleep(delay)
                     seen.append(sim.now)
 
             sim.process(proc())

@@ -1,18 +1,22 @@
-"""Differential harness: ``yield sim.sleep(d)`` against ``yield sim.timeout(d)``.
+"""Differential harness: ``yield sim.sleep(d)`` against a timeout event.
 
 :meth:`repro.sim.engine.Simulator.sleep` claims to resume a process on
-the same tick, in the same FIFO slot, as the timeout it replaces, with
-one dispatch per pause.  These tests check that mechanically:
+the same tick, in the same FIFO slot, as a timeout (an event that
+schedules its own ``succeed`` ``d`` ns out when it is built), with one
+dispatch per pause.  These tests check that mechanically:
 hypothesis-generated scripts of processes run twice, once pausing
-through timeouts and once through sleeps, and the ``(now, label)``
-transcripts and the executed-callback counts must be equal.
+through :class:`Timeout` events and once through sleeps, and the
+``(now, label)`` transcripts and the executed-callback counts must be
+equal.
 
 The scripts mix in the shapes that could tell the two paths apart:
 same-tick ties across processes, zero-delay pauses while a batch
 drains, pauses right after yielding an already-triggered event, plain
-callbacks and child processes scheduled between pauses, ``run(until=)``
-cut exactly at a wake's tick, and interrupts that land mid-pause.
+callbacks and child processes scheduled between pauses, and
+``run(until=)`` cut exactly at a wake's tick.
 """
+
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.obs import Observability, ProfilerConfig
 from repro.sim import engine as sim_engine
 from repro.sim.engine import Simulator
-from repro.sim.process import Interrupted
+from repro.sim.events import Event
 
 #: Heavy in 0 (microtask ring) and small collisions (same-tick ties).
 DELAYS = (0, 0, 1, 1, 2, 3, 5, 10)
@@ -32,9 +36,18 @@ _op = st.one_of(
     st.tuples(st.just("ready"), st.just(0)),
     st.tuples(st.just("call"), st.sampled_from(DELAYS)),
     st.tuples(st.just("spawn"), st.sampled_from(DELAYS)),
-    st.tuples(st.just("interrupt"), st.integers(0, MAX_PROCS - 1)),
 )
 _script = st.lists(st.lists(_op, max_size=10), min_size=1, max_size=MAX_PROCS)
+
+
+class Timeout(Event):
+    """The reference pause: an event that schedules its own ``succeed``
+    ``delay`` ns out when it is built, so a process that yields it
+    resumes through one dispatch of that ``succeed``."""
+
+    def __init__(self, sim, delay):
+        super().__init__(sim)
+        sim.schedule(delay, self.succeed)
 
 
 def run_script(script, mode, until=None):
@@ -45,9 +58,8 @@ def run_script(script, mode, until=None):
     count when ``run(until=)`` stops, and again after the queue drains.
     """
     sim = Simulator()
-    wait = sim.timeout if mode == "timeout" else sim.sleep
+    wait = partial(Timeout, sim) if mode == "timeout" else sim.sleep
     log = []
-    procs = []
 
     def note(label):
         log.append((sim.now, label))
@@ -59,29 +71,21 @@ def run_script(script, mode, until=None):
     def body(index, ops):
         for step, (op, arg) in enumerate(ops):
             label = (index, step, op)
-            try:
-                if op == "wait":
-                    yield wait(arg)
-                elif op == "ready":
-                    ready = sim.event()
-                    ready.succeed()
-                    yield ready
-                elif op == "call":
-                    sim.schedule(arg, note, label + ("call",))
-                elif op == "spawn":
-                    sim.process(child(label + ("child",), arg))
-                else:
-                    target = procs[arg % len(procs)]
-                    if target.is_alive:
-                        target.interrupt(label)
-            except Interrupted as exc:
-                note(label + ("interrupted", exc.cause))
-                continue
+            if op == "wait":
+                yield wait(arg)
+            elif op == "ready":
+                ready = sim.event()
+                ready.succeed()
+                yield ready
+            elif op == "call":
+                sim.schedule(arg, note, label + ("call",))
+            else:
+                sim.process(child(label + ("child",), arg))
             note(label)
 
     before = sim_engine.events_executed_total
     for index, ops in enumerate(script):
-        procs.append(sim.process(body(index, ops)))
+        sim.process(body(index, ops))
     sim.run(until=until)
     cut = (list(log), sim.now, sim_engine.events_executed_total - before)
     sim.run()
@@ -149,31 +153,6 @@ def test_negative_delay_raises_at_the_call():
     with pytest.raises(ValueError, match="negative sleep delay"):
         sim.sleep(-1)
     assert sim.pending_count == 0
-
-
-def test_interrupted_sleep_wake_is_dropped_and_counted_stale():
-    sim, prof = profiled_sim()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.sleep(100)
-            log.append(("woke", sim.now))
-        except Interrupted:
-            log.append(("interrupted", sim.now))
-
-    def interrupter(victim):
-        yield sim.sleep(10)
-        victim.interrupt()
-
-    victim = sim.process(sleeper())
-    sim.process(interrupter(victim))
-    sim.run()
-    assert log == [("interrupted", 10)]
-    # The wake at t=100 still dispatches (the timeout it replaces fired
-    # too), but finds its token gone and resumes nothing.
-    assert sim.now == 100
-    assert prof.stale_wakeups == 1
 
 
 def test_sleep_dispatches_attributed_to_the_sleeping_generator():

@@ -46,15 +46,14 @@ class TestUioBinding:
     def test_starts_bound_to_kernel(self):
         binding = UioBinding()
         assert binding.binding is DriverBinding.KERNEL_NVME
-        assert binding.interrupts_available
-        assert not binding.user_space_ready
+        assert binding.transitions == 0
 
     def test_unbind_then_bind_uio(self):
         binding = UioBinding()
         binding.unbind()
         binding.bind_uio()
-        assert binding.user_space_ready
-        assert not binding.interrupts_available
+        assert binding.binding is DriverBinding.UIO
+        assert binding.transitions == 2
 
     def test_direct_rebind_rejected(self):
         binding = UioBinding()
@@ -66,15 +65,6 @@ class TestUioBinding:
         binding.unbind()
         with pytest.raises(RuntimeError):
             binding.unbind()
-
-    def test_give_back_to_kernel(self):
-        binding = UioBinding()
-        binding.unbind()
-        binding.bind_uio()
-        binding.unbind()
-        binding.bind_kernel()
-        assert binding.interrupts_available
-        assert binding.transitions == 4
 
 
 def make_spdk():
@@ -101,7 +91,7 @@ def run_ios(sim, stack, count=30, op=IoOp.READ):
 class TestSpdkStack:
     def test_setup_binds_uio_and_maps_bars(self):
         _, stack = make_spdk()
-        assert stack.binding.user_space_ready
+        assert stack.binding.binding is DriverBinding.UIO
         assert stack.bar_region.purpose == "pcie-bar"
         assert not stack.qpair.interrupts_enabled
 

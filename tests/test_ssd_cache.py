@@ -164,6 +164,15 @@ class TestReadCache:
         cache.note_access(11)
         assert cache.note_access(12) == [14, 15]
 
+    def test_discard_drops_one_entry(self):
+        cache = ReadCache(capacity_units=4)
+        cache.insert(1, 10)
+        cache.insert(2, 20)
+        cache.discard(1)
+        cache.discard(7)  # not cached: a no-op
+        assert cache.lookup(1) is None
+        assert cache.lookup(2) == 20
+
     def test_no_prefetch_without_depth(self):
         cache = ReadCache(capacity_units=16, prefetch_ahead=0)
         cache.note_access(10)

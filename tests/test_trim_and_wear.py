@@ -4,7 +4,9 @@ import pytest
 
 from repro.ftl import WearTracker
 from repro.nvme import NvmeController
-from repro.ssd.device import IoOp
+from repro.sim import Simulator
+from repro.ssd.device import IoOp, SsdDevice
+from repro.ssd.registry import resolve_config
 from tests.test_ssd_device import make_device, wait
 
 
@@ -29,6 +31,20 @@ class TestDeviceTrim:
         device.precondition(1.0)
         wait(sim, device.trim(0, 4096))
         wait(sim, device.read(0, 4096))
+        assert device.stats.unwritten_reads == 1
+
+    def test_trim_drops_the_read_cache_copy(self):
+        """A read after a trim must not be served from the read cache."""
+        sim = Simulator()
+        device = SsdDevice(sim, resolve_config("intel750"))
+        assert device.controller.read_cache.enabled
+        device.precondition(1.0)
+        wait(sim, device.read(5 * 4096, 4096))
+        assert len(device.controller.read_cache) == 1
+        wait(sim, device.trim(5 * 4096, 4096))
+        assert len(device.controller.read_cache) == 0
+        wait(sim, device.read(5 * 4096, 4096))
+        assert device.stats.cache_read_hits == 0
         assert device.stats.unwritten_reads == 1
 
     def test_trim_reduces_gc_migration(self):

@@ -133,6 +133,24 @@ class TestRunner:
         assert result.read_latency.count > 10
         assert result.write_latency.count > 10
 
+    def test_a_stack_that_yields_a_non_event_fails_the_job(self):
+        """A layer that yields garbage must raise, not end the job early
+        with a truncated result."""
+
+        class StubDevice:
+            capacity_bytes = 1 << 20
+
+        class GarbageStack:
+            device = StubDevice()
+
+            def sync_io(self, op, offset, nbytes):
+                yield 42
+                return 0
+
+        job = FioJob(name="garbage", rw="randread", io_count=10)
+        with pytest.raises(TypeError, match="non-event: 42"):
+            run_job(Simulator(), GarbageStack(), job)
+
     def test_timeseries_capture(self):
         sim, stack = make_kernel_stack()
         job = FioJob(name="ts", rw="write", io_count=30, capture_timeseries=True)
