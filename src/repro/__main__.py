@@ -208,16 +208,18 @@ def _observing(args) -> bool:
     )
 
 
-def _blame_config(args):
-    from repro.obs.blame import DEFAULT_TOP, BlameConfig
+def _blame_report(obs, args):
+    """The blame view of ``obs``'s traced I/Os, as the flags ask."""
+    from repro.obs.blame import DEFAULT_TOP, BlameReport
 
-    return BlameConfig(
+    return BlameReport.from_tracer(
+        obs.tracer,
         top=getattr(args, "top", None) or DEFAULT_TOP,
         slos=tuple(args.slo),
     )
 
 
-def _emit_observability(obs, figure_id: str, args, multi: bool) -> None:
+def _emit_observability(obs, figure_id: str, args, multi: bool, report=None) -> None:
     from repro.obs.anatomy import AnatomyReport
     from repro.obs.export import (
         metrics_to_text,
@@ -236,11 +238,12 @@ def _emit_observability(obs, figure_id: str, args, multi: bool) -> None:
     if args.telemetry:
         print(telemetry_to_text(obs.telemetry))
         print()
-    blame = obs.blame
-    if blame is not None and (args.blame or args.slo):
+    if report is None and _wants_blame(args):
+        report = _blame_report(obs, args)
+    if report is not None and (args.blame or args.slo):
         from repro.obs.blame import blame_table
 
-        print(blame_table(blame))
+        print(blame_table(report))
         print()
     if args.trace_out:
         path = _suffixed(args.trace_out, figure_id, multi)
@@ -268,7 +271,7 @@ def _emit_observability(obs, figure_id: str, args, multi: bool) -> None:
         else:
             write_telemetry_csv(obs.telemetry, path)
         print(f"wrote telemetry to {path}", file=sys.stderr)
-    if blame is not None and args.blame_out:
+    if report is not None and args.blame_out:
         from repro.obs.blame import blame_table
 
         path = _suffixed(args.blame_out, figure_id, multi)
@@ -276,12 +279,12 @@ def _emit_observability(obs, figure_id: str, args, multi: bool) -> None:
             from repro.obs.html import write_blame_html
 
             write_blame_html(
-                blame, path, title=f"Tail-latency blame — {figure_id}"
+                report, path, title=f"Tail-latency blame — {figure_id}"
             )
         else:
             from repro.obs.export import atomic_write_text
 
-            atomic_write_text(path, blame_table(blame) + "\n")
+            atomic_write_text(path, blame_table(report) + "\n")
         print(f"wrote blame report to {path}", file=sys.stderr)
 
 
@@ -678,7 +681,6 @@ def _run_targets(targets, args, *, render: bool, observing: bool) -> int:
                     telemetry=_telemetry_config(args)
                     if _wants_telemetry(args)
                     else None,
-                    blame=_blame_config(args) if _wants_blame(args) else None,
                 )
                 with obs:
                     result = run_figure(figure_id, **kwargs)
@@ -717,22 +719,22 @@ def _cmd_blame(args) -> int:
     )
     obs = Observability(
         telemetry=_telemetry_config(args) if _wants_telemetry(args) else None,
-        blame=_blame_config(args),
     )
     started = time.time()
     with _fault_context(args), _device_context(args), obs:
         run_figure(figure_id, **kwargs)
     elapsed = time.time() - started
     traced = verify_conservation(obs.tracer)
-    outliers = verify_blame_conservation(obs.blame)
+    report = _blame_report(obs, args)
+    outliers = verify_blame_conservation(report)
     print(f"conservation: OK ({outliers} outliers over {traced} I/Os)")
     print()
-    print(blame_table(obs.blame))
+    print(blame_table(report))
     # The table is printed; leave _emit_observability the file outputs
     # and any other observability flags the caller set.
     args.blame = False
     args.slo = []
-    _emit_observability(obs, figure_id, args, multi=False)
+    _emit_observability(obs, figure_id, args, multi=False, report=report)
     print(f"[{elapsed:.1f}s]", file=sys.stderr)
     return 0
 

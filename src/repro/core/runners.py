@@ -436,9 +436,8 @@ def config_point(
     want_device: bool = False,
     key,
 ) -> Point:
-    """An ablation-style run on a modified device config.
-
-    Mirrors ``ablations._run_on_config``: device seed 42, stack seed 11,
+    """An ablation-style run on a modified device config
+    (:mod:`repro.core.ablations`): device seed 42, stack seed 11 and
     fio's default pattern seed (1234).
     """
     device = effective_device(device)

@@ -119,7 +119,6 @@ class ExperimentSpec:
 
     name: str
     points: Tuple[Point, ...]
-    version: int = CACHE_SCHEMA
 
     def __post_init__(self) -> None:
         keys = [point.key for point in self.points]
@@ -223,19 +222,16 @@ def _ambient_fault_params():
     return plan.to_params() if plan is not None else None
 
 
-def point_cache_key(point: Point, version: int = CACHE_SCHEMA) -> str:
+def point_cache_key(point: Point) -> str:
     """Canonical hash identifying one measurement across runs."""
-    return _cache_key(point, version, _costs_identity(), _ambient_fault_params())
+    return _cache_key(point, _costs_identity(), _ambient_fault_params())
 
 
-def _cache_key(
-    point: Point, version: int, costs_identity: str, ambient_faults: Any
-) -> str:
+def _cache_key(point: Point, costs_identity: str, ambient_faults: Any) -> str:
     """:func:`point_cache_key` with the run-wide inputs (the cost table
     and the ambient fault plan) computed once by the caller."""
     items = [
         CACHE_SCHEMA,
-        version,
         point.runner,
         point.params,
         _device_identity(point.kwargs()),
@@ -438,7 +434,7 @@ class SweepEngine:
             costs_identity = _costs_identity()
             queued: Dict[str, List[Point]] = {}
             for point in spec.points:
-                key = _cache_key(point, spec.version, costs_identity, fault_params)
+                key = _cache_key(point, costs_identity, fault_params)
                 measurement = self._memo.get(key)
                 if measurement is not None:
                     self.stats.memo_hits += 1
@@ -509,9 +505,7 @@ def configure(*, jobs: Optional[int] = None, cache_dir: Any = _UNSET) -> SweepEn
     return engine
 
 
-def sweep(
-    points: Iterable[Point], *, name: str = "adhoc", version: int = CACHE_SCHEMA
-) -> Dict[Any, Measurement]:
+def sweep(points: Iterable[Point], *, name: str = "adhoc") -> Dict[Any, Measurement]:
     """Run a grid on the default engine; returns ``{key: Measurement}``."""
-    spec = ExperimentSpec(name=name, points=tuple(points), version=version)
+    spec = ExperimentSpec(name=name, points=tuple(points))
     return default_engine().run(spec)

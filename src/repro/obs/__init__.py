@@ -12,9 +12,10 @@ Six pieces:
   on the sim clock (queue depths, busy fractions, buffer occupancy, GC
   and fault-recovery activity) with streaming tail digests.
 * **Blame attribution** (:mod:`repro.obs.blame`): every layer that can
-  make an I/O wait emits wait-for edges alongside its spans; a bounded
-  top-K recorder keeps the slowest requests' full wait chains, rolls
-  tail blame up by resource, and tracks SLO attainment + burn rate.
+  make an I/O wait emits wait-for edges alongside its spans; a
+  :class:`BlameReport`, built from the tracer's finished I/Os after the
+  run, keeps the slowest requests' full wait chains, rolls tail blame
+  up by resource, and tracks SLO attainment + burn rate.
 * **Self-profiling** (:mod:`repro.obs.prof`): where the *simulator
   itself* spends its events and wall time — hotspot attribution by
   layer/component/callsite, event-queue introspection, and
@@ -38,8 +39,7 @@ See ``docs/observability.md`` for the span taxonomy and metric names.
 
 from repro.obs.anatomy import AnatomyReport, AnatomyRow, verify_conservation
 from repro.obs.blame import (
-    BlameConfig,
-    BlameRecorder,
+    BlameReport,
     OutlierRecord,
     SloSpec,
     blame_table,
@@ -161,8 +161,7 @@ __all__ = [
     "to_speedscope",
     "write_speedscope",
     "WaitEdge",
-    "BlameConfig",
-    "BlameRecorder",
+    "BlameReport",
     "OutlierRecord",
     "SloSpec",
     "blame_table",

@@ -12,9 +12,9 @@ requeue backoff, the NVMe controller on SQ backlog and timeout
 recovery, the SSD on die/channel busy, write-buffer-full and
 program-suspend windows (with GC named as the holder when a collection
 is in flight), the SPDK poller on its completion-detection gap, and the
-NBD client on link outages.  A :class:`BlameRecorder` hangs off the
-tracer's ``_finished`` hook (one ``is not None`` test per I/O when
-disabled) and keeps:
+NBD client on link outages.  :meth:`BlameReport.from_tracer` reads
+those edges off a traced run's finished I/Os, after the fact, and
+keeps:
 
 * a bounded **top-K reservoir** of the slowest requests per
   ``(device, op)`` group, each captured as a detached, pickle-safe
@@ -37,27 +37,25 @@ outlier therefore satisfies, exactly and in integer nanoseconds::
 
 :func:`verify_blame_conservation` re-derives both from the stored edge
 list and raises if any record disagrees — the same style of
-
 to-the-nanosecond check :func:`repro.obs.anatomy.verify_conservation`
 applies to phase tiling.
 
-The observability house rules all hold: recording never perturbs
-simulated time, ``absorb()`` merges worker bundles at the pid and io-id
-offsets the bundle's scope hands it, so ``--jobs N`` sweeps are
-byte-identical to serial, and a blamed run never touches the sweep
-caches (the engine runs every point live under an enabled bundle).
+Like the anatomy report, blame is a view of the trace built after the
+run, so it cannot perturb simulated time; and since the sweep engine
+appends worker traces at the offsets the bundle's scope hands them, a
+``--jobs N`` report is byte-identical to serial.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.obs.scope import Offsets, RunScope
 from repro.obs.telemetry import DEFAULT_PERIOD_NS, TailDigest, TimeSeries
 from repro.obs.tracer import WaitEdge
 
 if TYPE_CHECKING:
-    from repro.obs.tracer import IoTrace
+    from repro.obs.tracer import IoTrace, SpanTracer
 
 #: Default outlier reservoir size per (device, op) group.
 DEFAULT_TOP = 10
@@ -171,31 +169,6 @@ class SloSpec:
         return hash((self.op, self.threshold_ns, self.objective))
 
 
-class BlameConfig:
-    """What the blame recorder keeps.
-
-    ``top`` bounds the outlier reservoir per (device, op) group;
-    ``slos`` is the tuple of :class:`SloSpec` objectives to monitor;
-    ``period_ns`` is the bucket width of the SLO burn-rate series.
-    """
-
-    __slots__ = ("top", "slos", "period_ns")
-
-    def __init__(
-        self,
-        top: int = DEFAULT_TOP,
-        slos: Tuple[SloSpec, ...] = (),
-        period_ns: int = DEFAULT_PERIOD_NS,
-    ) -> None:
-        if top < 1:
-            raise ValueError("outlier reservoir size must be >= 1")
-        if period_ns <= 0:
-            raise ValueError("burn-rate sample period must be positive")
-        self.top = int(top)
-        self.slos = tuple(slos)
-        self.period_ns = int(period_ns)
-
-
 class OutlierRecord:
     """A captured slow request, detached from its trace (pickle-safe).
 
@@ -290,28 +263,64 @@ def union_ns(edges: Tuple[WaitEdge, ...]) -> int:
     return total
 
 
-def _record_key(record: OutlierRecord) -> Tuple[int, int, int]:
-    """Reservoir order: slowest first; (pid, io_id) breaks ties."""
-    return (-record.latency_ns, record.pid, record.io_id)
+def _clamped_edges(trace: "IoTrace") -> Tuple[WaitEdge, ...]:
+    """The trace's wait edges clamped to its window, time-sorted."""
+    start_ns = trace.start_ns
+    end_ns = trace.end_ns
+    assert end_ns is not None
+    return tuple(
+        sorted(
+            (
+                WaitEdge(
+                    e.resource,
+                    e.holder,
+                    max(e.start_ns, start_ns),
+                    min(e.end_ns, end_ns),
+                )
+                for e in trace._waits
+                if min(e.end_ns, end_ns) > max(e.start_ns, start_ns)
+            ),
+            key=lambda e: (e.start_ns, e.end_ns, e.resource, e.holder),
+        )
+    )
 
 
-class BlameRecorder:
-    """Consumes finished traces; keeps outliers, aggregates and SLOs.
+def _outlier(trace: "IoTrace", device: str) -> OutlierRecord:
+    """Capture a finished trace as a detached outlier record."""
+    assert trace.end_ns is not None
+    edges = _clamped_edges(trace)
+    return OutlierRecord(
+        io_id=trace.io_id,
+        pid=trace.pid,
+        device=device,
+        op=trace.op,
+        offset=trace.offset,
+        nbytes=trace.nbytes,
+        start_ns=trace.start_ns,
+        end_ns=trace.end_ns,
+        wait_ns=union_ns(edges),
+        phases=tuple(
+            (span.name, span.start_ns, span.end_ns) for span in trace.phases()
+        ),
+        edges=edges,
+    )
 
-    Wired into :class:`repro.obs.tracer.SpanTracer` by the
-    Observability bundle; requires tracing (wait edges ride on the
-    trace context).  All state merges exactly across sweep workers via
-    :meth:`absorb`.
+
+class BlameReport:
+    """Outliers, aggregates and SLOs over a tracer's finished I/Os.
+
+    A pure view: :meth:`from_tracer` makes one pass over
+    ``tracer.finished_ios`` in list order.  A sweep worker's traces are
+    appended to that list at the pid and io-id offsets its scope hands
+    them, and every aggregate here is either order-independent or kept
+    per pid, so a ``--jobs N`` report equals the serial one.
     """
 
-    def __init__(
-        self,
-        config: Optional[BlameConfig] = None,
-        scope: Optional[RunScope] = None,
-    ) -> None:
-        self.config = config or BlameConfig()
-        #: Names the device each pid ran against (see :mod:`repro.obs.scope`).
-        self.scope = scope if scope is not None else RunScope()
+    def __init__(self, top: int = DEFAULT_TOP, slos: Tuple[SloSpec, ...] = ()) -> None:
+        if top < 1:
+            raise ValueError("outlier reservoir size must be >= 1")
+        self.top = int(top)
+        self.slos = tuple(slos)
         self.observed = 0
         #: (device, op) -> top-K outliers, slowest first.
         self._groups: Dict[Tuple[str, str], List[OutlierRecord]] = {}
@@ -319,94 +328,73 @@ class BlameRecorder:
         self._digests: Dict[Tuple[str, str], TailDigest] = {}
         #: (resource, holder) -> [total wait ns, edge count] over all I/Os.
         self._resources: Dict[Tuple[str, str], List[int]] = {}
-        self._slo_total: List[int] = [0] * len(self.config.slos)
-        self._slo_miss: List[int] = [0] * len(self.config.slos)
+        self._slo_total: List[int] = [0] * len(self.slos)
+        self._slo_miss: List[int] = [0] * len(self.slos)
         #: (pid, spec index, "checked"|"misses") -> burn-rate series.
         self._slo_series: Dict[Tuple[int, int, str], TimeSeries] = {}
 
-    # ------------------------------------------------------------------
-    def observe(self, trace: "IoTrace") -> None:
-        """Fold one finished trace in (called from ``SpanTracer._finished``)."""
-        end_ns = trace.end_ns
-        assert end_ns is not None
-        start_ns = trace.start_ns
-        latency_ns = end_ns - start_ns
-        edges = tuple(
-            sorted(
-                (
-                    WaitEdge(
-                        e.resource,
-                        e.holder,
-                        max(e.start_ns, start_ns),
-                        min(e.end_ns, end_ns),
-                    )
-                    for e in trace._waits
-                    if min(e.end_ns, end_ns) > max(e.start_ns, start_ns)
-                ),
-                key=lambda e: (e.start_ns, e.end_ns, e.resource, e.holder),
+    @classmethod
+    def from_tracer(
+        cls,
+        tracer: "SpanTracer",
+        *,
+        top: int = DEFAULT_TOP,
+        slos: Tuple[SloSpec, ...] = (),
+    ) -> "BlameReport":
+        """Blame every finished I/O of ``tracer``; keep ``top`` outliers
+        per (device, op) group and monitor each of ``slos``."""
+        report = cls(top, slos)
+        report.observed = len(tracer.finished_ios)
+        labels = tracer.scope.device_labels
+        # (device, op) -> every finished trace of the group.
+        members: Dict[Tuple[str, str], List["IoTrace"]] = {}
+        for trace in tracer.finished_ios:
+            end_ns = trace.end_ns
+            assert end_ns is not None
+            latency_ns = end_ns - trace.start_ns
+            edges = _clamped_edges(trace)
+            device = labels.get(trace.pid) or f"sim{trace.pid}"
+            group_key = (device, trace.op)
+            members.setdefault(group_key, []).append(trace)
+
+            digest = report._digests.get(group_key)
+            if digest is None:
+                digest = report._digests[group_key] = TailDigest()
+            digest.observe(float(latency_ns))
+
+            for edge in edges:
+                cell = report._resources.setdefault((edge.resource, edge.holder), [0, 0])
+                cell[0] += edge.duration_ns
+                cell[1] += 1
+
+            for index, spec in enumerate(report.slos):
+                if not spec.matches(trace.op):
+                    continue
+                report._slo_total[index] += 1
+                report._burn_series(trace.pid, index, "checked").add(end_ns, 1)
+                if latency_ns > spec.threshold_ns:
+                    report._slo_miss[index] += 1
+                    report._burn_series(trace.pid, index, "misses").add(end_ns, 1)
+
+        for (device, op), group in members.items():
+            slowest = heapq.nsmallest(
+                report.top,
+                group,
+                key=lambda trace: (-trace.latency_ns, trace.pid, trace.io_id),
             )
-        )
-        wait_ns = union_ns(edges)
-        device = self.scope.device_labels.get(trace.pid) or f"sim{trace.pid}"
-        group_key = (device, trace.op)
-        self.observed += 1
-
-        digest = self._digests.get(group_key)
-        if digest is None:
-            digest = self._digests[group_key] = TailDigest()
-        digest.observe(float(latency_ns))
-
-        for edge in edges:
-            cell = self._resources.get((edge.resource, edge.holder))
-            if cell is None:
-                cell = self._resources[(edge.resource, edge.holder)] = [0, 0]
-            cell[0] += edge.duration_ns
-            cell[1] += 1
-
-        for index, spec in enumerate(self.config.slos):
-            if not spec.matches(trace.op):
-                continue
-            self._slo_total[index] += 1
-            self._burn_series(trace.pid, index, "checked").add(end_ns, 1)
-            if latency_ns > spec.threshold_ns:
-                self._slo_miss[index] += 1
-                self._burn_series(trace.pid, index, "misses").add(end_ns, 1)
-
-        group = self._groups.setdefault(group_key, [])
-        top = self.config.top
-        if len(group) >= top:
-            candidate = (-latency_ns, trace.pid, trace.io_id)
-            if candidate >= _record_key(group[-1]):
-                return
-        record = OutlierRecord(
-            io_id=trace.io_id,
-            pid=trace.pid,
-            device=device,
-            op=trace.op,
-            offset=trace.offset,
-            nbytes=trace.nbytes,
-            start_ns=start_ns,
-            end_ns=end_ns,
-            wait_ns=wait_ns,
-            phases=tuple(
-                (span.name, span.start_ns, span.end_ns) for span in trace.phases()
-            ),
-            edges=edges,
-        )
-        group.append(record)
-        group.sort(key=_record_key)
-        del group[top:]
+            report._groups[(device, op)] = [_outlier(t, device) for t in slowest]
+        return report
 
     def _burn_series(self, pid: int, index: int, which: str) -> TimeSeries:
         key = (pid, index, which)
         series = self._slo_series.get(key)
         if series is None:
             series = TimeSeries(
-                f"slo.{self.config.slos[index].label}.{which}",
+                f"slo.{self.slos[index].label}.{which}",
                 "rate",
                 "ios",
                 pid=pid,
-                period_ns=self.config.period_ns,
+                period_ns=DEFAULT_PERIOD_NS,
             )
             self._slo_series[key] = series
         return series
@@ -461,7 +449,7 @@ class BlameRecorder:
     def slo_rows(self) -> List[Dict[str, Any]]:
         """One summary row per monitored SLO."""
         rows: List[Dict[str, Any]] = []
-        for index, spec in enumerate(self.config.slos):
+        for index, spec in enumerate(self.slos):
             total = self._slo_total[index]
             misses = self._slo_miss[index]
             attainment = 1.0 - (misses / total) if total else 1.0
@@ -502,53 +490,11 @@ class BlameRecorder:
             if key[1] == index
         ]
 
-    # ------------------------------------------------------------------
-    def absorb(self, other: "BlameRecorder", base: Offsets) -> None:
-        """Merge a worker recorder, its pids and io ids moved up by
-        ``base`` (from :meth:`RunScope.absorb`).
-
-        Every aggregate here is exactly mergeable and every burn-rate
-        series key is new here, so parallel blame output is
-        byte-identical to serial.
-        """
-        top = self.config.top
-        for key in sorted(other._groups):
-            records = other._groups[key]
-            for record in records:
-                record.pid += base.pid
-                record.io_id += base.io
-            mine = self._groups.setdefault(key, [])
-            mine.extend(records)
-            mine.sort(key=_record_key)
-            del mine[top:]
-        for key in sorted(other._digests):
-            digest = self._digests.get(key)
-            if digest is None:
-                self._digests[key] = other._digests[key]
-            else:
-                digest.merge(other._digests[key])
-        for pair in sorted(other._resources):
-            cell = self._resources.get(pair)
-            if cell is None:
-                self._resources[pair] = other._resources[pair]
-            else:
-                cell[0] += other._resources[pair][0]
-                cell[1] += other._resources[pair][1]
-        for index in range(min(len(self._slo_total), len(other._slo_total))):
-            self._slo_total[index] += other._slo_total[index]
-            self._slo_miss[index] += other._slo_miss[index]
-        for (pid, index, which), series in other._slo_series.items():
-            series.pid = pid + base.pid
-            key = (series.pid, index, which)
-            assert key not in self._slo_series, f"burn series {key} absorbed twice"
-            self._slo_series[key] = series
-        self.observed += other.observed
-
 
 # ----------------------------------------------------------------------
 # Invariant check
 # ----------------------------------------------------------------------
-def verify_blame_conservation(recorder: BlameRecorder) -> int:
+def verify_blame_conservation(report: BlameReport) -> int:
     """Assert the conservation invariant on every captured outlier.
 
     For each record: the stored wait is exactly the union of its edge
@@ -558,7 +504,7 @@ def verify_blame_conservation(recorder: BlameRecorder) -> int:
     number of records checked.
     """
     checked = 0
-    for (device, op), records in recorder.groups():
+    for (device, op), records in report.groups():
         for record in records:
             where = f"io {record.io_id} (pid {record.pid}, {device}/{op})"
             latency = record.end_ns - record.start_ns
@@ -587,20 +533,20 @@ def verify_blame_conservation(recorder: BlameRecorder) -> int:
 # ----------------------------------------------------------------------
 # Text report
 # ----------------------------------------------------------------------
-def blame_table(recorder: BlameRecorder, top_resources: int = 12) -> str:
+def blame_table(report: BlameReport, top_resources: int = 12) -> str:
     """The blame report: per-group tail attribution + SLO attainment."""
     lines: List[str] = []
     lines.append("Blame: tail-latency wait-for attribution")
     lines.append("=" * 40)
     lines.append(
-        f"  I/Os observed: {recorder.observed}"
-        f"    outliers kept: top {recorder.config.top} per (device, op)"
+        f"  I/Os observed: {report.observed}"
+        f"    outliers kept: top {report.top} per (device, op)"
     )
-    if not recorder.observed:
+    if not report.observed:
         lines.append("  (no I/Os observed)")
         return "\n".join(lines)
-    for (device, op), records in recorder.groups():
-        digest = recorder.group_digest(device, op)
+    for (device, op), records in report.groups():
+        digest = report.group_digest(device, op)
         lines.append("")
         lines.append(f"{device} / {op}  ({digest.count} I/Os)")
         lines.append(
@@ -615,7 +561,7 @@ def blame_table(recorder: BlameRecorder, top_resources: int = 12) -> str:
             )
             + f"  max {format_ns(digest.max or 0.0)}"
         )
-        shares = recorder.tail_blame(device, op)
+        shares = report.tail_blame(device, op)
         if shares:
             resource, holder, share = shares[0]
             lines.append(
@@ -638,7 +584,7 @@ def blame_table(recorder: BlameRecorder, top_resources: int = 12) -> str:
             if worst.latency_ns
             else f"  slowest: io {worst.io_id} 0ns"
         )
-    totals = recorder.resource_totals()
+    totals = report.resource_totals()
     if totals:
         lines.append("")
         lines.append("wait time by resource (all I/Os)")
@@ -649,7 +595,7 @@ def blame_table(recorder: BlameRecorder, top_resources: int = 12) -> str:
             )
         if len(totals) > top_resources:
             lines.append(f"  ... and {len(totals) - top_resources} more")
-    rows = recorder.slo_rows()
+    rows = report.slo_rows()
     if rows:
         lines.append("")
         lines.append("SLO attainment")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
-from repro.obs.blame import BlameConfig, BlameRecorder
 from repro.obs.prof import Profiler, ProfilerConfig
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.scope import RunScope
@@ -30,8 +29,8 @@ if TYPE_CHECKING:
 
 
 class Observability:
-    """A tracer plus a registry (plus, optionally, telemetry, blame and
-    the self-profiler), installable as the process default.
+    """A tracer plus a registry (plus, optionally, telemetry and the
+    self-profiler), installable as the process default.
 
     The bundle owns the :class:`~repro.obs.scope.RunScope` its recorders
     share: it numbers sims (pids) and I/Os and names each pid's device,
@@ -45,19 +44,18 @@ class Observability:
         metrics: bool = True,
         telemetry: Union[bool, TelemetryConfig, None] = None,
         profile: Union[bool, ProfilerConfig, None] = None,
-        blame: Union[bool, BlameConfig, None] = None,
     ) -> None:
         self.scope = RunScope()
         self.tracer: Union[SpanTracer, NullTracer] = (
             SpanTracer(self.scope) if tracing else NULL_TRACER
         )
         self.registry = MetricsRegistry() if metrics else NULL_REGISTRY
-        # Telemetry, the self-profiler (repro.obs.prof) and blame
-        # attribution (repro.obs.blame) are opt-in: pass True for
-        # defaults, or a config object to tune them.  Layers call the
-        # tracer, registry and telemetry on hot paths, so those fall
-        # back to null objects; the profiler and blame are None when off.
-        # Blame rides on the tracer: wait edges live on trace contexts.
+        # Telemetry and the self-profiler (repro.obs.prof) are opt-in:
+        # pass True for defaults, or a config object to tune them.
+        # Layers call the tracer, registry and telemetry on hot paths,
+        # so those fall back to null objects; the profiler is None when
+        # off.  Blame (repro.obs.blame) is a view of the tracer's
+        # finished I/Os, built after the run.
         self.telemetry: Union[Telemetry, NullTelemetry] = (
             Telemetry(_config_or_none(telemetry), self.scope)
             if telemetry
@@ -66,16 +64,6 @@ class Observability:
         self.profiler: Optional[Profiler] = (
             Profiler(_config_or_none(profile), self.scope) if profile else None
         )
-        self.blame: Optional[BlameRecorder] = (
-            BlameRecorder(_config_or_none(blame), self.scope) if blame else None
-        )
-        if self.blame is not None:
-            if not isinstance(self.tracer, SpanTracer):
-                raise ValueError(
-                    "blame attribution requires tracing "
-                    "(wait edges ride on trace contexts)"
-                )
-            self.tracer.blame = self.blame
 
     @property
     def config(self) -> Dict[str, Any]:
@@ -90,7 +78,6 @@ class Observability:
             "metrics": self.registry.enabled,
             "telemetry": self.telemetry.config,
             "profile": self.profiler.config if self.profiler is not None else None,
-            "blame": self.blame.config if self.blame is not None else None,
         }
 
     @property
@@ -100,7 +87,6 @@ class Observability:
             or self.registry.enabled
             or self.telemetry.enabled
             or self.profiler is not None
-            or self.blame is not None
         )
 
     # ------------------------------------------------------------------
@@ -120,7 +106,7 @@ class Observability:
         self.scope.label_device(label)
 
     def absorb(self, other: "Observability") -> None:
-        """Merge a worker bundle (spans, metrics, telemetry, blame, profile).
+        """Merge a worker bundle (spans, metrics, telemetry, profile).
 
         The sweep engine ships per-point bundles back from worker
         processes and absorbs them in point order.  The scope offsets
@@ -140,8 +126,6 @@ class Observability:
             self.telemetry.absorb(other.telemetry, base)
         if self.profiler is not None and other.profiler is not None:
             self.profiler.absorb(other.profiler, base)
-        if self.blame is not None and other.blame is not None:
-            self.blame.absorb(other.blame, base)
 
     # ------------------------------------------------------------------
     def install(self) -> "Observability":
@@ -166,7 +150,6 @@ class _NullObservability:
     registry = NULL_REGISTRY
     telemetry = NULL_TELEMETRY
     profiler: Optional[Profiler] = None
-    blame: Optional[BlameRecorder] = None
     enabled = False
 
     def attach(self, sim: "Simulator") -> None:

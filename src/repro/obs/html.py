@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, List, Tuple, Union
 from repro.obs.export import atomic_write_text
 
 if TYPE_CHECKING:
-    from repro.obs.blame import BlameRecorder
+    from repro.obs.blame import BlameReport
     from repro.obs.telemetry import NullTelemetry, Telemetry, TimeSeries
 
     AnyTelemetry = Union[Telemetry, NullTelemetry]
@@ -420,25 +420,25 @@ def _share_row(label: str, holder: str, share: float) -> str:
     )
 
 
-def blame_section_html(recorder: "BlameRecorder") -> str:
+def blame_section_html(report: "BlameReport") -> str:
     """The blame cards (no document shell) — embeddable and standalone.
 
-    A pure function of the recorder's content, valid even with zero
+    A pure function of the report's content, valid even with zero
     observed I/Os or zero captured outliers (no axis math is involved,
     so there is nothing to divide by).
     """
     from repro.obs.blame import format_ns
 
     parts: List[str] = []
-    if not recorder.observed:
+    if not report.observed:
         parts.append(
             '<div class="chart-card blame-card">'
             '<p class="chart-title">Blame</p>'
             '<p class="chart-sub">(no I/Os observed)</p></div>'
         )
         return "\n".join(parts)
-    for (device, op), records in recorder.groups():
-        digest = recorder.group_digest(device, op)
+    for (device, op), records in report.groups():
+        digest = report.group_digest(device, op)
         title = f"{_html.escape(device)} / {_html.escape(op)}"
         sub = (
             f"{digest.count} I/Os &middot; "
@@ -447,7 +447,7 @@ def blame_section_html(recorder: "BlameRecorder") -> str:
             f"p99.9={format_ns(digest.quantile(0.999))} &middot; "
             f"max={format_ns(digest.max or 0.0)}"
         )
-        shares = recorder.tail_blame(device, op)
+        shares = report.tail_blame(device, op)
         if shares:
             rows = [_share_row(r, h, s) for r, h, s in shares]
             service = 1.0 - sum(s for _r, _h, s in shares)
@@ -478,7 +478,7 @@ def blame_section_html(recorder: "BlameRecorder") -> str:
             f'<div class="chart-card blame-card"><p class="chart-title">{title}</p>'
             f'<p class="chart-sub">{sub}</p>{body}{outlier_table}</div>'
         )
-    slo_rows = recorder.slo_rows()
+    slo_rows = report.slo_rows()
     if slo_rows:
         rows = "".join(
             f'<tr><td class="label">{_html.escape(row["label"])}</td>'
@@ -499,12 +499,12 @@ def blame_section_html(recorder: "BlameRecorder") -> str:
 
 
 def blame_report_html(
-    recorder: "BlameRecorder", title: str = "Tail-latency blame"
+    report: "BlameReport", title: str = "Tail-latency blame"
 ) -> str:
     """Render the standalone blame report document."""
     subtitle = (
-        f"{recorder.observed} I/Os observed &middot; top "
-        f"{recorder.config.top} outliers per (device, op) group"
+        f"{report.observed} I/Os observed &middot; top "
+        f"{report.top} outliers per (device, op) group"
     )
     return f"""<!DOCTYPE html>
 <html lang="en">
@@ -517,16 +517,16 @@ def blame_report_html(
 <body class="viz-root">
 <h1>{_html.escape(title)}</h1>
 <p class="subtitle">{subtitle}</p>
-{blame_section_html(recorder)}
+{blame_section_html(report)}
 </body>
 </html>
 """
 
 
 def write_blame_html(
-    recorder: "BlameRecorder",
+    report: "BlameReport",
     path: Union[str, Path],
     title: str = "Tail-latency blame",
 ) -> Path:
     """Write the blame report atomically; returns the path."""
-    return atomic_write_text(path, blame_report_html(recorder, title))
+    return atomic_write_text(path, blame_report_html(report, title))

@@ -28,12 +28,15 @@ class Offsets(NamedTuple):
 
 
 class RunScope:
-    """Sim counter, next io id, and the pid -> device-label map."""
+    """Sim counter, current pid, next io id, and the pid -> device-label map."""
 
-    __slots__ = ("sims", "next_io_id", "device_labels")
+    __slots__ = ("sims", "current", "next_io_id", "device_labels")
 
     def __init__(self) -> None:
+        #: Pids handed out so far, to this scope's sims and absorbed ones.
         self.sims = 0
+        #: The pid of the sim recording now (0 until the first attaches).
+        self.current = 0
         self.next_io_id = 0
         #: pid -> registry/spec name of the device that sim ran against.
         self.device_labels: Dict[int, str] = {}
@@ -41,11 +44,12 @@ class RunScope:
     @property
     def pid(self) -> int:
         """The current sim's pid (1 until the first sim attaches)."""
-        return max(1, self.sims)
+        return max(1, self.current)
 
     def new_sim(self) -> None:
         """A fresh simulator attached: what it records gets the next pid."""
         self.sims += 1
+        self.current = self.sims
 
     def label_device(self, label: str) -> None:
         """Record which device the current sim runs against."""
@@ -53,7 +57,12 @@ class RunScope:
             self.device_labels[self.pid] = label
 
     def absorb(self, other: "RunScope") -> Offsets:
-        """Take a worker's counters and labels; returns their offsets."""
+        """Take a worker's counters and labels; returns their offsets.
+
+        The current pid stays: a sim that keeps recording after the
+        absorb still stamps its own pid, and the next sim to attach gets
+        the first pid past the absorbed ones.
+        """
         offsets = Offsets(self.sims, self.next_io_id)
         for pid, label in other.device_labels.items():
             self.device_labels[pid + offsets.pid] = label

@@ -24,12 +24,9 @@ tracer (see :mod:`repro.obs.core`) and every layer reaches it through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.obs.scope import Offsets, RunScope
-
-if TYPE_CHECKING:
-    from repro.obs.blame import BlameRecorder
 
 #: Canonical ordering of span names for reports (unknown names follow,
 #: alphabetically).  Mirrors a request's journey down and back up.
@@ -251,9 +248,6 @@ class SpanTracer:
         self.scope = scope if scope is not None else RunScope()
         self.finished_ios: List[IoTrace] = []
         self.track_spans: List[Span] = []
-        #: Optional blame consumer, fed each finished trace (see
-        #: :mod:`repro.obs.blame`); wired by the Observability bundle.
-        self.blame: Optional["BlameRecorder"] = None
 
     # ------------------------------------------------------------------
     def begin_io(self, op: object, offset: int, nbytes: int, at: int) -> IoTrace:
@@ -281,8 +275,6 @@ class SpanTracer:
 
     def _finished(self, trace: IoTrace) -> None:
         self.finished_ios.append(trace)
-        if self.blame is not None:
-            self.blame.observe(trace)
 
     # ------------------------------------------------------------------
     def absorb(self, other: "SpanTracer", base: Offsets) -> None:

@@ -191,7 +191,8 @@ class ReadCache:
             self._entries.popitem(last=False)
 
     def discard(self, lpn: int) -> None:
-        """Drop ``lpn``'s cached copy, if any (its data was deallocated)."""
+        """Drop ``lpn``'s cached copy, if any (its data was trimmed or
+        overwritten)."""
         self._entries.pop(lpn, None)
 
     def note_access(self, lpn: int) -> List[int]:

@@ -334,9 +334,12 @@ class SsdDevice:
         on_done: "Optional[DeviceDone]",
     ) -> None:
         """Unit ``index`` holds a slot: buffer it, then the next unit or,
-        after the last, the completion firmware."""
+        after the last, the completion firmware.  The new data supersedes
+        any read-cached copy of the unit."""
         controller = self.controller
-        controller.admit_unit(record.lpn + index, wait_from, record.trace)
+        lpn = record.lpn + index
+        controller.read_cache.discard(lpn)
+        controller.admit_unit(lpn, wait_from, record.trace)
         index += 1
         if index < record.units:
             self._write_unit(record, index, on_done)

@@ -2,12 +2,12 @@
 
 Covers the parsing helpers, the top-K outlier reservoir, the
 conservation invariant on real figure runs with faults enabled, the
-serial/parallel absorb byte-identity, SLO monitoring, and the
-``python -m repro blame`` CLI surface.
+serial/parallel byte-identity, SLO monitoring, and the
+``python -m repro blame`` CLI surface.  ``tests/test_blame_view_diff.py``
+checks the report against a streaming recorder fed as I/Os finish.
 """
 
 import json
-import pickle
 
 import pytest
 
@@ -18,10 +18,11 @@ from repro.core.runners import config_point
 from repro.core.sweep import ExperimentSpec, SweepEngine
 from repro.obs import (
     JSONL_SCHEMA,
-    BlameConfig,
-    BlameRecorder,
+    BlameReport,
+    IoTrace,
     Observability,
     SloSpec,
+    SpanTracer,
     WaitEdge,
     blame_report_html,
     blame_table,
@@ -55,10 +56,6 @@ def gc_point(io_count=400, key="gc", rw="randwrite", **extra):
         key=key,
         **extra,
     )
-
-
-def blame_bundle(**config):
-    return Observability(blame=BlameConfig(**config))
 
 
 def run_small_job(rw="randread", io_count=200):
@@ -126,14 +123,7 @@ class TestSloSpec:
 class TestBlameConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="reservoir"):
-            BlameConfig(top=0)
-        with pytest.raises(ValueError, match="period"):
-            BlameConfig(period_ns=0)
-
-    def test_config_pickles(self):
-        config = BlameConfig(slos=(SloSpec.parse("read:150us"),))
-        clone = pickle.loads(pickle.dumps(config))
-        assert clone.slos == config.slos
+            BlameReport.from_tracer(SpanTracer(), top=0)
 
 
 # ----------------------------------------------------------------------
@@ -152,81 +142,55 @@ class TestUnion:
         assert union_ns((_edge(0, 30), _edge(5, 15))) == 30
 
 
-def _trace_stub(recorder, io_id, latency, waits=(), op="read", pid=1):
-    """Feed a minimal fake finished trace into a recorder."""
-
-    class Stub:
-        pass
-
-    stub = Stub()
-    stub.io_id = io_id
-    stub.pid = pid
-    stub.op = op
-    stub.offset = 0
-    stub.nbytes = 4096
-    stub.start_ns = 0
-    stub.end_ns = latency
-    stub._waits = list(waits)
-    stub.phases = lambda: []
-    recorder.observe(stub)
+def _trace_stub(tracer, io_id, latency, waits=(), op="read", pid=1):
+    """Finish a minimal trace (no phases) on ``tracer``."""
+    trace = IoTrace(tracer, io_id, op, 0, 4096, 0, pid=pid)
+    for edge in waits:
+        trace.wait(*edge)
+    trace.finish(latency)
 
 
 class TestReservoir:
     def test_keeps_exactly_top_k_slowest(self):
-        recorder = BlameRecorder(BlameConfig(top=3))
+        tracer = SpanTracer()
         for io_id, latency in enumerate((50, 10, 90, 30, 70, 20, 60)):
-            _trace_stub(recorder, io_id, latency)
-        [(key, records)] = recorder.groups()
+            _trace_stub(tracer, io_id, latency)
+        report = BlameReport.from_tracer(tracer, top=3)
+        [(key, records)] = report.groups()
         assert key == ("sim1", "read")
         assert [r.latency_ns for r in records] == [90, 70, 60]
-        assert recorder.observed == 7
+        assert report.observed == 7
 
     def test_ties_break_on_pid_then_io_id(self):
-        recorder = BlameRecorder(BlameConfig(top=2))
+        tracer = SpanTracer()
         for io_id in (5, 1, 3):
-            _trace_stub(recorder, io_id, 40)
-        [(_key, records)] = recorder.groups()
+            _trace_stub(tracer, io_id, 40)
+        [(_key, records)] = BlameReport.from_tracer(tracer, top=2).groups()
         assert [r.io_id for r in records] == [1, 3]
 
     def test_edges_clamped_to_request_window(self):
-        recorder = BlameRecorder(BlameConfig(top=1))
+        tracer = SpanTracer()
         _trace_stub(
-            recorder, 0, 100,
+            tracer, 0, 100,
             waits=[_edge(-50, 30), _edge(80, 400), _edge(200, 300)],
         )
-        [(_key, [record])] = recorder.groups()
+        [(_key, [record])] = BlameReport.from_tracer(tracer, top=1).groups()
         assert [(e.start_ns, e.end_ns) for e in record.edges] == [(0, 30), (80, 100)]
         assert record.wait_ns == 50
         assert record.service_ns == 50
 
     def test_blamed_shares_sum_with_service_to_one(self):
-        recorder = BlameRecorder(BlameConfig(top=1))
+        tracer = SpanTracer()
         _trace_stub(
-            recorder, 0, 100,
+            tracer, 0, 100,
             waits=[_edge(0, 40, "die", "gc"), _edge(20, 60, "ch", "xfer")],
         )
-        [(_key, [record])] = recorder.groups()
+        [(_key, [record])] = BlameReport.from_tracer(tracer, top=1).groups()
         shares = record.blamed_shares()
         assert record.wait_ns == 60  # union of [0,40] and [20,60]
         total = sum(share for _r, _h, share in shares)
         assert total == pytest.approx(record.wait_ns / record.latency_ns)
         assert total + record.service_ns / record.latency_ns == pytest.approx(1.0)
-
-    def test_absorb_rebases_pid_and_io_id(self):
-        parent = BlameRecorder(BlameConfig(top=4))
-        parent.scope.new_sim()
-        parent.scope.label_device("ull")
-        parent.scope.next_io_id = 7
-        _trace_stub(parent, 0, 50)
-        worker = BlameRecorder(BlameConfig(top=4))
-        worker.scope.new_sim()
-        worker.scope.label_device("ull")
-        _trace_stub(worker, 0, 80)
-        parent.absorb(worker, parent.scope.absorb(worker.scope))
-        [(_key, records)] = parent.groups()
-        assert [(r.pid, r.io_id) for r in records] == [(2, 7), (1, 0)]
-        assert parent.scope.device_labels == {1: "ull", 2: "ull"}
-        assert parent.observed == 2
 
 
 # ----------------------------------------------------------------------
@@ -235,40 +199,24 @@ class TestReservoir:
 class TestSloMonitor:
     def test_attainment_and_burn(self):
         spec = SloSpec.parse("read:60ns@0.9")
-        recorder = BlameRecorder(BlameConfig(slos=(spec,), period_ns=100))
-        recorder.scope.new_sim()
+        tracer = SpanTracer()
         for io_id, latency in enumerate((10, 20, 70, 90)):
-            _trace_stub(recorder, io_id, latency)
-        [row] = recorder.slo_rows()
+            _trace_stub(tracer, io_id, latency)
+        [row] = BlameReport.from_tracer(tracer, slos=(spec,)).slo_rows()
         assert row["checked"] == 4
         assert row["misses"] == 2
         assert row["attainment"] == pytest.approx(0.5)
         assert not row["met"]
-        # All four I/Os land in the first 100ns bucket: burn is the miss
+        # All four I/Os land in the first period: burn is the miss
         # fraction over the error budget = 0.5 / 0.1.
         assert row["peak_burn"] == pytest.approx(5.0)
 
     def test_op_filter(self):
         spec = SloSpec.parse("write:60ns")
-        recorder = BlameRecorder(BlameConfig(slos=(spec,)))
-        recorder.scope.new_sim()
-        _trace_stub(recorder, 0, 500, op="read")
-        [row] = recorder.slo_rows()
+        tracer = SpanTracer()
+        _trace_stub(tracer, 0, 500, op="read")
+        [row] = BlameReport.from_tracer(tracer, slos=(spec,)).slo_rows()
         assert row["checked"] == 0 and row["met"]
-
-    def test_burn_series_merge_across_absorb(self):
-        spec = SloSpec.parse("read:60ns")
-        parent = BlameRecorder(BlameConfig(slos=(spec,), period_ns=100))
-        parent.scope.new_sim()
-        _trace_stub(parent, 0, 70)
-        worker = BlameRecorder(BlameConfig(slos=(spec,), period_ns=100))
-        worker.scope.new_sim()
-        _trace_stub(worker, 0, 90)
-        parent.absorb(worker, parent.scope.absorb(worker.scope))
-        [row] = parent.slo_rows()
-        assert row["checked"] == 2 and row["misses"] == 2
-        series = parent.burn_series(0)
-        assert {s.pid for s in series} == {1, 2}
 
 
 # ----------------------------------------------------------------------
@@ -278,25 +226,27 @@ class TestConservation:
     def test_fault_figure_conserves_wait_plus_service(self):
         from repro.obs.anatomy import verify_conservation
 
-        with blame_bundle() as obs:
+        with Observability() as obs:
             run_figure("fault-readtail", io_count=300)
         traced = verify_conservation(obs.tracer)
         assert traced > 0
-        checked = verify_blame_conservation(obs.blame)
+        report = BlameReport.from_tracer(obs.tracer)
+        checked = verify_blame_conservation(report)
         assert checked > 0
         # The injected NAND read failures must show up as blamed waits.
         resources = {
             (resource, holder)
-            for resource, holder, _total, _edges in obs.blame.resource_totals()
+            for resource, holder, _total, _edges in report.resource_totals()
         }
         assert any(holder == "ecc_retry" for _r, holder in resources)
 
     def test_gc_write_workload_blames_device_resources(self):
-        with blame_bundle() as obs:
+        with Observability() as obs:
             engine = SweepEngine(jobs=1)
             engine.run(ExperimentSpec(name="blame-gc", points=(gc_point(),)))
-        assert verify_blame_conservation(obs.blame) > 0
-        rows = obs.blame.resource_totals()
+        report = BlameReport.from_tracer(obs.tracer)
+        assert verify_blame_conservation(report) > 0
+        rows = report.resource_totals()
         assert rows, "GC workload recorded no wait edges"
         resources = {resource for resource, _h, _t, _e in rows}
         assert any(r.startswith("ssd.") for r in resources)
@@ -308,7 +258,7 @@ class TestConservation:
 class TestByteIdentity:
     def test_blamed_run_is_identical_to_bare(self):
         bare, bare_events = run_small_job()
-        with blame_bundle():
+        with Observability():
             blamed, blamed_events = run_small_job()
         assert bare_events == blamed_events
         assert bare.latency == blamed.latency
@@ -318,24 +268,14 @@ class TestByteIdentity:
 
     def test_disabled_bundle_has_no_blame(self):
         obs = Observability(tracing=False, metrics=False)
-        assert obs.blame is None
+        assert not hasattr(obs, "blame")
         assert not obs.enabled
-
-    def test_blame_requires_tracing(self):
-        with pytest.raises(ValueError, match="tracing"):
-            Observability(tracing=False, metrics=False, blame=True)
-
-    def test_blame_alone_enables_bundle(self):
-        obs = blame_bundle()
-        assert obs.enabled
-        assert obs.tracer.blame is obs.blame
+        assert BlameReport.from_tracer(SpanTracer()).observed == 0
 
 
 class TestSerialParallelIdentity:
     def run_points(self, jobs):
-        obs = Observability(
-            blame=BlameConfig(slos=(SloSpec.parse("*:500us@0.99"),))
-        )
+        obs = Observability()
         with obs:
             engine = SweepEngine(jobs=jobs)
             points = tuple(
@@ -344,16 +284,16 @@ class TestSerialParallelIdentity:
                 for qd in (1, 4)
             )
             engine.run(ExperimentSpec(name="blame-det", points=points))
-        return obs
+        return BlameReport.from_tracer(
+            obs.tracer, slos=(SloSpec.parse("*:500us@0.99"),)
+        )
 
     def test_parallel_blame_identical_to_serial(self):
         serial = self.run_points(jobs=1)
         parallel = self.run_points(jobs=4)
-        assert blame_table(serial.blame) == blame_table(parallel.blame)
-        assert blame_report_html(serial.blame) == blame_report_html(
-            parallel.blame
-        )
-        assert serial.blame.observed == parallel.blame.observed
+        assert blame_table(serial) == blame_table(parallel)
+        assert blame_report_html(serial) == blame_report_html(parallel)
+        assert serial.observed == parallel.observed
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +301,7 @@ class TestSerialParallelIdentity:
 # ----------------------------------------------------------------------
 class TestInterferenceTable:
     def test_randrw_table_names_p999_resource(self):
-        with blame_bundle() as obs:
+        with Observability() as obs:
             engine = SweepEngine(jobs=1)
             engine.run(
                 ExperimentSpec(
@@ -369,7 +309,7 @@ class TestInterferenceTable:
                     points=(gc_point(io_count=500, rw="randrw", key="rw"),),
                 )
             )
-        table = blame_table(obs.blame)
+        table = blame_table(BlameReport.from_tracer(obs.tracer))
         assert "p99.9 is" in table
         # Reads and writes interfere on device resources; the blamed
         # holder for the tail must be a concrete device-side cause.
@@ -384,7 +324,7 @@ class TestInterferenceTable:
 # ----------------------------------------------------------------------
 class TestJsonlExport:
     def run_traced(self):
-        obs = Observability(telemetry=True, blame=True)
+        obs = Observability(telemetry=True)
         with obs:
             run_small_job(io_count=120)
         return obs
@@ -403,7 +343,7 @@ class TestJsonlExport:
         assert {"header", "io", "span", "sample"} <= kinds
 
     def test_wait_edges_exported(self):
-        with blame_bundle() as obs:
+        with Observability() as obs:
             run_figure("fault-readtail", io_count=300)
         objects = [json.loads(line) for line in trace_jsonl_lines(obs.tracer)]
         waits = [obj for obj in objects if obj["type"] == "wait"]
@@ -497,29 +437,21 @@ class TestCliBlame:
 # ----------------------------------------------------------------------
 class TestBlameTable:
     def test_empty_recorder_renders(self):
-        recorder = BlameRecorder()
-        table = blame_table(recorder)
+        table = blame_table(BlameReport.from_tracer(SpanTracer()))
         assert "I/Os observed: 0" in table
 
     def test_table_lists_resources_and_slos(self):
         spec = SloSpec.parse("read:60ns@0.9")
-        recorder = BlameRecorder(BlameConfig(slos=(spec,)))
-        recorder.scope.new_sim()
-        recorder.scope.label_device("ull")
-        _trace_stub(recorder, 0, 100, waits=[_edge(0, 40, "die0", "gc")])
-        _trace_stub(recorder, 1, 50)
-        table = blame_table(recorder)
+        tracer = SpanTracer()
+        tracer.scope.new_sim()
+        tracer.scope.label_device("ull")
+        _trace_stub(tracer, 0, 100, waits=[_edge(0, 40, "die0", "gc")])
+        _trace_stub(tracer, 1, 50)
+        table = blame_table(BlameReport.from_tracer(tracer, slos=(spec,)))
         assert "ull / read" in table
         assert "die0" in table and "gc" in table
         assert "MISSED" in table
 
-    def test_pickle_round_trip(self):
-        recorder = BlameRecorder(BlameConfig(slos=(SloSpec.parse("read:60ns"),)))
-        recorder.scope.new_sim()
-        _trace_stub(recorder, 0, 100, waits=[_edge(0, 40, "die0", "gc")])
-        clone = pickle.loads(pickle.dumps(recorder))
-        assert blame_table(clone) == blame_table(recorder)
-
     def test_default_top_is_ten(self):
         assert DEFAULT_TOP == 10
-        assert BlameConfig().top == 10
+        assert BlameReport.from_tracer(SpanTracer()).top == 10

@@ -8,9 +8,10 @@ breaks here first.
 """
 
 from repro.obs import (
-    BlameConfig,
-    BlameRecorder,
+    BlameReport,
+    IoTrace,
     SloSpec,
+    SpanTracer,
     Telemetry,
     TimeSeries,
     blame_report_html,
@@ -77,48 +78,33 @@ class TestTelemetryEdgeCases:
 
 class TestBlameSectionEdgeCases:
     def test_zero_outliers_renders_placeholder(self):
-        section = blame_section_html(BlameRecorder())
+        section = blame_section_html(BlameReport.from_tracer(SpanTracer()))
         assert "no I/Os observed" in section
         assert "NaN" not in section
 
     def test_empty_report_is_valid_document(self, tmp_path):
-        recorder = BlameRecorder()
-        html = blame_report_html(recorder)
+        report = BlameReport.from_tracer(SpanTracer())
+        html = blame_report_html(report)
         _document_checks(html)
         path = tmp_path / "blame.html"
-        write_blame_html(recorder, str(path))
+        write_blame_html(report, str(path))
         assert path.read_text() == html
 
     def test_slos_without_traffic_render(self):
-        recorder = BlameRecorder(
-            BlameConfig(slos=(SloSpec.parse("read:150us@0.999"),))
+        report = BlameReport.from_tracer(
+            SpanTracer(), slos=(SloSpec.parse("read:150us@0.999"),)
         )
-        html = blame_report_html(recorder)
+        html = blame_report_html(report)
         _document_checks(html)
         assert "no I/Os observed" in html
 
     def test_report_with_one_outlier_renders(self):
-        from repro.obs import WaitEdge
-
-        recorder = BlameRecorder()
-        recorder.scope.new_sim()
-        recorder.scope.label_device("ull")
-
-        class Stub:
-            io_id = 0
-            pid = 1
-            op = "read"
-            offset = 0
-            nbytes = 4096
-            start_ns = 0
-            end_ns = 100
-            _waits = [WaitEdge("ssd.die0", "gc", 0, 40)]
-
-            @staticmethod
-            def phases():
-                return []
-
-        recorder.observe(Stub())
-        html = blame_report_html(recorder)
+        tracer = SpanTracer()
+        tracer.scope.new_sim()
+        tracer.scope.label_device("ull")
+        trace = IoTrace(tracer, 0, "read", 0, 4096, 0, pid=1)
+        trace.wait("ssd.die0", "gc", 0, 40)
+        trace.finish(100)
+        html = blame_report_html(BlameReport.from_tracer(tracer))
         _document_checks(html)
         assert "ssd.die0" in html and "gc" in html

@@ -14,7 +14,9 @@ import pytest
 
 from repro.core.runners import sync_point
 from repro.core.sweep import ExperimentSpec, SweepEngine
+from repro.sim import Simulator
 from repro.obs import (
+    BlameReport,
     Observability,
     ProfilerConfig,
     TelemetryConfig,
@@ -36,7 +38,7 @@ POINTS = tuple(
 
 
 def run_points(jobs):
-    obs = Observability(telemetry=TelemetryConfig(period_ns=10_000), blame=True)
+    obs = Observability(telemetry=TelemetryConfig(period_ns=10_000))
     with obs:
         SweepEngine(jobs=jobs).run(ExperimentSpec(name="two-device", points=POINTS))
     return obs
@@ -69,7 +71,11 @@ def devices_line(obs):
 
 
 def blame_groups(obs):
-    return [key for key, _records in obs.blame.groups()]
+    return [key for key, _records in BlameReport.from_tracer(obs.tracer).groups()]
+
+
+def blame_text(obs):
+    return blame_table(BlameReport.from_tracer(obs.tracer))
 
 
 class TestTwoDeviceMerge:
@@ -93,7 +99,7 @@ class TestTwoDeviceMerge:
         serial, parallel = bundles
         assert blame_groups(serial) == [("qlc", "read"), ("ull", "read")]
         assert blame_groups(parallel) == blame_groups(serial)
-        assert blame_table(parallel.blame) == blame_table(serial.blame)
+        assert blame_text(parallel) == blame_text(serial)
 
     def test_metrics_csv(self, bundles):
         serial, parallel = bundles
@@ -116,7 +122,7 @@ def exports(obs):
         trace_jsonl_lines(obs.tracer, obs.telemetry),
         telemetry_to_text(obs.telemetry),
         telemetry_to_csv(obs.telemetry),
-        blame_table(obs.blame),
+        blame_text(obs),
         metrics_to_csv(obs.registry),
         to_collapsed(obs.profiler),
         telemetry_to_csv(obs.profiler.telemetry),
@@ -130,7 +136,6 @@ class TestPickledBundle:
     def used_bundle(self):
         obs = Observability(
             telemetry=TelemetryConfig(period_ns=10_000),
-            blame=True,
             profile=ProfilerConfig(wall=False),
         )
         with obs:
@@ -143,7 +148,6 @@ class TestPickledBundle:
             clone.scope,
             clone.tracer.scope,
             clone.telemetry.scope,
-            clone.blame.scope,
             clone.profiler.telemetry.scope,
         )
         assert all(scope is clone.scope for scope in scopes)
@@ -157,3 +161,19 @@ class TestPickledBundle:
         parent.absorb(clone)
         assert exports(parent) == exports(obs)
         assert parent.scope.sims == obs.scope.sims == 2
+
+
+class TestScopeAfterAbsorb:
+    """A sim that keeps running after its bundle absorbs a worker stamps
+    its own pid; the next sim to attach gets the first free one."""
+
+    def test_running_sim_keeps_its_pid(self):
+        parent = Observability()
+        Simulator(parent)
+        worker = Observability()
+        Simulator(worker)
+        worker.tracer.begin_io("read", 0, 4096, 0).finish(10)
+        parent.absorb(worker)
+        assert parent.tracer.begin_io("read", 0, 4096, 0).pid == 1
+        Simulator(parent)
+        assert parent.tracer.begin_io("read", 0, 4096, 0).pid == 3

@@ -213,7 +213,8 @@ class TestTelemetryRecorder:
         worker.series("q", "level").record(0, 3.0)
         parent.absorb(worker, parent.scope.absorb(worker.scope))
         assert sorted(series.pid for series in parent) == [1, 2, 3]
-        assert parent.scope.pid == 3
+        # The parent's own sim keeps its pid; the next one gets pid 4.
+        assert (parent.scope.pid, parent.scope.sims) == (1, 3)
 
     def test_absorb_refuses_a_colliding_series(self):
         parent = Telemetry()

@@ -126,6 +126,23 @@ class TestWritePath:
         assert device.stats.write_stalls == slow
         assert 0 < slow < 20
 
+    def test_overwrite_drops_the_read_cache_copy(self):
+        """A read after an overwrite must not be served the old copy."""
+        from repro.ssd.registry import resolve_config
+
+        sim = Simulator()
+        device = SsdDevice(sim, resolve_config("intel750"))
+        device.precondition(1.0)
+        wait(sim, device.read(5 * 4096, 4096))
+        old_ppa = device.ftl.read_ppa(5)
+        wait(sim, device.write(5 * 4096, 4096))
+        sim.run(until=sim.now + 50_000_000)  # the flush places LPN 5 anew
+        assert device.ftl.read_ppa(5) != old_ppa
+        assert 5 not in device.controller.write_buffer.resident
+        hits = device.stats.cache_read_hits
+        wait(sim, device.read(5 * 4096, 4096))
+        assert device.stats.cache_read_hits == hits
+
 
 class TestRequestValidation:
     def test_misaligned_offset_rejected(self):

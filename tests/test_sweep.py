@@ -29,7 +29,6 @@ from repro.core.sweep import (
     point_cache_key,
     source_digest,
 )
-from repro.obs.blame import BlameConfig
 from repro.obs.core import Observability
 from repro.obs.prof import ProfilerConfig
 from repro.obs.telemetry import TelemetryConfig
@@ -279,12 +278,12 @@ class TestPersistentCache:
 
 
 #: Bundles that each enable one recorder: telemetry and the profiler
-#: alone, blame beside the tracer it requires.
+#: alone, and the tracer alone, which is what a blame report reads.
 BUNDLES = {
     "tracing": dict(),
     "telemetry": dict(tracing=False, metrics=False, telemetry=TelemetryConfig(period_ns=5000)),
     "profile": dict(tracing=False, metrics=False, profile=ProfilerConfig(wall=False)),
-    "blame": dict(metrics=False, blame=BlameConfig()),
+    "blame": dict(metrics=False),
 }
 
 
